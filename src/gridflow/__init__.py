@@ -19,7 +19,7 @@ from .data import (
     save_dataset,
 )
 from .graphnets import GraphTensors, Model, ModelConfig, MODEL_NAMES
-from .metrics import MetricsReport, metrics, rank_of, ranks_of
+from .metrics import MetricsReport, metrics, ranks_of
 from .training import (
     RunResult,
     TrainConfig,
@@ -40,7 +40,7 @@ __all__ = [
     "Dataset", "GenParams", "build_dataset", "dataset_stats", "load_dataset",
     "preset_names", "preset_params", "save_dataset",
     "GraphTensors", "Model", "ModelConfig", "MODEL_NAMES",
-    "MetricsReport", "metrics", "rank_of", "ranks_of",
+    "MetricsReport", "metrics", "ranks_of",
     "RunResult", "TrainConfig", "aggregate_runs", "evaluate", "lr_schedule",
     "prepare_examples", "run_experiment", "select_snapshots", "train",
 ]

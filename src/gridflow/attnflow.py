@@ -27,11 +27,14 @@ class TransitionParams:
     bias: ad.Tensor  # (n_types,)
 
 
-def gather_endpoints(states, gt):
-    """Per-edge sender and receiver states, shareable across uses."""
+def gather_endpoints(states, gt, senders=True, receivers=True):
+    """Per-edge sender and receiver states, shareable across uses; None for
+    a side not asked for."""
     axis = states.data.ndim - 2
-    h_src = ad.take(states, gt.src, axis=axis, scatter=gt.sender_index)
-    h_dst = ad.take(states, gt.dst, axis=axis, scatter=gt.receiver_index)
+    h_src = (ad.take(states, gt.src, axis=axis, scatter=gt.sender_index)
+             if senders else None)
+    h_dst = (ad.take(states, gt.dst, axis=axis, scatter=gt.receiver_index)
+             if receivers else None)
     return h_src, h_dst
 
 

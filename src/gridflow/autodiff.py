@@ -199,20 +199,6 @@ def matmul(a, b):
     return _make(out, [(a, vjp_a), (b, vjp_b)])
 
 
-def outer_product(u, v):
-    u, v = _wrap(u), _wrap(v)
-    if u.data.ndim != 1 or v.data.ndim != 1:
-        raise ValueError(
-            f"outer_product expects vectors, got {u.data.shape} and {v.data.shape}"
-        )
-    ud, vd = u.data, v.data
-    return _make(np.outer(ud, vd), [(u, lambda g: g @ vd), (v, lambda g: ud @ g)])
-
-
-def inner_product(u, v):
-    return tsum(mul(u, v))
-
-
 # -- shape ops -----------------------------------------------------------
 
 
@@ -275,13 +261,7 @@ def leaky_relu(x, slope=0.2):
     x = _wrap(x)
     pos = x.data > 0
     out = np.where(pos, x.data, slope * x.data)
-    return _make(out, [(x, lambda g: g * np.where(pos, 1.0, slope))])
-
-
-def exp(x):
-    x = _wrap(x)
-    out = np.exp(x.data)
-    return _make(out, [(x, lambda g: g * out)])
+    return _make(out, [(x, lambda g: np.where(pos, g, slope * g))])
 
 
 def log(x, floor=LOG_FLOOR):
@@ -290,12 +270,6 @@ def log(x, floor=LOG_FLOOR):
     clamped = np.maximum(x.data, floor)
     mask = x.data > floor
     return _make(np.log(clamped), [(x, lambda g: g * mask / clamped)])
-
-
-def clamp_min(x, lo):
-    x = _wrap(x)
-    mask = x.data > lo
-    return _make(np.maximum(x.data, lo), [(x, lambda g: g * mask)])
 
 
 # -- reductions ----------------------------------------------------------

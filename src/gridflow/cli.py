@@ -27,64 +27,70 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="generate trajectory datasets")
+    def command(name, help):
+        # An option left out is left out of the call too, so the command
+        # function's own default applies.
+        return sub.add_parser(name, help=help,
+                              argument_default=argparse.SUPPRESS)
+
+    g = command("generate", "generate trajectory datasets")
     g.add_argument("--preset", help="dataset group name, e.g. "
                    "LINE-SZ32-STP16-NDRP-STD0.2")
-    g.add_argument("--seeds", type=int, default=1,
+    g.add_argument("--seeds", type=int,
                    help="number of generation seeds (0..seeds-1)")
     g.add_argument("--out", required=True)
     g.add_argument("--n", type=int, help="grid side (custom dataset)")
     g.add_argument("--t", type=int, help="max rollout steps (custom dataset)")
     g.add_argument("--sigma", type=float, help="sampling spread (custom)")
-    g.add_argument("--preset-dir", dest="direction", default="line",
+    g.add_argument("--preset-dir", dest="direction",
                    help="direction function: line|sine|location|history")
 
-    t = sub.add_parser("train", help="train one model on one dataset")
+    t = command("train", "train one model on one dataset")
     t.add_argument("--model", required=True)
-    t.add_argument("--data", required=True, help="dataset directory")
-    t.add_argument("--out", required=True, help="run directory")
-    t.add_argument("--epochs", type=int, default=50)
-    t.add_argument("--batch", type=int, default=None,
+    t.add_argument("--data", dest="data_dir", required=True,
+                   help="dataset directory")
+    t.add_argument("--out", dest="run_dir", required=True, help="run directory")
+    t.add_argument("--epochs", type=int)
+    t.add_argument("--batch", type=int,
                    help="default 16, or 4 when the grid side is 64")
-    t.add_argument("--dims", type=int, default=40)
-    t.add_argument("--attn-dims", type=int, default=8)
-    t.add_argument("--steps", type=int, default=None,
+    t.add_argument("--dims", type=int)
+    t.add_argument("--attn-dims", type=int)
+    t.add_argument("--steps", type=int,
                    help="propagation steps; defaults to the dataset's T")
-    t.add_argument("--seed", type=int, default=0, help="parameter init seed")
-    t.add_argument("--shuffle-seed", type=int, default=0)
+    t.add_argument("--seed", type=int, help="parameter init seed")
+    t.add_argument("--shuffle-seed", type=int)
     t.add_argument("--lr-constant", action="store_true",
                    help="disable the learning-rate decay schedule")
 
-    e = sub.add_parser("eval", help="evaluate selected checkpoints")
+    e = command("eval", "evaluate selected checkpoints")
     e.add_argument("--run", required=True, help="run directory from train")
-    e.add_argument("--split", default="test",
-                   choices=["train", "valid", "test"])
+    e.add_argument("--split", choices=["train", "valid", "test"])
     e.add_argument("--out", help="optional metrics JSON path")
 
-    v = sub.add_parser("visualize", help="attention-flow heatmap and traces")
+    v = command("visualize", "attention-flow heatmap and traces")
     v.add_argument("--run", required=True)
     v.add_argument("--src", type=int, required=True, help="source node id")
     v.add_argument("--dst", type=int, required=True, help="destination node id")
     v.add_argument("--out", required=True, help="output directory")
 
-    r = sub.add_parser("reproduce",
-                       help="generate, train, and eval one table cell")
+    r = command("reproduce", "generate, train, and eval one table cell")
     r.add_argument("--preset", required=True)
     r.add_argument("--model", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--seeds", type=int, default=1)
-    r.add_argument("--epochs", type=int, default=50)
+    r.add_argument("--seeds", type=int)
+    r.add_argument("--epochs", type=int)
     return p
 
 
-def cmd_generate(args) -> int:
+def generate(out, preset=None, seeds=1, n=None, t=None, sigma=None,
+             direction="line") -> int:
     from . import data
 
-    if args.preset:
+    if preset:
         try:
-            data.preset_params(args.preset, seed=0)
+            data.preset_params(preset, seed=0)
         except ValueError:
-            print(f"unknown preset {args.preset!r}; valid presets:",
+            print(f"unknown preset {preset!r}; valid presets:",
                   file=sys.stderr)
             for name in data.preset_names():
                 print(f"  {name}", file=sys.stderr)
@@ -92,25 +98,25 @@ def cmd_generate(args) -> int:
 
     header = ("seed", "nodes", "edges", "pairs", "pairs_per_node", "traj_len")
     print("\t".join(header))
-    for seed in range(args.seeds):
-        if args.preset:
-            params = data.preset_params(args.preset, seed=seed)
+    for seed in range(seeds):
+        if preset:
+            params = data.preset_params(preset, seed=seed)
         else:
-            if args.n is None or args.t is None or args.sigma is None:
+            if n is None or t is None or sigma is None:
                 print("custom datasets need --n, --t and --sigma",
                       file=sys.stderr)
                 return 2
             from .dynamics import DirectionFunction
             params = data.GenParams(
-                n_side=args.n, max_steps=args.t, sigma=args.sigma,
+                n_side=n, max_steps=t, sigma=sigma,
                 corruption=data.CorruptionParams(0.1, 0.0, seed),
-                direction=DirectionFunction.preset(args.direction.lower()),
+                direction=DirectionFunction.preset(direction.lower()),
                 seed=seed,
             )
         dataset, trajectories = data.build_dataset(params,
                                                    return_trajectories=True)
         stats = data.dataset_stats(dataset, trajectories)
-        outdir = os.path.join(args.out, f"seed{seed}")
+        outdir = os.path.join(out, f"seed{seed}")
         data.save_dataset(outdir, dataset, params, stats)
         print("\t".join([
             str(seed), str(stats.n_nodes), str(stats.n_edges),
@@ -136,35 +142,37 @@ def _load_run_pieces(run_dir):
     return cfg_doc, dataset, model, gt, examples
 
 
-def cmd_train(args) -> int:
+def train(model, data_dir, run_dir, epochs=50, batch=None, dims=40,
+          attn_dims=8, steps=None, seed=0, shuffle_seed=0,
+          lr_constant=False) -> int:
     from . import data, graphnets, training
 
-    if not os.path.isdir(args.data):
-        print(f"dataset directory {args.data!r} does not exist; run "
+    if not os.path.isdir(data_dir):
+        print(f"dataset directory {data_dir!r} does not exist; run "
               "`gridflow generate` first", file=sys.stderr)
         return 2
-    dataset = data.load_dataset(args.data)
-    params = data.load_params(args.data)
-    batch = args.batch or (4 if params.n_side == 64 else 16)
-    steps = args.steps or params.max_steps
+    dataset = data.load_dataset(data_dir)
+    params = data.load_params(data_dir)
+    batch = batch or (4 if params.n_side == 64 else 16)
+    steps = steps or params.max_steps
     model_cfg = graphnets.ModelConfig.from_name(
-        args.model, dims=args.dims, attn_dims=args.attn_dims, steps=steps)
+        model, dims=dims, attn_dims=attn_dims, steps=steps)
     train_cfg = training.TrainConfig(
-        batch_size=batch, epochs=args.epochs, shuffle_seed=args.shuffle_seed,
-        snapshot_top_k=min(3, args.epochs) if args.epochs else 3)
-    if args.lr_constant:
+        batch_size=batch, epochs=epochs, shuffle_seed=shuffle_seed,
+        snapshot_top_k=min(3, epochs) if epochs else 3)
+    if lr_constant:
         train_cfg.lr_end = train_cfg.lr_start
 
-    os.makedirs(args.run_dir, exist_ok=True)
-    with open(os.path.join(args.run_dir, "config.json"), "w") as f:
+    os.makedirs(run_dir, exist_ok=True)
+    with open(os.path.join(run_dir, "config.json"), "w") as f:
         json.dump({
-            "model": model_cfg.name, "data": os.path.abspath(args.data),
-            "dims": args.dims, "attn_dims": args.attn_dims, "steps": steps,
-            "batch": batch, "epochs": args.epochs, "seed": args.seed,
-            "shuffle_seed": args.shuffle_seed,
+            "model": model_cfg.name, "data": os.path.abspath(data_dir),
+            "dims": dims, "attn_dims": attn_dims, "steps": steps,
+            "batch": batch, "epochs": epochs, "seed": seed,
+            "shuffle_seed": shuffle_seed,
         }, f, indent=1)
 
-    log_path = os.path.join(args.run_dir, "run.log")
+    log_path = os.path.join(run_dir, "run.log")
     with open(log_path, "w") as log_file:
         header = "\t".join(["epoch", "lr", "train_loss", "valid_hits1",
                             "valid_hits5", "valid_hits10", "valid_mr",
@@ -178,18 +186,18 @@ def cmd_train(args) -> int:
             log_file.flush()
             print(line)
 
-        model, result, selected, tests = training.run_experiment(
-            model_cfg, train_cfg, dataset, model_seed=args.seed, log=log)
+        _, _, selected, tests = training.run_experiment(
+            model_cfg, train_cfg, dataset, model_seed=seed, log=log)
 
     if not selected:
         print("no snapshots (0 epochs)")
         return 0
     for snap in selected:
         import numpy as np
-        np.savez(os.path.join(args.run_dir, f"epoch{snap.epoch}.npz"),
+        np.savez(os.path.join(run_dir, f"epoch{snap.epoch}.npz"),
                  **snap.state)
     summary = training.aggregate_runs([tests])
-    with open(os.path.join(args.run_dir, "selection.json"), "w") as f:
+    with open(os.path.join(run_dir, "selection.json"), "w") as f:
         json.dump({
             "model": model_cfg.name,
             "selected_epochs": [s.epoch for s in selected],
@@ -200,112 +208,94 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def evaluate(run, split="test", out=None) -> int:
     from . import training
 
-    manifest_path = os.path.join(args.run, "selection.json")
+    manifest_path = os.path.join(run, "selection.json")
     if not os.path.exists(manifest_path):
         print("no selection manifest in run directory; the test split is "
               "only evaluated after snapshot selection", file=sys.stderr)
         return 2
     with open(manifest_path) as f:
         manifest = json.load(f)
-    cfg_doc, dataset, model, gt, examples = _load_run_pieces(args.run)
-    src, dst = examples[args.split]
+    cfg_doc, dataset, model, gt, examples = _load_run_pieces(run)
+    src, dst = examples[split]
 
     import numpy as np
     reports = []
     for epoch in manifest["selected_epochs"]:
-        with np.load(os.path.join(args.run, f"epoch{epoch}.npz")) as f:
+        with np.load(os.path.join(run, f"epoch{epoch}.npz")) as f:
             model.load_state_dict(dict(f))
         reports.append(training.evaluate(model, src, dst))
     summary = training.aggregate_runs([reports])
-    summary["split"] = args.split
+    summary["split"] = split
     text = json.dumps(summary, indent=1)
     print(text)
-    if args.out:
-        with open(args.out, "w") as f:
+    if out:
+        with open(out, "w") as f:
             f.write(text + "\n")
     return 0
 
 
-def cmd_visualize(args) -> int:
-    from . import training, viz
+def visualize(run, src, dst, out) -> int:
+    from . import viz
 
-    manifest_path = os.path.join(args.run, "selection.json")
+    manifest_path = os.path.join(run, "selection.json")
     if not os.path.exists(manifest_path):
         print("run directory has no selection manifest", file=sys.stderr)
         return 2
     with open(manifest_path) as f:
         manifest = json.load(f)
-    cfg_doc, dataset, model, gt, examples = _load_run_pieces(args.run)
+    cfg_doc, dataset, model, gt, examples = _load_run_pieces(run)
 
     import numpy as np
     best = manifest["selected_epochs"][0]
-    with np.load(os.path.join(args.run, f"epoch{best}.npz")) as f:
+    with np.load(os.path.join(run, f"epoch{best}.npz")) as f:
         model.load_state_dict(dict(f))
 
-    os.makedirs(args.out, exist_ok=True)
-    src_idx = int(gt.to_indices(args.src)[0])
-    dst_idx = int(gt.to_indices(args.dst)[0])
+    os.makedirs(out, exist_ok=True)
+    src_idx = int(gt.to_indices(src)[0])
+    dst_idx = int(gt.to_indices(dst)[0])
     if not model.cfg.explicit_flow:
         print("attention flow is unavailable for a regular variant; "
               "writing the implicit-readout heatmap instead")
         by_id, svg = viz.readout_heatmap(model, gt, src_idx, dst_idx)
-        with open(os.path.join(args.out, "readout_heatmap.svg"), "w") as f:
+        with open(os.path.join(out, "readout_heatmap.svg"), "w") as f:
             f.write(svg)
         return 0
     focused, flowing, by_id, svg = viz.flow_heatmap(model, gt, src_idx,
                                                     dst_idx)
-    viz.write_node_trace(os.path.join(args.out, "trace_nodes.tsv"), gt,
-                         focused)
-    viz.write_edge_trace(os.path.join(args.out, "trace_edges.tsv"), gt,
-                         flowing)
-    with open(os.path.join(args.out, "heatmap.svg"), "w") as f:
+    viz.write_node_trace(os.path.join(out, "trace_nodes.tsv"), gt, focused)
+    viz.write_edge_trace(os.path.join(out, "trace_edges.tsv"), gt, flowing)
+    with open(os.path.join(out, "heatmap.svg"), "w") as f:
         f.write(svg)
-    print(f"wrote heatmap and traces to {args.out}")
+    print(f"wrote heatmap and traces to {out}")
     return 0
 
 
-def cmd_reproduce(args) -> int:
-    from argparse import Namespace
-
-    data_dir = os.path.join(args.out, "data")
-    gen = Namespace(preset=args.preset, seeds=args.seeds, out=data_dir,
-                    n=None, t=None, sigma=None, direction="line")
-    rc = cmd_generate(gen)
+def reproduce(preset, model, out, seeds=1, epochs=50) -> int:
+    data_dir = os.path.join(out, "data")
+    rc = generate(data_dir, preset=preset, seeds=seeds)
     if rc:
         return rc
-    for seed in range(args.seeds):
-        run_dir = os.path.join(args.out, f"run-seed{seed}")
-        tr = Namespace(model=args.model,
-                       data=os.path.join(data_dir, f"seed{seed}"),
-                       run_dir=run_dir, epochs=args.epochs, batch=None,
-                       dims=40, attn_dims=8, steps=None, seed=seed,
-                       shuffle_seed=seed, lr_constant=False)
-        rc = cmd_train(tr)
-        if rc:
-            return rc
-        rc = cmd_eval(Namespace(run=run_dir, split="test",
-                                out=os.path.join(run_dir, "test.json")))
+    for seed in range(seeds):
+        run_dir = os.path.join(out, f"run-seed{seed}")
+        rc = (train(model, os.path.join(data_dir, f"seed{seed}"), run_dir,
+                    epochs=epochs, seed=seed, shuffle_seed=seed)
+              or evaluate(run_dir, out=os.path.join(run_dir, "test.json")))
         if rc:
             return rc
     return 0
+
+
+COMMANDS = {"generate": generate, "train": train, "eval": evaluate,
+            "visualize": visualize, "reproduce": reproduce}
 
 
 def main(argv=None) -> int:
     _apply_thread_cap()
-    args = build_parser().parse_args(argv)
-    if args.command == "train":
-        args.run_dir = args.out
-    handlers = {
-        "generate": cmd_generate,
-        "train": cmd_train,
-        "eval": cmd_eval,
-        "visualize": cmd_visualize,
-        "reproduce": cmd_reproduce,
-    }
-    return handlers[args.command](args)
+    args = vars(build_parser().parse_args(argv))
+    return COMMANDS[args.pop("command")](**args)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ graph and shared parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -120,6 +121,16 @@ class GraphTensors:
         return np.array([self.id_to_index[int(v)] for v in np.atleast_1d(node_ids)])
 
 
+def expand(x, size, axis):
+    """x with a new axis of length size inserted at axis; its gradient sums
+    back over that axis."""
+    shape = x.data.shape
+    ones = [1] * (len(shape) + 1)
+    ones[axis] = size
+    return ad.add(ad.reshape(x, shape[:axis] + (1,) + shape[axis:]),
+                  np.zeros(ones, dtype=x.data.dtype))
+
+
 def gru(h, m_bar, u_pre, params, d):
     """GRU cell over input x = [m_bar : u]; h' = (1-z) h + z tanh(.).
 
@@ -154,8 +165,7 @@ def init_node_states(gt: GraphTensors, params, src_indices, attn_dims, dtype):
     hdot[np.arange(b), np.asarray(src_indices)] = 1.0 / np.sqrt(attn_dims)
     aux = ad.tanh(ad.add(ad.matmul(params["embed"], params["init.W"]),
                          params["init.b"]))
-    aux_b = ad.add(aux, np.zeros((b, 1, 1), dtype=dtype))
-    return ad.concat([ad.Tensor(hdot), aux_b], axis=-1)
+    return ad.concat([ad.Tensor(hdot), expand(aux, b, axis=0)], axis=-1)
 
 
 @dataclass
@@ -257,35 +267,54 @@ class Model:
         )
 
     # -- propagation steps -------------------------------------------------
+    # A step maps node and global states (h, g), the (sender, receiver)
+    # gathers it reads, and this step's flowing (None in regular variants)
+    # and focused attention to the next (h, g). Per-edge messages are built
+    # in functions that return before the node update, so they are freed
+    # before it runs.
 
-    def _broadcast_embed(self, b):
-        return ad.add(self.params["embed"],
-                      np.zeros((b, 1, 1), dtype=self.cfg.np_dtype))
+    def _pick_step(self, b):
+        """The core's step, bound to its input from the node embeddings for
+        a batch of b, and whether it reads sender and receiver gathers.
 
-    def _messages_fullgn(self, h, g):
+        rw_stationary has no step: its states are the embeddings, fixed
+        for the whole forward.
+        """
+        cfg, p = self.cfg, self.params
+        if cfg.core == "rw_stationary":
+            return None, False, False
+        u = expand(p["embed"], b, axis=0)
+        if cfg.core == "fullgn":
+            return partial(self._fullgn_step, u), True, True
+        if cfg.core == "rw_dynamic":
+            return partial(self._rw_dynamic_step, u), False, False
+        # The GRU's embedding term is the same at every step.
+        u_pre = ad.add(ad.matmul(u, p["gru.Wu"]), p["gru.b"])
+        if cfg.core == "ggnn":
+            return partial(self._ggnn_step, u_pre), True, False
+        return partial(self._gat_step, u_pre), False, False
+
+    def _receive(self, messages, flowing):
+        """Per-edge messages, acted on by the flowing attention in flow
+        variants, summed into their receivers."""
+        p = self.params
+        if flowing is not None:
+            messages = attnflow.attend_message(
+                self.cfg.acting, flowing, messages, p.get("act.W"), p.get("act.b"))
+        return ad.segment_sum(messages, self.gt.dst, axis=1,
+                              index=self.gt.receiver_index)
+
+    def _fullgn_messages(self, h_src, h_dst, g):
         gt, p = self.gt, self.params
-        b = h.data.shape[0]
-        h_i = ad.take(h, gt.src, axis=1, scatter=gt.sender_index)
-        h_j = ad.take(h, gt.dst, axis=1, scatter=gt.receiver_index)
-        g_e = ad.add(ad.reshape(g, (b, 1, -1)),
-                     np.zeros((1, gt.n_edges, 1), dtype=self.cfg.np_dtype))
-        feats = ad.concat([h_i, h_j, g_e], axis=-1)
-        chunks = []
-        for t, (lo, hi) in enumerate(gt.type_slices):
-            if lo == hi:
-                continue
-            w = ad.reshape(ad.slice_axis(p["msg.W"], 0, t, t + 1),
-                           p["msg.W"].data.shape[1:])
-            bias = ad.reshape(ad.slice_axis(p["msg.b"], 0, t, t + 1), (-1,))
-            part = ad.slice_axis(feats, 1, lo, hi)
-            chunks.append(ad.tanh(ad.add(ad.matmul(part, w), bias)))
-        return ad.concat(chunks, axis=1)
+        feats = ad.concat([h_src, h_dst, expand(g, gt.n_edges, axis=1)], axis=-1)
+        return ad.typed_affine(feats, p["msg.W"], p["msg.b"], gt.type_slices,
+                               act="tanh")
 
-    def _messages_ggnn(self, h_src_g):
+    def _ggnn_messages(self, h_src):
         gt, p = self.gt, self.params
-        return ad.typed_affine(h_src_g, p["msg.W"], p["msg.b"], gt.type_slices)
+        return ad.typed_affine(h_src, p["msg.W"], p["msg.b"], gt.type_slices)
 
-    def _messages_gat(self, h):
+    def _gat_messages(self, h):
         gt, p, cfg = self.gt, self.params, self.cfg
         k, hw = cfg.heads, cfg.dims // cfg.heads
         z_all = ad.reshape(ad.add(ad.matmul(h, p["gat.W"]), p["gat.b"]),
@@ -303,31 +332,27 @@ class Model:
         weighted = ad.mul(zh_i, ad.reshape(alpha, alpha.data.shape + (1,)))
         return ad.reshape(weighted, (-1, gt.n_edges, cfg.dims))
 
-    def _aggregate(self, messages):
-        return ad.segment_sum(messages, self.gt.dst, axis=1,
-                              index=self.gt.receiver_index)
+    def _fullgn_step(self, u, h, g, ends, flowing, focused):
+        p = self.params
+        m_bar = self._receive(self._fullgn_messages(*ends, g), flowing)
+        feats = ad.concat([h, m_bar, u, expand(g, self.gt.n, axis=1)], axis=-1)
+        h_next = ad.tanh(ad.add(ad.matmul(feats, p["node.W"]), p["node.b"]))
+        gfeat = ad.concat([g, ad.tmean(h, axis=1), ad.tmean(m_bar, axis=1)],
+                          axis=-1)
+        g_next = ad.tanh(ad.add(ad.matmul(gfeat, p["global.W"]), p["global.b"]))
+        return h_next, g_next
 
-    def _node_update(self, h, m_bar, u_b, u_pre, g):
-        """Core-specific node (and global) update; returns (h', g')."""
-        cfg, p = self.cfg, self.params
-        b = h.data.shape[0]
-        if cfg.core == "fullgn":
-            g_n = ad.add(ad.reshape(g, (b, 1, -1)),
-                         np.zeros((1, self.gt.n, 1), dtype=cfg.np_dtype))
-            feats = ad.concat([h, m_bar, u_b, g_n], axis=-1)
-            h_next = ad.tanh(ad.add(ad.matmul(feats, p["node.W"]), p["node.b"]))
-            gfeat = ad.concat([g, ad.tmean(h, axis=1), ad.tmean(m_bar, axis=1)],
-                              axis=-1)
-            g_next = ad.tanh(ad.add(ad.matmul(gfeat, p["global.W"]), p["global.b"]))
-            return h_next, g_next
-        return gru(h, m_bar, u_pre, p, cfg.dims), g
+    def _ggnn_step(self, u_pre, h, g, ends, flowing, focused):
+        m_bar = self._receive(self._ggnn_messages(ends[0]), flowing)
+        return gru(h, m_bar, u_pre, self.params, self.cfg.dims), g
 
-    def _rw_dynamic_update(self, h, u_b, g, focused):
-        cfg, p = self.cfg, self.params
-        b = h.data.shape[0]
-        g_n = ad.add(ad.reshape(g, (b, 1, -1)),
-                     np.zeros((1, self.gt.n, 1), dtype=cfg.np_dtype))
-        feats = ad.concat([h, u_b, g_n], axis=-1)
+    def _gat_step(self, u_pre, h, g, ends, flowing, focused):
+        m_bar = self._receive(self._gat_messages(h), flowing)
+        return gru(h, m_bar, u_pre, self.params, self.cfg.dims), g
+
+    def _rw_dynamic_step(self, u, h, g, ends, flowing, focused):
+        p = self.params
+        feats = ad.concat([h, u, expand(g, self.gt.n, axis=1)], axis=-1)
         h_next = ad.tanh(ad.add(ad.matmul(feats, p["node.W"]), p["node.b"]))
         h_bar = ad.tsum(ad.mul(h, ad.reshape(focused, focused.data.shape + (1,))),
                         axis=1)
@@ -340,74 +365,43 @@ class Model:
     def forward(self, src_indices, trace: bool = False) -> ForwardResult:
         cfg, gt, p = self.cfg, self.gt, self.params
         src = np.asarray(src_indices, dtype=np.int64)
-        b = len(src)
         dtype = cfg.np_dtype
         result = ForwardResult(probs=None)
+        step, reads_src, reads_dst = self._pick_step(len(src))
+        if step is None:
+            h, g = p["embed"], None
+        else:
+            h = init_node_states(gt, p, src, cfg.attn_dims, dtype)
+            g = ad.Tensor(np.zeros((len(src), cfg.dims), dtype=dtype))
 
-        focused = None
+        focused = focused_next = flowing = transition = None
         if cfg.explicit_flow:
+            tp = self.transition_params()
             focused = attnflow.onehot_focus(gt.n, src, dtype)
             if trace:
                 result.focused.append(focused.data.copy())
 
-        if cfg.core == "rw_stationary":
-            logits = attnflow.transition_logits(p["embed"], gt,
-                                                self.transition_params())
-            transition = attnflow.transition_matrix(logits, gt)
-            for _ in range(cfg.steps):
-                flowing, focused = attnflow.flow_step(focused, transition, gt)
-                if trace:
-                    result.flowing.append(flowing.data.copy())
-                    result.focused.append(focused.data.copy())
-            result.probs = focused
-            return result
-
-        h = init_node_states(gt, p, src, cfg.attn_dims, dtype)
-        u_b = self._broadcast_embed(b)
-        g = ad.Tensor(np.zeros((b, cfg.dims), dtype=dtype))
-        u_pre = None
-        if cfg.core in ("ggnn", "gat"):
-            u_pre = ad.add(ad.matmul(u_b, p["gru.Wu"]), p["gru.b"])
-
         for _ in range(cfg.steps):
-            flowing = None
-            gathered = h_src_g = None
-            if cfg.core == "ggnn":
-                # Shared between messages and transition logits.
-                h_src_g = ad.take(h, gt.src, axis=1, scatter=gt.sender_index)
-                if cfg.explicit_flow:
-                    h_dst_g = ad.take(h, gt.dst, axis=1,
-                                      scatter=gt.receiver_index)
-                    gathered = (h_src_g, h_dst_g)
+            # States that change need a new transition every step; the
+            # fixed rw_stationary states need one for the whole forward.
+            fresh = cfg.explicit_flow and (step is not None or transition is None)
+            ends = attnflow.gather_endpoints(h, gt, reads_src or fresh,
+                                             reads_dst or fresh)
+            if fresh:
+                transition = attnflow.transition_matrix(
+                    attnflow.transition_logits(h, gt, tp, gathered=ends), gt)
             if cfg.explicit_flow:
-                logits = attnflow.transition_logits(
-                    h, gt, self.transition_params(), gathered=gathered)
-                transition = attnflow.transition_matrix(logits, gt)
                 flowing, focused_next = attnflow.flow_step(focused, transition, gt)
                 if trace:
                     result.flowing.append(flowing.data.copy())
                     result.focused.append(focused_next.data.copy())
-
-            if cfg.core == "rw_dynamic":
-                h, g = self._rw_dynamic_update(h, u_b, g, focused)
-            else:
-                if cfg.core == "fullgn":
-                    messages = self._messages_fullgn(h, g)
-                elif cfg.core == "ggnn":
-                    messages = self._messages_ggnn(h_src_g)
-                else:
-                    messages = self._messages_gat(h)
-                if cfg.explicit_flow and cfg.acting != "regular":
-                    messages = attnflow.attend_message(
-                        cfg.acting, flowing, messages,
-                        p.get("act.W"), p.get("act.b"),
-                    )
-                m_bar = self._aggregate(messages)
-                h, g = self._node_update(h, m_bar, u_b, u_pre, g)
-
-            if cfg.explicit_flow:
-                focused = focused_next
-            self._check_finite(h)
+            if step is not None:
+                # Gathers only the transition read are not held through the step.
+                ends = (ends[0] if reads_src else None,
+                        ends[1] if reads_dst else None)
+                h, g = step(h, g, ends, flowing, focused)
+                self._check_finite(h)
+            focused = focused_next
 
         result.probs = focused if cfg.explicit_flow else implicit_readout(
             h, cfg.attn_dims)

@@ -99,9 +99,6 @@ class GridGraph:
             )
         return self._edge_lookup
 
-    def has_edge(self, src: int, edge_type: int) -> bool:
-        return (src, edge_type) in self.edge_lookup()
-
     def neighbor(self, src: int, edge_type: int) -> int:
         """Target node id of following edge_type from src (may not exist)."""
         if edge_type == SELFLOOP:
@@ -109,19 +106,6 @@ class GridGraph:
         x = src % self.n_side + OFFSETS[edge_type, 0]
         y = src // self.n_side + OFFSETS[edge_type, 1]
         return int(y * self.n_side + x)
-
-    def out_edges(self) -> dict:
-        """node id -> list of (dst, type)."""
-        adj = {int(v): [] for v in self.nodes}
-        for src, dst, t in self.edges.tolist():
-            adj[src].append((dst, t))
-        return adj
-
-    def in_edges(self) -> dict:
-        adj = {int(v): [] for v in self.nodes}
-        for src, dst, t in self.edges.tolist():
-            adj[dst].append((src, t))
-        return adj
 
     def to_json_dict(self) -> dict:
         xs = self.nodes % self.n_side

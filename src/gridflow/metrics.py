@@ -32,16 +32,9 @@ class MetricsReport:
         return json.dumps(self.to_json_dict())
 
 
-def rank_of(scores, target_index: int) -> int:
-    """1-based rank of the target under the optimistic tie policy."""
-    scores = np.asarray(scores)
-    if not 0 <= target_index < len(scores):
-        raise ValueError(f"target index {target_index} outside score vector")
-    return 1 + int(np.sum(scores > scores[target_index]))
-
-
 def ranks_of(scores: np.ndarray, target_indices) -> np.ndarray:
-    """Vectorized rank_of over rows of a (B, n) score matrix."""
+    """1-based rank of each row's target in a (B, n) score matrix, under
+    the optimistic tie policy."""
     scores = np.asarray(scores)
     targets = scores[np.arange(len(scores)), np.asarray(target_indices)]
     return 1 + np.sum(scores > targets[:, None], axis=1)

@@ -53,8 +53,3 @@ class Adam:
             v *= b2
             v += (1.0 - b2) * g * g
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def adam_step(params: dict, state: Adam, lr=None):
-    """Apply one optimizer step; gradients must already be populated."""
-    state.step(lr=lr)

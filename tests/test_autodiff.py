@@ -75,7 +75,6 @@ def test_elementwise_ops_against_finite_differences():
     x = rng.standard_normal((3, 5))
     check_unary(ad.tanh, x)
     check_unary(ad.sigmoid, x)
-    check_unary(ad.exp, x * 0.3)
     check_unary(lambda t: ad.leaky_relu(t, 0.2), x + 0.05)
     check_unary(lambda t: ad.log(t), np.abs(x) + 0.5)
     check_unary(lambda t: ad.softmax(t, axis=-1), x)
@@ -110,17 +109,6 @@ def test_concat_slice_reshape_round_trip():
     loss.backward()
     assert np.allclose(a.grad, 0.0)
     assert np.allclose(b.grad, np.arange(10.0).reshape(2, 5))
-
-
-def test_outer_and_inner_product():
-    u = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    v = Tensor(np.array([3.0, 4.0, 5.0]), requires_grad=True)
-    ad.tsum(ad.outer_product(u, v)).backward()
-    assert np.allclose(u.grad, [12.0, 12.0])
-    assert np.allclose(v.grad, [3.0, 3.0, 3.0])
-    w = Tensor(np.array([1.0, -1.0]), requires_grad=True)
-    ad.inner_product(w, Tensor(np.array([2.0, 5.0]))).backward()
-    assert np.allclose(w.grad, [2.0, 5.0])
 
 
 def test_rowdot_matches_mul_sum():
@@ -270,14 +258,6 @@ def test_free_graph_releases_closures():
     y.backward(free_graph=True)
     assert x.grad is not None
     assert y._vjps == ()
-
-
-def test_clamp_min():
-    x = Tensor(np.array([-1.0, 0.5]), requires_grad=True)
-    y = ad.clamp_min(x, 0.0)
-    assert np.allclose(y.data, [0.0, 0.5])
-    ad.tsum(y).backward()
-    assert np.allclose(x.grad, [0.0, 1.0])
 
 
 def test_grad_check_passes_on_smooth_function():

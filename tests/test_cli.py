@@ -130,6 +130,20 @@ def test_rw_stationary_log_marker(tmp_path, capsys):
     assert "# constant_transition\ttrue" in (run_dir / "run.log").read_text()
 
 
+def test_reproduce_one_cell(tmp_path, capsys):
+    out = tmp_path / "cell"
+    assert run_cli("reproduce", "--preset", "LINE-SZ8-STP4-NDRP-STD0.2",
+                   "--model", "rw-stationary", "--epochs", "1",
+                   "--out", str(out)) == 0
+    run_dir = out / "run-seed0"
+    manifest = json.loads((run_dir / "selection.json").read_text())
+    assert manifest["model"] == "rw-stationary"
+    assert manifest["selected_epochs"] == [0]
+    doc = json.loads((run_dir / "test.json").read_text())
+    assert doc["split"] == "test"
+    assert doc["n_snapshots"] == 1
+
+
 def test_thread_cap_env(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("GRIDFLOW_THREADS", "2")

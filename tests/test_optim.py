@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gridflow.autodiff import Tensor
-from gridflow.optim import Adam, adam_step
+from gridflow.optim import Adam
 
 
 def adam_oracle(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -93,12 +93,3 @@ def test_zero_grad_clears():
     opt = Adam({"w": w})
     opt.zero_grad()
     assert w.grad is None
-
-
-def test_adam_step_wrapper_increments():
-    w = Tensor(np.zeros(1), requires_grad=True)
-    w.grad = np.ones(1)
-    opt = Adam({"w": w}, lr=0.1)
-    adam_step({"w": w}, opt)
-    assert opt.step_count == 1
-    assert w.data[0] == pytest.approx(-0.1, abs=1e-8)

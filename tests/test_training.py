@@ -121,7 +121,7 @@ def test_train_loss_decreases():
     model = Model(ModelConfig(core="ggnn", acting="mul", dims=10, attn_dims=4,
                               steps=3, dtype="float64"), gt, seed=0)
     cfg = TrainConfig(batch_size=8, epochs=4, snapshot_top_k=2,
-                      lr_start=0.01, lr_end=0.01, microbatch_size=4)
+                      lr_start=0.01, lr_end=0.01)
     lines = []
     result = train(model, cfg, prepare_examples(ds, gt), log=lines.append)
     assert len(result.snapshots) == 4
