@@ -5,8 +5,10 @@ Focused attention a is a distribution over nodes; flowing attention is the
 per-edge quantity T_ij * a_i, which sums to 1 over all edges. The per-edge
 transition logit is
     tau_ij = w1_e . h_i + w2_e . h_j + h_i^T Wo_e h_j + b_e
-with one parameter block per edge type; the outer-product feature is
-contracted without materializing the d x d matrix.
+with one parameter block per edge type. The bilinear term is contracted
+node-side: Wo_t h_j is computed once per (node, type) pair, gathered to
+each edge by its (receiver, type) key, and dotted with the gathered sender
+state h_i, so no d x d outer product or per-edge h_j is materialized.
 """
 from __future__ import annotations
 
@@ -27,41 +29,25 @@ class TransitionParams:
     bias: ad.Tensor  # (n_types,)
 
 
-def gather_endpoints(states, gt, senders=True, receivers=True):
-    """Per-edge sender and receiver states, shareable across uses; None for
-    a side not asked for."""
-    axis = states.data.ndim - 2
-    h_src = (ad.take(states, gt.src, axis=axis, scatter=gt.sender_index)
-             if senders else None)
-    h_dst = (ad.take(states, gt.dst, axis=axis, scatter=gt.receiver_index)
-             if receivers else None)
-    return h_src, h_dst
-
-
-def transition_logits(states, gt, tp: TransitionParams,
-                      gathered=None) -> ad.Tensor:
+def transition_logits(states, gt, tp: TransitionParams) -> ad.Tensor:
     """Per-edge logits from node states (B, n, d), or (n, d) for the
-    stationary case which carries no batch axis.
+    stationary case which carries no batch axis."""
+    axis = states.data.ndim - 2
+    table = states.data.shape[:axis] + (gt.n * gt.n_types,)
 
-    gathered: optional precomputed (h_src, h_dst) per-edge states so the
-    caller's own gathers are reused.
-    """
-    batched = states.data.ndim == 3
-    axis = 1 if batched else 0
-    nt = gt.n * gt.n_types
+    # The bias rides on the sender-side table; both tables are gathered by
+    # injective (node, type) keys.
+    s_src = ad.add(ad.matmul(states, tp.w_src), tp.bias)
+    s_dst = ad.matmul(states, tp.w_dst)
+    t_src = ad.take(ad.reshape(s_src, table), gt.src_type, axis=axis,
+                    unique=True)
+    t_dst = ad.take(ad.reshape(s_dst, table), gt.dst_type, axis=axis,
+                    unique=True)
 
-    s_src = ad.reshape(ad.matmul(states, tp.w_src), (-1, nt) if batched else (nt,))
-    s_dst = ad.reshape(ad.matmul(states, tp.w_dst), (-1, nt) if batched else (nt,))
-    t_src = ad.take(s_src, gt.src_type, axis=axis, scatter=gt.src_type_index)
-    t_dst = ad.take(s_dst, gt.dst_type, axis=axis, scatter=gt.dst_type_index)
-
-    h_src, h_dst = gathered if gathered is not None else gather_endpoints(
-        states, gt)
-    t_bil = ad.rowdot(h_src, ad.typed_affine(h_dst, tp.w_outer, None,
-                                             gt.type_slices))
-
-    b_edge = ad.take(tp.bias, gt.etype, axis=0, scatter=gt.etype_index)
-    return ad.add(ad.add(t_src, t_dst), ad.add(t_bil, b_edge))
+    h_src = ad.take(states, gt.src, axis=axis, scatter=gt.sender_index)
+    t_bil = ad.rowdot(h_src, ad.typed_affine(states, tp.w_outer, None,
+                                             gt.dst_type))
+    return ad.add(ad.add(t_src, t_dst), t_bil)
 
 
 def transition_matrix(logits: ad.Tensor, gt) -> ad.Tensor:
@@ -85,13 +71,20 @@ def flow_step(focused: ad.Tensor, transition: ad.Tensor, gt):
 
 def attend_message(acting: str, flowing: ad.Tensor, messages: ad.Tensor,
                    mlp_w: ad.Tensor = None, mlp_b: ad.Tensor = None) -> ad.Tensor:
-    """Backward acting of flowing attention on a per-edge message tensor."""
+    """Backward acting of flowing attention on a per-edge message tensor.
+
+    MulMlp acts as tanh((f m) mlp_w + mlp_b), computed as
+    tanh(f (m mlp_w) + mlp_b); pass mlp_w=None for messages that already
+    carry the projection by mlp_w.
+    """
     if acting == NO_ACT:
         return messages
     if acting == MUL:
         return ad.mul(messages, ad.reshape(flowing, flowing.data.shape + (1,)))
     if acting == MUL_MLP:
-        return ad.scale_affine_tanh(flowing, messages, mlp_w, mlp_b)
+        if mlp_w is not None:
+            messages = ad.matmul(messages, mlp_w)
+        return ad.scale_affine_tanh(flowing, messages, mlp_b)
     raise ValueError(f"unknown message-attending variant {acting!r}")
 
 
@@ -102,7 +95,7 @@ def flow_loss(focused: ad.Tensor, dst_indices) -> ad.Tensor:
     if np.any(dst < 0) or np.any(dst >= n):
         raise ValueError("destination index outside the node set")
     flat = ad.reshape(focused, (b * n,))
-    picked = ad.take(flat, np.arange(b) * n + dst, axis=0)
+    picked = ad.take(flat, np.arange(b) * n + dst, axis=0, unique=True)
     return ad.tmean(ad.mul(ad.log(picked), -1.0))
 
 

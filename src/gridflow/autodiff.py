@@ -3,8 +3,11 @@
 A Tensor records its parents and a vector-Jacobian closure per parent at
 construction; backward() walks the graph in reverse topological order and
 accumulates gradients by summation. Only the operator set the models need
-is provided. Segment operations accept a precomputed SegmentIndex so that
-scatter-adds run as sorted reduceat instead of per-element updates.
+is provided. Segment operations and gathers with repeated indices accept
+a precomputed SegmentIndex so that their scatter-adds run as sorted
+reduceat instead of per-element updates. Gathers whose indices never
+repeat (take(unique=True), typed_affine) back-propagate by plain index
+assignment.
 """
 from __future__ import annotations
 
@@ -315,11 +318,13 @@ def rowdot(a, b):
                        (b, lambda g: g[..., None] * ad_)])
 
 
-def scale_affine_tanh(s, m, w, b):
-    """Fused tanh((s[..., None] * m) @ w + b)."""
-    s, m, w, b = _wrap(s), _wrap(m), _wrap(w), _wrap(b)
-    scaled = s.data[..., None] * m.data
-    out = np.tanh(scaled @ w.data + b.data)
+def scale_affine_tanh(s, q, b):
+    """Fused tanh(s[..., None] * q + b): MulMlp acting on messages q that
+    are already projected by its weight, since tanh((s m) W + b) equals
+    tanh(s (m W) + b)."""
+    s, q, b = _wrap(s), _wrap(q), _wrap(b)
+    sd, qd = s.data[..., None], q.data
+    out = np.tanh(sd * qd + b.data)
     cache = {}
 
     def gpre(g):
@@ -327,81 +332,50 @@ def scale_affine_tanh(s, m, w, b):
             cache["g"] = g * (1.0 - out * out)
         return cache["g"]
 
-    def dscaled(g):
-        if "ds" not in cache:
-            cache["ds"] = gpre(g) @ w.data.T
-        return cache["ds"]
-
-    din, dout = w.data.shape
     return _make(out, [
-        (s, lambda g: np.einsum("...i,...i->...", dscaled(g), m.data)),
-        (m, lambda g: dscaled(g) * s.data[..., None]),
-        (w, lambda g: scaled.reshape(-1, din).T @ gpre(g).reshape(-1, dout)),
-        (b, lambda g: gpre(g).reshape(-1, dout).sum(axis=0)),
+        (s, lambda g: np.einsum("...i,...i->...", gpre(g), qd)),
+        (q, lambda g: gpre(g) * sd),
+        (b, lambda g: gpre(g).reshape(-1, out.shape[-1]).sum(axis=0)),
     ])
 
 
-def typed_affine(x, w, b, type_slices, act=None):
-    """Per-type affine maps over an edge axis grouped by type.
+def typed_affine(x, w, b, key):
+    """Per-edge typed affine map of node rows: out[..., e, :] =
+    x[..., node(e), :] @ w[type(e)] + b[type(e)].
 
-    x: (..., E, din) with edges of type t occupying type_slices[t]; w:
-    (n_types, din, dout); b: (n_types, dout) or None; act: None | "tanh".
+    x: (..., n, din) node rows; w: (n_types, din, dout); b: (n_types, dout)
+    or None; key: (E,) injective node * n_types + type index per edge. Every
+    (node, type) pair is mapped once by one GEMM and gathered by key, so
+    backward assigns by key and needs no scatter-add.
     """
-    if act not in (None, "tanh"):
-        raise ValueError(f"unsupported activation {act!r}")
     x, w = _wrap(x), _wrap(w)
     b = None if b is None else _wrap(b)
     xd, wd = x.data, w.data
     nt, din, dout = wd.shape
-    out = np.empty(xd.shape[:-1] + (dout,), dtype=xd.dtype)
-    for t, (lo, hi) in enumerate(type_slices):
-        if lo == hi:
-            continue
-        seg = xd[..., lo:hi, :] @ wd[t]
-        if b is not None:
-            seg += b.data[t]
-        out[..., lo:hi, :] = seg
-    if act == "tanh":
-        np.tanh(out, out)
+    lead, n = xd.shape[:-2], xd.shape[-2]
+    w_flat = wd.transpose(1, 0, 2).reshape(din, nt * dout)
+    y = xd @ w_flat
+    if b is not None:
+        y += b.data.reshape(nt * dout)
+    out = np.take(y.reshape(lead + (n * nt, dout)), key, axis=-2)
     cache = {}
 
-    def gpre(g):
+    def gy(g):
+        """g assigned to its (node, type) rows, zero elsewhere: (rows, nt*dout)."""
         if "g" not in cache:
-            cache["g"] = g * (1.0 - out * out) if act == "tanh" else g
+            full = np.zeros(lead + (n * nt, dout), dtype=g.dtype)
+            full[..., key, :] = g
+            cache["g"] = full.reshape(-1, nt * dout)
         return cache["g"]
 
-    def vjp_x(g):
-        g = gpre(g)
-        dx = np.empty_like(xd)
-        for t, (lo, hi) in enumerate(type_slices):
-            if lo == hi:
-                continue
-            dx[..., lo:hi, :] = g[..., lo:hi, :] @ wd[t].T
-        return dx
-
-    def vjp_w(g):
-        g = gpre(g)
-        dw = np.zeros_like(wd)
-        for t, (lo, hi) in enumerate(type_slices):
-            if lo == hi:
-                continue
-            xs = np.ascontiguousarray(xd[..., lo:hi, :]).reshape(-1, din)
-            gs = np.ascontiguousarray(g[..., lo:hi, :]).reshape(-1, dout)
-            dw[t] = xs.T @ gs
-        return dw
-
-    vjps = [(x, vjp_x), (w, vjp_w)]
+    vjps = [
+        (x, lambda g: (gy(g) @ w_flat.T).reshape(xd.shape)),
+        (w, lambda g: np.ascontiguousarray(
+            (xd.reshape(-1, din).T @ gy(g)).reshape(din, nt, dout)
+            .transpose(1, 0, 2))),
+    ]
     if b is not None:
-        def vjp_b(g):
-            g = gpre(g)
-            db = np.zeros_like(b.data)
-            for t, (lo, hi) in enumerate(type_slices):
-                if lo == hi:
-                    continue
-                db[t] = g[..., lo:hi, :].reshape(-1, dout).sum(axis=0)
-            return db
-
-        vjps.append((b, vjp_b))
+        vjps.append((b, lambda g: gy(g).sum(axis=0).reshape(nt, dout)))
     return _make(out, vjps)
 
 
@@ -464,17 +438,30 @@ class SegmentIndex:
         return out
 
 
-def take(x, idx, axis=0, scatter: SegmentIndex | None = None):
-    """Gather rows by index along axis; backward scatter-adds."""
+def take(x, idx, axis=0, scatter: SegmentIndex | None = None,
+         unique: bool = False):
+    """Gather rows by index along axis.
+
+    Backward scatter-adds repeated indices through scatter, a SegmentIndex
+    over idx built here when not given. unique=True promises idx has no
+    repeats, and backward then assigns rows instead.
+    """
     x = _wrap(x)
     idx = np.asarray(idx, dtype=np.int64)
-    n = x.data.shape[axis]
     shape = x.data.shape
-    if scatter is None:
-        scatter = SegmentIndex(idx, n)
+    if unique:
+        where = (slice(None),) * (axis % len(shape)) + (idx,)
 
-    def vjp(g):
-        return scatter.scatter_add(g, axis=axis)
+        def vjp(g):
+            out = np.zeros(shape, dtype=g.dtype)
+            out[where] = g
+            return out
+    else:
+        if scatter is None:
+            scatter = SegmentIndex(idx, shape[axis])
+
+        def vjp(g):
+            return scatter.scatter_add(g, axis=axis)
 
     return _make(np.take(x.data, idx, axis=axis), [(x, vjp)])
 

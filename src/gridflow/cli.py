@@ -175,6 +175,7 @@ def train(model, data_dir, run_dir, epochs=50, batch=None, dims=40,
         log_file.write(header + "\n")
         if model_cfg.core == "rw_stationary":
             log_file.write("# constant_transition\ttrue\n")
+        log_file.flush()  # the first epoch can take minutes
 
         def log(line):
             log_file.write(line + "\n")

@@ -78,7 +78,7 @@ class ModelConfig:
 
 
 class GraphTensors:
-    """Index arrays for one selfloop-augmented graph, edges grouped by type.
+    """Index arrays for one selfloop-augmented graph, edges sorted by type.
 
     Compact node indices 0..n-1 follow ascending original node id.
     """
@@ -104,15 +104,14 @@ class GraphTensors:
 
         self.sender_index = ad.SegmentIndex(self.src, self.n)
         self.receiver_index = ad.SegmentIndex(self.dst, self.n)
+        # Per-edge (node, type) keys into node-side tables of n * n_types
+        # rows. Gathers by them back-propagate by assignment, which needs
+        # each key on at most one edge.
         self.src_type = self.src * self.n_types + self.etype
         self.dst_type = self.dst * self.n_types + self.etype
-        self.src_type_index = ad.SegmentIndex(self.src_type, self.n * self.n_types)
-        self.dst_type_index = ad.SegmentIndex(self.dst_type, self.n * self.n_types)
-        self.etype_index = ad.SegmentIndex(self.etype, self.n_types)
-
-        starts = np.searchsorted(self.etype, np.arange(self.n_types))
-        stops = np.append(starts[1:], self.n_edges)
-        self.type_slices = [(int(a), int(b)) for a, b in zip(starts, stops)]
+        for side, key in (("sender", self.src_type), ("receiver", self.dst_type)):
+            if np.bincount(key).max() > 1:
+                raise ValueError(f"two edges share a {side} and an edge type")
 
         if np.any(self.sender_index.counts == 0):
             raise ValueError("every node needs an outgoing edge (selfloop missing?)")
@@ -267,60 +266,73 @@ class Model:
         )
 
     # -- propagation steps -------------------------------------------------
-    # A step maps node and global states (h, g), the (sender, receiver)
-    # gathers it reads, and this step's flowing (None in regular variants)
-    # and focused attention to the next (h, g). Per-edge messages are built
-    # in functions that return before the node update, so they are freed
-    # before it runs.
+    # A step maps node and global states (h, g), this step's flowing
+    # attention (None in regular variants) and focused attention to the
+    # next (h, g). Per-edge messages are built in functions that return
+    # before the node update, so they are freed before it runs.
 
     def _pick_step(self, b):
         """The core's step, bound to its input from the node embeddings for
-        a batch of b, and whether it reads sender and receiver gathers.
+        a batch of b.
 
         rw_stationary has no step: its states are the embeddings, fixed
         for the whole forward.
         """
         cfg, p = self.cfg, self.params
         if cfg.core == "rw_stationary":
-            return None, False, False
+            return None
         u = expand(p["embed"], b, axis=0)
         if cfg.core == "fullgn":
-            return partial(self._fullgn_step, u), True, True
+            return partial(self._fullgn_step, u)
         if cfg.core == "rw_dynamic":
-            return partial(self._rw_dynamic_step, u), False, False
+            return partial(self._rw_dynamic_step, u)
         # The GRU's embedding term is the same at every step.
         u_pre = ad.add(ad.matmul(u, p["gru.Wu"]), p["gru.b"])
         if cfg.core == "ggnn":
-            return partial(self._ggnn_step, u_pre), True, False
-        return partial(self._gat_step, u_pre), False, False
+            return partial(self._ggnn_step, u_pre)
+        return partial(self._gat_step, u_pre)
 
-    def _receive(self, messages, flowing):
+    def _receive(self, messages, flowing, folded=False):
         """Per-edge messages, acted on by the flowing attention in flow
-        variants, summed into their receivers."""
+        variants, summed into their receivers. folded: the messages already
+        carry MulMlp's projection by act.W."""
         p = self.params
         if flowing is not None:
             messages = attnflow.attend_message(
-                self.cfg.acting, flowing, messages, p.get("act.W"), p.get("act.b"))
+                self.cfg.acting, flowing, messages,
+                None if folded else p.get("act.W"), p.get("act.b"))
         return ad.segment_sum(messages, self.gt.dst, axis=1,
                               index=self.gt.receiver_index)
 
-    def _fullgn_messages(self, h_src, h_dst, g):
-        gt, p = self.gt, self.params
-        feats = ad.concat([h_src, h_dst, expand(g, gt.n_edges, axis=1)], axis=-1)
-        return ad.typed_affine(feats, p["msg.W"], p["msg.b"], gt.type_slices,
-                               act="tanh")
+    def _fullgn_messages(self, h, g):
+        """tanh([h_i : h_j : g] W_t + b_t), split into a sender-side map of
+        [h_i : g] and a receiver-side map of h_j."""
+        gt, p, d = self.gt, self.params, self.cfg.dims
+        w = p["msg.W"]
+        w_sender = ad.concat([ad.slice_axis(w, 1, 0, d),
+                              ad.slice_axis(w, 1, 2 * d, 3 * d)], axis=1)
+        sender = ad.concat([h, expand(g, gt.n, axis=1)], axis=-1)
+        return ad.tanh(ad.add(
+            ad.typed_affine(sender, w_sender, p["msg.b"], gt.src_type),
+            ad.typed_affine(h, ad.slice_axis(w, 1, d, 2 * d), None,
+                            gt.dst_type)))
 
-    def _ggnn_messages(self, h_src):
+    def _ggnn_messages(self, h):
+        """h_i W_t + b_t per edge; in MulMlp variants, with act.W folded in:
+        (h_i W_t + b_t) act.W = h_i (W_t act.W) + b_t act.W."""
         gt, p = self.gt, self.params
-        return ad.typed_affine(h_src, p["msg.W"], p["msg.b"], gt.type_slices)
+        w, b = p["msg.W"], p["msg.b"]
+        if self.cfg.acting == "mulmlp":
+            w, b = ad.matmul(w, p["act.W"]), ad.matmul(b, p["act.W"])
+        return ad.typed_affine(h, w, b, gt.src_type)
 
     def _gat_messages(self, h):
         gt, p, cfg = self.gt, self.params, self.cfg
         k, hw = cfg.heads, cfg.dims // cfg.heads
         z_all = ad.reshape(ad.add(ad.matmul(h, p["gat.W"]), p["gat.b"]),
                            (-1, gt.n * gt.n_types, cfg.dims))
-        z_i = ad.take(z_all, gt.src_type, axis=1, scatter=gt.src_type_index)
-        z_j = ad.take(z_all, gt.dst_type, axis=1, scatter=gt.dst_type_index)
+        z_i = ad.take(z_all, gt.src_type, axis=1, unique=True)
+        z_j = ad.take(z_all, gt.dst_type, axis=1, unique=True)
         e_shape = (-1, gt.n_edges, k, hw)
         zh_i, zh_j = ad.reshape(z_i, e_shape), ad.reshape(z_j, e_shape)
         logits = ad.add(ad.tsum(ad.mul(zh_i, p["gat.a1"]), axis=-1),
@@ -332,9 +344,9 @@ class Model:
         weighted = ad.mul(zh_i, ad.reshape(alpha, alpha.data.shape + (1,)))
         return ad.reshape(weighted, (-1, gt.n_edges, cfg.dims))
 
-    def _fullgn_step(self, u, h, g, ends, flowing, focused):
+    def _fullgn_step(self, u, h, g, flowing, focused):
         p = self.params
-        m_bar = self._receive(self._fullgn_messages(*ends, g), flowing)
+        m_bar = self._receive(self._fullgn_messages(h, g), flowing)
         feats = ad.concat([h, m_bar, u, expand(g, self.gt.n, axis=1)], axis=-1)
         h_next = ad.tanh(ad.add(ad.matmul(feats, p["node.W"]), p["node.b"]))
         gfeat = ad.concat([g, ad.tmean(h, axis=1), ad.tmean(m_bar, axis=1)],
@@ -342,15 +354,15 @@ class Model:
         g_next = ad.tanh(ad.add(ad.matmul(gfeat, p["global.W"]), p["global.b"]))
         return h_next, g_next
 
-    def _ggnn_step(self, u_pre, h, g, ends, flowing, focused):
-        m_bar = self._receive(self._ggnn_messages(ends[0]), flowing)
+    def _ggnn_step(self, u_pre, h, g, flowing, focused):
+        m_bar = self._receive(self._ggnn_messages(h), flowing, folded=True)
         return gru(h, m_bar, u_pre, self.params, self.cfg.dims), g
 
-    def _gat_step(self, u_pre, h, g, ends, flowing, focused):
+    def _gat_step(self, u_pre, h, g, flowing, focused):
         m_bar = self._receive(self._gat_messages(h), flowing)
         return gru(h, m_bar, u_pre, self.params, self.cfg.dims), g
 
-    def _rw_dynamic_step(self, u, h, g, ends, flowing, focused):
+    def _rw_dynamic_step(self, u, h, g, flowing, focused):
         p = self.params
         feats = ad.concat([h, u, expand(g, self.gt.n, axis=1)], axis=-1)
         h_next = ad.tanh(ad.add(ad.matmul(feats, p["node.W"]), p["node.b"]))
@@ -367,7 +379,7 @@ class Model:
         src = np.asarray(src_indices, dtype=np.int64)
         dtype = cfg.np_dtype
         result = ForwardResult(probs=None)
-        step, reads_src, reads_dst = self._pick_step(len(src))
+        step = self._pick_step(len(src))
         if step is None:
             h, g = p["embed"], None
         else:
@@ -382,24 +394,18 @@ class Model:
                 result.focused.append(focused.data.copy())
 
         for _ in range(cfg.steps):
-            # States that change need a new transition every step; the
-            # fixed rw_stationary states need one for the whole forward.
-            fresh = cfg.explicit_flow and (step is not None or transition is None)
-            ends = attnflow.gather_endpoints(h, gt, reads_src or fresh,
-                                             reads_dst or fresh)
-            if fresh:
-                transition = attnflow.transition_matrix(
-                    attnflow.transition_logits(h, gt, tp, gathered=ends), gt)
             if cfg.explicit_flow:
+                # States that change need a new transition every step; the
+                # fixed rw_stationary states need one for the whole forward.
+                if step is not None or transition is None:
+                    transition = attnflow.transition_matrix(
+                        attnflow.transition_logits(h, gt, tp), gt)
                 flowing, focused_next = attnflow.flow_step(focused, transition, gt)
                 if trace:
                     result.flowing.append(flowing.data.copy())
                     result.focused.append(focused_next.data.copy())
             if step is not None:
-                # Gathers only the transition read are not held through the step.
-                ends = (ends[0] if reads_src else None,
-                        ends[1] if reads_dst else None)
-                h, g = step(h, g, ends, flowing, focused)
+                h, g = step(h, g, flowing, focused)
                 self._check_finite(h)
             focused = focused_next
 

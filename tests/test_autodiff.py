@@ -126,55 +126,50 @@ def test_rowdot_matches_mul_sum():
 def test_scale_affine_tanh_matches_unfused():
     rng = np.random.default_rng(6)
     s = Tensor(rng.standard_normal((2, 7)), requires_grad=True)
-    m = Tensor(rng.standard_normal((2, 7, 4)), requires_grad=True)
-    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    q = Tensor(rng.standard_normal((2, 7, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
-    fused = ad.scale_affine_tanh(s, m, w, b)
-    scaled = ad.mul(m, ad.reshape(s, (2, 7, 1)))
-    plain = ad.tanh(ad.add(ad.matmul(scaled, w), b))
+    fused = ad.scale_affine_tanh(s, q, b)
+    plain = ad.tanh(ad.add(ad.mul(q, ad.reshape(s, (2, 7, 1))), b))
     assert np.allclose(fused.data, plain.data)
     ad.tsum(ad.mul(fused, 0.7)).backward()
-    grads = [t.grad.copy() for t in (s, m, w, b)]
-    for t in (s, m, w, b):
+    grads = [t.grad.copy() for t in (s, q, b)]
+    for t in (s, q, b):
         t.zero_grad()
     ad.tsum(ad.mul(plain, 0.7)).backward()
-    for g, t in zip(grads, (s, m, w, b)):
+    for g, t in zip(grads, (s, q, b)):
         assert np.allclose(g, t.grad)
 
 
-def test_typed_affine_matches_per_block_matmul():
+def test_typed_affine_matches_gathered_oracle():
+    """out[..., e] = x[..., node(e)] @ w[type(e)] + b[type(e)], for node rows
+    with and without a batch axis, with finite-difference grads."""
     rng = np.random.default_rng(7)
-    slices = [(0, 3), (3, 3), (3, 8), (8, 10)]
-    x = Tensor(rng.standard_normal((2, 10, 5)), requires_grad=True)
-    w = Tensor(rng.standard_normal((4, 5, 6)), requires_grad=True)
-    b = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-    for act in (None, "tanh"):
-        out = ad.typed_affine(x, w, b, slices, act=act)
-        expect = np.empty((2, 10, 6))
-        for t, (lo, hi) in enumerate(slices):
-            expect[:, lo:hi] = x.data[:, lo:hi] @ w.data[t] + b.data[t]
-        if act == "tanh":
-            expect = np.tanh(expect)
-        assert np.allclose(out.data, expect)
+    n, nt, din, dout = 5, 4, 3, 6
+    key = rng.choice(n * nt, size=11, replace=False)
+    node, etype = key // nt, key % nt
+    w = Tensor(rng.standard_normal((nt, din, dout)), requires_grad=True)
+    b = Tensor(rng.standard_normal((nt, dout)), requires_grad=True)
+    for lead in ((2,), ()):
+        x = Tensor(rng.standard_normal(lead + (n, din)), requires_grad=True)
+        out = ad.typed_affine(x, w, b, key)
+        expect = (np.einsum("...ei,eio->...eo", x.data[..., node, :], w.data[etype])
+                  + b.data[etype])
+        assert out.data.shape == lead + (len(key), dout)
+        assert np.allclose(out.data, expect, rtol=1e-12, atol=1e-12)
         weights = rng.standard_normal(out.data.shape)
         for t in (x, w, b):
             t.zero_grad()
         ad.tsum(ad.mul(out, Tensor(weights))).backward()
 
-        def scalar(arr=None):
+        def scalar():
             with ad.no_grad():
-                o = ad.typed_affine(Tensor(x.data), Tensor(w.data), Tensor(b.data),
-                                    slices, act=act)
+                o = ad.typed_affine(Tensor(x.data), Tensor(w.data),
+                                    Tensor(b.data), key)
                 return float(ad.tsum(ad.mul(o, Tensor(weights))).data)
 
         for t in (x, w, b):
+            assert t.grad.shape == t.data.shape
             assert np.abs(t.grad - fd_grad(scalar, t.data)).max() < 1e-6
-
-
-def test_typed_affine_rejects_unknown_activation():
-    with pytest.raises(ValueError):
-        ad.typed_affine(Tensor(np.ones((2, 2))), Tensor(np.ones((1, 2, 2))),
-                        None, [(0, 2)], act="relu")
 
 
 def test_take_backward_scatter_adds():

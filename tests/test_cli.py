@@ -151,6 +151,24 @@ def test_rw_stationary_log_marker(tmp_path, capsys):
     assert "# constant_transition\ttrue" in (run_dir / "run.log").read_text()
 
 
+def test_run_log_header_on_disk_before_first_epoch(tmp_path, capsys,
+                                                   monkeypatch):
+    from gridflow import training
+
+    data = generate_tiny(tmp_path) / "seed0"
+    run_dir = tmp_path / "run"
+    seen = []
+
+    def read_log(*args, **kwargs):
+        seen.append((run_dir / "run.log").read_text())
+        return None, None, [], None
+
+    monkeypatch.setattr(training, "run_experiment", read_log)
+    assert run_cli("train", "--model", "ggnn", "--data", str(data),
+                   "--out", str(run_dir), "--epochs", "1") == 0
+    assert seen and seen[0].startswith("epoch\tlr\ttrain_loss\t")
+
+
 def test_reproduce_one_cell(tmp_path, capsys):
     out = tmp_path / "cell"
     assert run_cli("reproduce", "--preset", "LINE-SZ8-STP4-NDRP-STD0.2",

@@ -197,6 +197,46 @@ def test_noact_messages_equal_regular_messages():
     for name in ("embed", "msg.W", "gru.Wm", "gru.Whh"):
         assert np.array_equal(reg.params[name].data, noa.params[name].data)
     h = ad.Tensor(np.random.default_rng(0).standard_normal((2, reg.gt.n, 12)))
-    h_src = ad.take(h, reg.gt.src, axis=1)
-    assert np.allclose(reg._ggnn_messages(h_src).data,
-                       noa._ggnn_messages(h_src).data)
+    assert np.allclose(reg._ggnn_messages(h).data, noa._ggnn_messages(h).data)
+
+
+def test_mulmlp_fold_matches_unfused_acting():
+    """GGNN-MulMlp folds act.W into its message weights; its acted messages
+    and their grads equal tanh((f m) act.W + act.b) built from plain ops."""
+    g = grid.add_selfloops(
+        grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=3)))
+    d = 6
+    model = Model(ModelConfig(core="ggnn", acting="mulmlp", dims=d, attn_dims=2,
+                              steps=2, dtype="float64"), g, seed=5)
+    gt, p = model.gt, model.params
+    rng = np.random.default_rng(1)
+    for name in ("msg.b", "act.b"):  # nonzero, so their folds are exercised
+        p[name].data = rng.standard_normal(p[name].data.shape)
+    h = ad.Tensor(rng.standard_normal((2, gt.n, d)))
+    flowing = ad.Tensor(rng.random((2, gt.n_edges)), requires_grad=True)
+    weights = ad.Tensor(rng.standard_normal((2, gt.n_edges, d)))
+    leaves = [p["msg.W"], p["msg.b"], p["act.W"], p["act.b"], flowing]
+
+    def acted_and_grads(acted):
+        for t in leaves:
+            t.zero_grad()
+        ad.tsum(ad.mul(acted, weights)).backward()
+        return acted.data, [t.grad.copy() for t in leaves]
+
+    fused = acted_and_grads(attend_message(
+        MUL_MLP, flowing, model._ggnn_messages(h), None, p["act.b"]))
+
+    h_src = ad.take(h, gt.src, axis=1)
+    m = 0.0
+    for t in range(gt.n_types):
+        mask = (gt.etype == t).astype(np.float64)[:, None]
+        w_t = ad.reshape(ad.slice_axis(p["msg.W"], 0, t, t + 1), (d, d))
+        b_t = ad.reshape(ad.slice_axis(p["msg.b"], 0, t, t + 1), (d,))
+        m = ad.add(m, ad.mul(ad.add(ad.matmul(h_src, w_t), b_t), mask))
+    scaled = ad.mul(m, ad.reshape(flowing, (2, gt.n_edges, 1)))
+    plain = acted_and_grads(
+        ad.tanh(ad.add(ad.matmul(scaled, p["act.W"]), p["act.b"])))
+
+    assert np.abs(fused[0] - plain[0]).max() < 1e-10
+    for got, want in zip(fused[1], plain[1]):
+        assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())

@@ -57,12 +57,23 @@ def test_graph_tensors_layout():
     gt = GraphTensors(small_graph())
     assert gt.n == gt.graph.n_nodes
     assert gt.n_edges == len(gt.graph.edges)
-    # edges are grouped by type into contiguous slices
-    for t, (lo, hi) in enumerate(gt.type_slices):
-        assert np.all(gt.etype[lo:hi] == t)
-    assert sum(hi - lo for lo, hi in gt.type_slices) == gt.n_edges
+    # edges are sorted by type; (node, type) keys index node-side tables
+    assert np.all(np.diff(gt.etype) >= 0)
+    assert np.array_equal(gt.src_type, gt.src * gt.n_types + gt.etype)
+    assert np.array_equal(gt.dst_type, gt.dst * gt.n_types + gt.etype)
     # compact indices round-trip
     assert np.array_equal(gt.node_ids[gt.to_indices(gt.node_ids)], gt.node_ids)
+
+
+def test_graph_tensors_reject_shared_node_type_keys():
+    g = grid.add_selfloops(grid.build_grid(3))
+    assert [0, 1, grid.E] in g.edges.tolist()
+    # a second E edge out of node 0, and a second E edge into node 1
+    for extra in ([0, 4, grid.E], [3, 1, grid.E]):
+        bad = grid.GridGraph(g.n_side, g.nodes.copy(),
+                             np.concatenate([g.edges, [extra]]))
+        with pytest.raises(ValueError, match="share"):
+            GraphTensors(bad)
 
 
 def test_all_variants_forward_and_backward():
