@@ -2,13 +2,14 @@
 message attending, and the loss on the final focused attention.
 
 Focused attention a is a distribution over nodes; flowing attention is the
-per-edge quantity T_ij * a_i, which sums to 1 over all edges. The per-edge
+per-edge quantity T_ij * a_i, which sums to 1 over all edges. Per-edge
+values are kept in sender-major slots (..., n, n_types), where slot (i, t)
+holds node i's outgoing edge of type t (see GraphTensors). The per-edge
 transition logit is
     tau_ij = w1_e . h_i + w2_e . h_j + h_i^T Wo_e h_j + b_e
-with one parameter block per edge type. The bilinear term is contracted
-node-side: Wo_t h_j is computed once per (node, type) pair, gathered to
-each edge by its (receiver, type) key, and dotted with the gathered sender
-state h_i, so no d x d outer product or per-edge h_j is materialized.
+with one parameter block per edge type. The receiver-side terms w2_t . h_j
+and Wo_t h_j are computed once per (node, type) pair and permuted to the
+sender slots, so no d x d outer product is formed and h_i is broadcast.
 """
 from __future__ import annotations
 
@@ -29,49 +30,51 @@ class TransitionParams:
     bias: ad.Tensor  # (n_types,)
 
 
+def permute_slots(x, perm, axis=1) -> ad.Tensor:
+    """x (..., n, n_types, ...), slot axes at axis, with its slots reordered
+    by a flat slot permutation: slot s of the result is slot perm[s] of x.
+    gt.send reads receiver-side (node, type) tables from the sender slots;
+    gt.recv moves sender slots to receiver slots."""
+    shape = x.data.shape
+    flat = shape[:axis] + (-1,) + shape[axis + 2:]
+    return ad.reshape(ad.take(ad.reshape(x, flat), perm, axis=axis,
+                              unique=True), shape)
+
+
 def transition_logits(states, gt, tp: TransitionParams) -> ad.Tensor:
-    """Per-edge logits from node states (B, n, d), or (n, d) for the
-    stationary case which carries no batch axis."""
+    """Per-slot logits (B, n, n_types) from node states (B, n, d), or
+    (n, n_types) from (n, d) for the stationary case, which carries no
+    batch axis. Pad slots hold values that transition_matrix drops."""
     axis = states.data.ndim - 2
-    table = states.data.shape[:axis] + (gt.n * gt.n_types,)
-
-    # The bias rides on the sender-side table; both tables are gathered by
-    # injective (node, type) keys.
     s_src = ad.add(ad.matmul(states, tp.w_src), tp.bias)
-    s_dst = ad.matmul(states, tp.w_dst)
-    t_src = ad.take(ad.reshape(s_src, table), gt.src_type, axis=axis,
-                    unique=True)
-    t_dst = ad.take(ad.reshape(s_dst, table), gt.dst_type, axis=axis,
-                    unique=True)
-
-    h_src = ad.take(states, gt.src, axis=axis, scatter=gt.sender_index)
-    t_bil = ad.rowdot(h_src, ad.typed_affine(states, tp.w_outer, None,
-                                             gt.dst_type))
-    return ad.add(ad.add(t_src, t_dst), t_bil)
+    s_dst = permute_slots(ad.matmul(states, tp.w_dst), gt.send, axis)
+    h_src = ad.reshape(states, states.data.shape[:-1] + (1, -1))
+    t_bil = ad.rowdot(h_src, permute_slots(
+        ad.typed_affine(states, tp.w_outer, None), gt.send, axis))
+    return ad.add(ad.add(s_src, s_dst), t_bil)
 
 
 def transition_matrix(logits: ad.Tensor, gt) -> ad.Tensor:
     """Row-stochastic transition: softmax over each sender's outgoing edges
-    (selfloop included), kept in per-edge layout."""
-    axis = logits.data.ndim - 1
-    return ad.segment_softmax(logits, gt.src, axis=axis, index=gt.sender_index)
+    (selfloop included), kept in slot layout with zeros on the pads."""
+    return ad.segment_softmax(logits, gt.pad, axis=-1)
 
 
 def flow_step(focused: ad.Tensor, transition: ad.Tensor, gt):
     """One step of the flow dynamics; conservation is structural.
 
-    focused: (B, n); transition: per-edge (B, E) or (E,).
-    Returns (flowing (B, E), next focused (B, n)).
+    focused: (B, n); transition: per-slot (B, n, n_types) or (n, n_types).
+    Returns (flowing (B, n, n_types), next focused (B, n)).
     """
-    a_src = ad.take(focused, gt.src, axis=1, scatter=gt.sender_index)
+    a_src = ad.reshape(focused, focused.data.shape + (1,))
     flowing = ad.mul(transition, a_src)
-    nxt = ad.segment_sum(flowing, gt.dst, axis=1, index=gt.receiver_index)
-    return flowing, nxt
+    return flowing, ad.segment_sum(flowing, gt.recv, gt.send, gt.pad)
 
 
 def attend_message(acting: str, flowing: ad.Tensor, messages: ad.Tensor,
                    mlp_w: ad.Tensor = None, mlp_b: ad.Tensor = None) -> ad.Tensor:
-    """Backward acting of flowing attention on a per-edge message tensor.
+    """Backward acting of flowing attention (B, n, n_types) on per-slot
+    messages (B, n, n_types, d).
 
     MulMlp acts as tanh((f m) mlp_w + mlp_b), computed as
     tanh(f (m mlp_w) + mlp_b); pass mlp_w=None for messages that already

@@ -3,11 +3,15 @@
 A Tensor records its parents and a vector-Jacobian closure per parent at
 construction; backward() walks the graph in reverse topological order and
 accumulates gradients by summation. Only the operator set the models need
-is provided. Segment operations and gathers with repeated indices accept
-a precomputed SegmentIndex so that their scatter-adds run as sorted
-reduceat instead of per-element updates. Gathers whose indices never
-repeat (take(unique=True), typed_affine) back-propagate by plain index
-assignment.
+is provided.
+
+Per-edge values live in sender-major slots: axes (n, n_types) whose entry
+(i, t) holds node i's outgoing edge of type t, or padding where there is
+none. typed_affine produces that layout straight from one GEMM; the
+segment ops reduce over each node's slots, dropping the pads:
+segment_softmax normalizes over the type axis, and segment_sum reaches
+the receivers through a fixed slot permutation. Gathers whose indices
+never repeat (take(unique=True)) back-propagate by plain index assignment.
 """
 from __future__ import annotations
 
@@ -310,12 +314,22 @@ def softmax(x, axis=-1):
 
 
 def rowdot(a, b):
-    """Inner product along the last axis; avoids materializing a * b."""
+    """Inner product along the last axis; avoids materializing a * b.
+
+    a and b have the same number of axes, and either may have size 1
+    where the other does not, to be broadcast there.
+    """
     a, b = _wrap(a), _wrap(b)
     ad_, bd = a.data, b.data
     out = np.einsum("...i,...i->...", ad_, bd)
-    return _make(out, [(a, lambda g: g[..., None] * bd),
-                       (b, lambda g: g[..., None] * ad_)])
+    axes = "abcdefghijklmnopqrstuvwxy"[:out.ndim]
+
+    def grad(shape, other):
+        kept = "".join(c for c, s, o in zip(axes, shape, out.shape) if s == o)
+        return lambda g: np.einsum(f"{axes},{axes}z->{kept}z", g,
+                                   other).reshape(shape)
+
+    return _make(out, [(a, grad(ad_.shape, bd)), (b, grad(bd.shape, ad_))])
 
 
 def scale_affine_tanh(s, q, b):
@@ -339,168 +353,104 @@ def scale_affine_tanh(s, q, b):
     ])
 
 
-def typed_affine(x, w, b, key):
-    """Per-edge typed affine map of node rows: out[..., e, :] =
-    x[..., node(e), :] @ w[type(e)] + b[type(e)].
+def typed_affine(x, w, b):
+    """Typed affine map of node rows into sender-major slots:
+    out[..., i, t, :] = x[..., i, :] @ w[t] + b[t].
 
     x: (..., n, din) node rows; w: (n_types, din, dout); b: (n_types, dout)
-    or None; key: (E,) injective node * n_types + type index per edge. Every
-    (node, type) pair is mapped once by one GEMM and gathered by key, so
-    backward assigns by key and needs no scatter-add.
+    or None. One GEMM maps every (node, type) pair; the output is that
+    GEMM's result reshaped to (..., n, n_types, dout).
     """
     x, w = _wrap(x), _wrap(w)
     b = None if b is None else _wrap(b)
     xd, wd = x.data, w.data
     nt, din, dout = wd.shape
-    lead, n = xd.shape[:-2], xd.shape[-2]
     w_flat = wd.transpose(1, 0, 2).reshape(din, nt * dout)
     y = xd @ w_flat
     if b is not None:
         y += b.data.reshape(nt * dout)
-    out = np.take(y.reshape(lead + (n * nt, dout)), key, axis=-2)
-    cache = {}
 
-    def gy(g):
-        """g assigned to its (node, type) rows, zero elsewhere: (rows, nt*dout)."""
-        if "g" not in cache:
-            full = np.zeros(lead + (n * nt, dout), dtype=g.dtype)
-            full[..., key, :] = g
-            cache["g"] = full.reshape(-1, nt * dout)
-        return cache["g"]
+    def rows(g):
+        return g.reshape(-1, nt * dout)
 
     vjps = [
-        (x, lambda g: (gy(g) @ w_flat.T).reshape(xd.shape)),
+        (x, lambda g: (rows(g) @ w_flat.T).reshape(xd.shape)),
         (w, lambda g: np.ascontiguousarray(
-            (xd.reshape(-1, din).T @ gy(g)).reshape(din, nt, dout)
+            (xd.reshape(-1, din).T @ rows(g)).reshape(din, nt, dout)
             .transpose(1, 0, 2))),
     ]
     if b is not None:
-        vjps.append((b, lambda g: gy(g).sum(axis=0).reshape(nt, dout)))
-    return _make(out, vjps)
+        vjps.append((b, lambda g: rows(g).sum(axis=0).reshape(nt, dout)))
+    return _make(y.reshape(xd.shape[:-1] + (nt, dout)), vjps)
 
 
 # -- indexed / segment ops -----------------------------------------------
 
 
-class SegmentIndex:
-    """Precomputed sorted order for scatter/segment reductions over one axis.
-
-    seg_ids maps each of E positions to a segment in [0, n_segments). The
-    fast reduceat path requires every segment non-empty; otherwise a
-    per-element fallback is used.
-    """
-
-    def __init__(self, seg_ids, n_segments):
-        self.seg_ids = np.asarray(seg_ids, dtype=np.int64)
-        self.n_segments = int(n_segments)
-        if len(self.seg_ids) and (
-            self.seg_ids.min() < 0 or self.seg_ids.max() >= n_segments
-        ):
-            raise ValueError("segment ids out of range")
-        self.order = np.argsort(self.seg_ids, kind="stable")
-        sorted_ids = self.seg_ids[self.order]
-        self.counts = np.bincount(sorted_ids, minlength=n_segments)
-        self.all_nonempty = bool(len(self.seg_ids)) and bool(np.all(self.counts > 0))
-        if self.all_nonempty:
-            self.starts = np.searchsorted(sorted_ids, np.arange(n_segments))
-        elif len(sorted_ids):
-            change = np.flatnonzero(np.diff(sorted_ids)) + 1
-            self.group_starts = np.concatenate([[0], change])
-            self.group_ids = sorted_ids[self.group_starts]
-
-    def scatter_add(self, values, axis=0):
-        """Sum values (with E entries along axis) into n_segments slots."""
-        if self.all_nonempty:
-            srt = np.take(values, self.order, axis=axis)
-            return np.add.reduceat(srt, self.starts, axis=axis)
-        shape = list(values.shape)
-        shape[axis] = self.n_segments
-        out = np.zeros(shape, dtype=values.dtype)
-        if len(self.seg_ids):
-            srt = np.take(values, self.order, axis=axis)
-            sums = np.add.reduceat(srt, self.group_starts, axis=axis)
-            om = np.moveaxis(out, axis, 0)
-            om[self.group_ids] = np.moveaxis(sums, axis, 0)
-        return out
-
-    def scatter_max(self, values, axis=0):
-        if self.all_nonempty:
-            srt = np.take(values, self.order, axis=axis)
-            return np.maximum.reduceat(srt, self.starts, axis=axis)
-        shape = list(values.shape)
-        shape[axis] = self.n_segments
-        out = np.full(shape, -np.inf, dtype=values.dtype)
-        if len(self.seg_ids):
-            srt = np.take(values, self.order, axis=axis)
-            maxes = np.maximum.reduceat(srt, self.group_starts, axis=axis)
-            om = np.moveaxis(out, axis, 0)
-            om[self.group_ids] = np.moveaxis(maxes, axis, 0)
-        return out
-
-
-def take(x, idx, axis=0, scatter: SegmentIndex | None = None,
-         unique: bool = False):
+def take(x, idx, axis=0, unique: bool = False):
     """Gather rows by index along axis.
 
-    Backward scatter-adds repeated indices through scatter, a SegmentIndex
-    over idx built here when not given. unique=True promises idx has no
-    repeats, and backward then assigns rows instead.
+    Backward adds the gradients of repeated indices; unique=True promises
+    idx has no repeats, and backward then assigns rows instead.
     """
     x = _wrap(x)
     idx = np.asarray(idx, dtype=np.int64)
     shape = x.data.shape
-    if unique:
-        where = (slice(None),) * (axis % len(shape)) + (idx,)
+    where = (slice(None),) * (axis % len(shape)) + (idx,)
 
-        def vjp(g):
-            out = np.zeros(shape, dtype=g.dtype)
+    def vjp(g):
+        out = np.zeros(shape, dtype=g.dtype)
+        if unique:
             out[where] = g
-            return out
-    else:
-        if scatter is None:
-            scatter = SegmentIndex(idx, shape[axis])
-
-        def vjp(g):
-            return scatter.scatter_add(g, axis=axis)
+        else:
+            np.add.at(out, where, g)
+        return out
 
     return _make(np.take(x.data, idx, axis=axis), [(x, vjp)])
 
 
-def segment_sum(x, seg_ids, n_segments=None, axis=0, index: SegmentIndex | None = None):
-    """Per-segment sums of x along axis."""
-    x = _wrap(x)
-    if index is None:
-        if n_segments is None:
-            raise ValueError("segment_sum needs n_segments or a SegmentIndex")
-        index = SegmentIndex(seg_ids, n_segments)
-    seg = index.seg_ids
-    return _make(
-        index.scatter_add(x.data, axis=axis),
-        [(x, lambda g: np.take(g, seg, axis=axis))],
-    )
+def segment_sum(x, recv, send, pad):
+    """Per-receiver sums of sender-major slot values: x (B, n, n_types, ...)
+    to (B, n, ...).
 
-
-def segment_softmax(x, seg_ids, n_segments=None, axis=0,
-                    index: SegmentIndex | None = None):
-    """Softmax normalized independently within each segment along axis.
-
-    Supports extra leading/trailing axes; entries of empty segments are
-    never produced (the output has the same shape as x).
+    recv and send are inverse permutations of the flat slot index: receiver
+    slot (j, t), node j's incoming edge of type t, holds the edge in sender
+    slot recv[j * n_types + t]. pad (n, n_types) marks the sender slots with
+    no edge, which recv pairs with the receiver slots with none. Pads add
+    nothing and get zero gradient.
     """
     x = _wrap(x)
-    if index is None:
-        if n_segments is None:
-            raise ValueError("segment_softmax needs n_segments or a SegmentIndex")
-        index = SegmentIndex(seg_ids, n_segments)
-    seg = index.seg_ids
-    m = np.take(index.scatter_max(x.data, axis=axis), seg, axis=axis)
-    e = np.exp(x.data - m)
-    s = np.take(index.scatter_add(e, axis=axis), seg, axis=axis)
-    p = e / s
+    xd = x.data
+    b, n, nt = xd.shape[:3]
+    pad = pad.reshape(-1)
+    y = np.take(xd.reshape((b, n * nt) + xd.shape[3:]), recv, axis=1)
+    y[:, pad[recv]] = 0
+    out = np.einsum("bnt...->bn...", y.reshape(xd.shape))
+    receiver = send // nt
 
     def vjp(g):
-        dot = np.take(index.scatter_add(p * g, axis=axis), seg, axis=axis)
-        return p * (g - dot)
+        dx = np.take(g, receiver, axis=1)
+        dx[:, pad] = 0
+        return dx.reshape(xd.shape)
+
+    return _make(out, [(x, vjp)])
+
+
+def segment_softmax(x, pad, axis=-1):
+    """Softmax over each node's slots: x has its (n, n_types) slot axes at
+    (axis - 1, axis), and the softmax runs along the type axis. Entries
+    where pad is set are left out and get probability 0; every node needs
+    at least one slot that is not a pad.
+    """
+    x = _wrap(x)
+    axis %= x.data.ndim
+    pad = pad.reshape(pad.shape + (1,) * (x.data.ndim - 1 - axis))
+    z = np.where(pad, -np.inf, x.data)
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    p = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        return p * (g - (p * g).sum(axis=axis, keepdims=True))
 
     return _make(p, [(x, vjp)])
 

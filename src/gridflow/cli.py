@@ -75,19 +75,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _unknown(kind, name, valid) -> int:
+    print(f"unknown {kind} {name!r}; valid {kind}s:", file=sys.stderr)
+    for v in valid:
+        print(f"  {v}", file=sys.stderr)
+    return 2
+
+
 def generate(out, preset=None, seeds=1, n=None, t=None, sigma=None,
              direction="line") -> int:
     from . import data
+    from .dynamics import DIRECTION_PRESETS, DirectionFunction
 
     if preset:
         try:
             data.preset_params(preset, seed=0)
         except ValueError:
-            print(f"unknown preset {preset!r}; valid presets:",
-                  file=sys.stderr)
-            for name in data.preset_names():
-                print(f"  {name}", file=sys.stderr)
-            return 2
+            return _unknown("preset", preset, data.preset_names())
+    elif direction.lower() not in DIRECTION_PRESETS:
+        return _unknown("direction", direction, DIRECTION_PRESETS)
 
     header = ("seed", "nodes", "edges", "pairs", "pairs_per_node", "traj_len")
     print("\t".join(header))
@@ -99,7 +105,6 @@ def generate(out, preset=None, seeds=1, n=None, t=None, sigma=None,
                 print("custom datasets need --n, --t and --sigma",
                       file=sys.stderr)
                 return 2
-            from .dynamics import DirectionFunction
             params = data.GenParams(
                 n_side=n, max_steps=t, sigma=sigma,
                 corruption=data.CorruptionParams(0.1, 0.0, seed),
@@ -142,6 +147,8 @@ def train(model, data_dir, run_dir, epochs=50, batch=None, dims=40,
           lr_constant=False) -> int:
     from . import data, graphnets, training
 
+    if model.lower().replace("_", "-") not in graphnets.MODEL_NAMES:
+        return _unknown("model", model, graphnets.MODEL_NAMES)
     if not os.path.isdir(data_dir):
         print(f"dataset directory {data_dir!r} does not exist; run "
               "`gridflow generate` first", file=sys.stderr)
@@ -249,9 +256,12 @@ def visualize(run, src, dst, out) -> int:
     with np.load(os.path.join(run, f"epoch{best}.npz")) as f:
         model.load_state_dict(dict(f))
 
+    try:
+        src_idx, dst_idx = gt.to_indices([src, dst])
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
     os.makedirs(out, exist_ok=True)
-    src_idx = int(gt.to_indices(src)[0])
-    dst_idx = int(gt.to_indices(dst)[0])
     if not model.cfg.explicit_flow:
         print("attention flow is unavailable for a regular variant; "
               "writing the implicit-readout heatmap instead")

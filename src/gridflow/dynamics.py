@@ -17,6 +17,7 @@ from .grid import GridGraph, N_DIRECTIONS, _UNIT_VECTORS
 
 MAX_STEPS = "max_steps"
 BLOCKED = "blocked_edge"
+DIRECTION_PRESETS = ("line", "sine", "location", "history")
 
 
 @dataclass
@@ -39,7 +40,7 @@ class DirectionFunction:
     @classmethod
     def preset(cls, name: str) -> "DirectionFunction":
         name = name.lower()
-        if name not in ("line", "sine", "location", "history"):
+        if name not in DIRECTION_PRESETS:
             raise ValueError(f"unknown direction preset {name!r}")
         return cls(variant=name)
 
@@ -72,7 +73,7 @@ def latent_direction(fn: DirectionFunction, t: int, history) -> np.ndarray:
 def edge_distribution(direction, sigma: float) -> np.ndarray:
     """Probabilities of the 8 directional edge types under the sampling law."""
     direction = np.asarray(direction, dtype=np.float64)
-    norm = np.linalg.norm(direction)
+    norm = math.hypot(*direction)  # np.linalg.norm overflows past 1e154
     if norm == 0.0:
         raise ValueError("direction vector must be nonzero")
     if sigma <= 0.0:

@@ -78,9 +78,17 @@ class ModelConfig:
 
 
 class GraphTensors:
-    """Index arrays for one selfloop-augmented graph, edges sorted by type.
+    """Index arrays for one selfloop-augmented graph.
 
-    Compact node indices 0..n-1 follow ascending original node id.
+    Compact node indices 0..n-1 follow ascending original node id. The edge
+    list (src, dst, etype, sorted by type) describes the graph; the models
+    keep per-edge values in sender-major slots (n, n_types), where slot
+    (i, t) holds node i's outgoing edge of type t and receiver slot (j, t)
+    node j's incoming one. Each node has at most one edge of each type on
+    each side, so the edges fill distinct slots and the rest are pads:
+    pad and recv_pad, (n, n_types). recv (n * n_types,) gives the flat
+    sender slot of each receiver slot and send is its inverse; they pair
+    pads with pads. src_type is each edge's flat sender slot.
     """
 
     def __init__(self, graph: GridGraph):
@@ -88,9 +96,8 @@ class GraphTensors:
             raise ValueError("model graphs must be selfloop-augmented")
         self.graph = graph
         self.node_ids = graph.nodes.copy()
-        self.n = len(self.node_ids)
-        self.n_types = N_EDGE_TYPES
-        self.id_to_index = {int(v): i for i, v in enumerate(self.node_ids)}
+        self.n = n = len(self.node_ids)
+        self.n_types = nt = N_EDGE_TYPES
 
         edges = graph.edges
         order = np.lexsort((edges[:, 1], edges[:, 0], edges[:, 2]))
@@ -98,26 +105,44 @@ class GraphTensors:
         self.src_ids = edges[:, 0]
         self.dst_ids = edges[:, 1]
         self.etype = edges[:, 2].astype(np.int64)
-        self.src = np.array([self.id_to_index[v] for v in self.src_ids.tolist()])
-        self.dst = np.array([self.id_to_index[v] for v in self.dst_ids.tolist()])
+        self.src = self.to_indices(self.src_ids)
+        self.dst = self.to_indices(self.dst_ids)
         self.n_edges = len(edges)
 
-        self.sender_index = ad.SegmentIndex(self.src, self.n)
-        self.receiver_index = ad.SegmentIndex(self.dst, self.n)
-        # Per-edge (node, type) keys into node-side tables of n * n_types
-        # rows. Gathers by them back-propagate by assignment, which needs
-        # each key on at most one edge.
-        self.src_type = self.src * self.n_types + self.etype
-        self.dst_type = self.dst * self.n_types + self.etype
-        for side, key in (("sender", self.src_type), ("receiver", self.dst_type)):
-            if np.bincount(key).max() > 1:
+        self.src_type = self.src * nt + self.etype
+        dst_type = self.dst * nt + self.etype
+        pads = []
+        for side, key in (("sender", self.src_type), ("receiver", dst_type)):
+            count = np.bincount(key, minlength=n * nt).reshape(n, nt)
+            if count.max() > 1:
                 raise ValueError(f"two edges share a {side} and an edge type")
-
-        if np.any(self.sender_index.counts == 0):
-            raise ValueError("every node needs an outgoing edge (selfloop missing?)")
+            pads.append(count == 0)
+        self.pad, self.recv_pad = pads
+        # Both softmaxes need at least one edge per node on their side.
+        if self.pad.all(axis=1).any() or self.recv_pad.all(axis=1).any():
+            raise ValueError("every node needs an outgoing and an incoming "
+                             "edge (selfloop missing?)")
+        self.recv = np.empty(n * nt, dtype=np.int64)
+        self.recv[dst_type] = self.src_type
+        self.recv[self.recv_pad.reshape(-1)] = np.flatnonzero(self.pad)
+        self.send = np.empty_like(self.recv)
+        self.send[self.recv] = np.arange(n * nt)
 
     def to_indices(self, node_ids) -> np.ndarray:
-        return np.array([self.id_to_index[int(v)] for v in np.atleast_1d(node_ids)])
+        """Compact indices of original node ids; ValueError names the ids
+        that are not in the graph."""
+        ids = np.atleast_1d(np.asarray(node_ids, dtype=np.int64))
+        idx = np.searchsorted(self.node_ids, ids)
+        found = idx < self.n
+        found[found] = self.node_ids[idx[found]] == ids[found]
+        if not found.all():
+            missing = sorted(set(ids[~found].tolist()))
+            raise ValueError(f"node ids not in the graph: {missing}")
+        return idx
+
+    def edge_values(self, slots: np.ndarray) -> np.ndarray:
+        """Per-slot values (..., n, n_types) as per-edge values (..., E)."""
+        return slots.reshape(slots.shape[:-2] + (-1,))[..., self.src_type]
 
 
 def expand(x, size, axis):
@@ -293,7 +318,7 @@ class Model:
         return partial(self._gat_step, u_pre)
 
     def _receive(self, messages, flowing, folded=False):
-        """Per-edge messages, acted on by the flowing attention in flow
+        """Per-slot messages, acted on by the flowing attention in flow
         variants, summed into their receivers. folded: the messages already
         carry MulMlp's projection by act.W."""
         p = self.params
@@ -301,8 +326,8 @@ class Model:
             messages = attnflow.attend_message(
                 self.cfg.acting, flowing, messages,
                 None if folded else p.get("act.W"), p.get("act.b"))
-        return ad.segment_sum(messages, self.gt.dst, axis=1,
-                              index=self.gt.receiver_index)
+        gt = self.gt
+        return ad.segment_sum(messages, gt.recv, gt.send, gt.pad)
 
     def _fullgn_messages(self, h, g):
         """tanh([h_i : h_j : g] W_t + b_t), split into a sender-side map of
@@ -313,36 +338,37 @@ class Model:
                               ad.slice_axis(w, 1, 2 * d, 3 * d)], axis=1)
         sender = ad.concat([h, expand(g, gt.n, axis=1)], axis=-1)
         return ad.tanh(ad.add(
-            ad.typed_affine(sender, w_sender, p["msg.b"], gt.src_type),
-            ad.typed_affine(h, ad.slice_axis(w, 1, d, 2 * d), None,
-                            gt.dst_type)))
+            ad.typed_affine(sender, w_sender, p["msg.b"]),
+            attnflow.permute_slots(
+                ad.typed_affine(h, ad.slice_axis(w, 1, d, 2 * d), None),
+                gt.send)))
 
     def _ggnn_messages(self, h):
-        """h_i W_t + b_t per edge; in MulMlp variants, with act.W folded in:
+        """h_i W_t + b_t per slot; in MulMlp variants, with act.W folded in:
         (h_i W_t + b_t) act.W = h_i (W_t act.W) + b_t act.W."""
-        gt, p = self.gt, self.params
+        p = self.params
         w, b = p["msg.W"], p["msg.b"]
         if self.cfg.acting == "mulmlp":
             w, b = ad.matmul(w, p["act.W"]), ad.matmul(b, p["act.W"])
-        return ad.typed_affine(h, w, b, gt.src_type)
+        return ad.typed_affine(h, w, b)
 
     def _gat_messages(self, h):
+        """Per-slot messages z_i alpha_ij, with the attention alpha
+        normalized over each receiver's incoming edges in receiver slots."""
         gt, p, cfg = self.gt, self.params, self.cfg
         k, hw = cfg.heads, cfg.dims // cfg.heads
-        z_all = ad.reshape(ad.add(ad.matmul(h, p["gat.W"]), p["gat.b"]),
-                           (-1, gt.n * gt.n_types, cfg.dims))
-        z_i = ad.take(z_all, gt.src_type, axis=1, unique=True)
-        z_j = ad.take(z_all, gt.dst_type, axis=1, unique=True)
-        e_shape = (-1, gt.n_edges, k, hw)
-        zh_i, zh_j = ad.reshape(z_i, e_shape), ad.reshape(z_j, e_shape)
-        logits = ad.add(ad.tsum(ad.mul(zh_i, p["gat.a1"]), axis=-1),
-                        ad.tsum(ad.mul(zh_j, p["gat.a2"]), axis=-1))
-        alpha = ad.segment_softmax(
-            ad.leaky_relu(logits, cfg.leaky_slope),
-            gt.dst, axis=1, index=gt.receiver_index,
-        )
-        weighted = ad.mul(zh_i, ad.reshape(alpha, alpha.data.shape + (1,)))
-        return ad.reshape(weighted, (-1, gt.n_edges, cfg.dims))
+        z = ad.reshape(ad.add(ad.matmul(h, p["gat.W"]), p["gat.b"]),
+                       (-1, gt.n, gt.n_types, k, hw))
+        # a1 . z_i is read from the sender's slot; a2 . z_j is node j's own
+        # (node, type) map, so it is already in receiver slots.
+        s_i = attnflow.permute_slots(ad.tsum(ad.mul(z, p["gat.a1"]), axis=-1),
+                                     gt.recv)
+        s_j = ad.tsum(ad.mul(z, p["gat.a2"]), axis=-1)
+        alpha = attnflow.permute_slots(ad.segment_softmax(
+            ad.leaky_relu(ad.add(s_i, s_j), cfg.leaky_slope),
+            gt.recv_pad, axis=2), gt.send)
+        weighted = ad.mul(z, ad.reshape(alpha, alpha.data.shape + (1,)))
+        return ad.reshape(weighted, (-1, gt.n, gt.n_types, cfg.dims))
 
     def _fullgn_step(self, u, h, g, flowing, focused):
         p = self.params
@@ -402,7 +428,7 @@ class Model:
                         attnflow.transition_logits(h, gt, tp), gt)
                 flowing, focused_next = attnflow.flow_step(focused, transition, gt)
                 if trace:
-                    result.flowing.append(flowing.data.copy())
+                    result.flowing.append(gt.edge_values(flowing.data))
                     result.focused.append(focused_next.data.copy())
             if step is not None:
                 h, g = step(h, g, flowing, focused)

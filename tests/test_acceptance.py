@@ -110,15 +110,16 @@ def test_flow_invariants_on_random_graphs():
         trans = attnflow.transition_matrix(
             attnflow.transition_logits(ad.Tensor(h), gt, tp), gt)
 
+        per_edge = gt.edge_values(trans.data)
         row_sums = np.zeros(gt.n)
-        np.add.at(row_sums, gt.src, trans.data)
+        np.add.at(row_sums, gt.src, per_edge)
         assert np.abs(row_sums - 1.0).max() < 1e-12
 
         dense = np.zeros((gt.n, gt.n))
-        dense[gt.src, gt.dst] = trans.data
+        dense[gt.src, gt.dst] = per_edge
         focused = attnflow.onehot_focus(gt.n, [0], np.float64)
         a = focused.data[0].copy()
-        trans_b = ad.add(ad.Tensor(np.zeros((1, 1))), trans)
+        trans_b = ad.add(ad.Tensor(np.zeros((1, 1, 1))), trans)
         for _ in range(3):
             flowing, focused = attnflow.flow_step(focused, trans_b, gt)
             a = a @ dense
@@ -136,7 +137,7 @@ def test_stationary_transition_is_constant():
         transition = attnflow.transition_matrix(
             attnflow.transition_logits(model.params["embed"], model.gt,
                                        model.transition_params()), model.gt)
-    t = transition.data
+    t = model.gt.edge_values(transition.data)
     # every per-step flowing attention is exactly T * a_src, for any example
     for src_batch in ([0], [1, 2]):
         fr = model.forward(np.array(src_batch), trace=True)

@@ -4,8 +4,9 @@ differences and independent numpy oracles."""
 import numpy as np
 import pytest
 
-from gridflow import autodiff as ad
-from gridflow.autodiff import SegmentIndex, Tensor
+from gridflow import autodiff as ad, grid
+from gridflow.autodiff import Tensor
+from gridflow.graphnets import GraphTensors
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -121,6 +122,16 @@ def test_rowdot_matches_mul_sum():
     g = (1 - np.tanh(out.data) ** 2)[..., None]
     assert np.allclose(a.grad, g * b.data)
     assert np.allclose(b.grad, g * a.data)
+    # a broadcast operand gets its gradient summed over the broadcast axis
+    a = Tensor(rng.standard_normal((3, 4, 1, 6)), requires_grad=True)
+    b = Tensor(rng.standard_normal((3, 4, 5, 6)), requires_grad=True)
+    out = ad.rowdot(a, b)
+    assert np.allclose(out.data, (a.data * b.data).sum(-1))
+    ad.tsum(ad.tanh(out)).backward()
+    g = (1 - np.tanh(out.data) ** 2)[..., None]
+    assert a.grad.shape == a.data.shape
+    assert np.allclose(a.grad, (g * b.data).sum(axis=2, keepdims=True))
+    assert np.allclose(b.grad, g * a.data)
 
 
 def test_scale_affine_tanh_matches_unfused():
@@ -141,20 +152,18 @@ def test_scale_affine_tanh_matches_unfused():
 
 
 def test_typed_affine_matches_gathered_oracle():
-    """out[..., e] = x[..., node(e)] @ w[type(e)] + b[type(e)], for node rows
-    with and without a batch axis, with finite-difference grads."""
+    """out[..., i, t] = x[..., i] @ w[t] + b[t] for every (node, type) slot,
+    for node rows with and without a batch axis, with finite-difference
+    grads."""
     rng = np.random.default_rng(7)
     n, nt, din, dout = 5, 4, 3, 6
-    key = rng.choice(n * nt, size=11, replace=False)
-    node, etype = key // nt, key % nt
     w = Tensor(rng.standard_normal((nt, din, dout)), requires_grad=True)
     b = Tensor(rng.standard_normal((nt, dout)), requires_grad=True)
     for lead in ((2,), ()):
         x = Tensor(rng.standard_normal(lead + (n, din)), requires_grad=True)
-        out = ad.typed_affine(x, w, b, key)
-        expect = (np.einsum("...ei,eio->...eo", x.data[..., node, :], w.data[etype])
-                  + b.data[etype])
-        assert out.data.shape == lead + (len(key), dout)
+        out = ad.typed_affine(x, w, b)
+        expect = np.einsum("...ni,tio->...nto", x.data, w.data) + b.data
+        assert out.data.shape == lead + (n, nt, dout)
         assert np.allclose(out.data, expect, rtol=1e-12, atol=1e-12)
         weights = rng.standard_normal(out.data.shape)
         for t in (x, w, b):
@@ -164,7 +173,7 @@ def test_typed_affine_matches_gathered_oracle():
         def scalar():
             with ad.no_grad():
                 o = ad.typed_affine(Tensor(x.data), Tensor(w.data),
-                                    Tensor(b.data), key)
+                                    Tensor(b.data))
                 return float(ad.tsum(ad.mul(o, Tensor(weights))).data)
 
         for t in (x, w, b):
@@ -179,52 +188,58 @@ def test_take_backward_scatter_adds():
     assert np.allclose(x.grad, [1.0, 0.0, 5.0, 0.0, 4.0])
 
 
+def slot_graph(seed):
+    g = grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.1, seed=seed))
+    return GraphTensors(grid.add_selfloops(g))
+
+
 def test_segment_sum_matches_add_at():
+    """Receiver sums over slots equal np.add.at of the edge values into
+    their receivers; pads add nothing and get zero gradient."""
     rng = np.random.default_rng(8)
-    seg = rng.integers(0, 6, 20)
-    x = Tensor(rng.standard_normal((3, 20, 2)), requires_grad=True)
-    out = ad.segment_sum(x, seg, n_segments=6, axis=1)
-    expect = np.zeros((3, 6, 2))
-    np.add.at(np.moveaxis(expect, 1, 0), seg, np.moveaxis(x.data, 1, 0))
-    assert np.allclose(out.data, expect)
-    ad.tsum(ad.mul(out, 3.0)).backward()
-    assert np.allclose(x.grad, 3.0)
-
-
-def test_segment_index_handles_empty_segments():
-    seg = np.array([0, 0, 3, 3, 3])
-    si = SegmentIndex(seg, 5)
-    assert not si.all_nonempty
-    vals = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    assert np.allclose(si.scatter_add(vals), [3.0, 0.0, 0.0, 28.0, 0.0])
-    m = si.scatter_max(vals)
-    assert m[0] == 2.0 and m[3] == 16.0
-    assert np.isneginf(m[[1, 2, 4]]).all()
-
-
-def test_segment_index_validates_range():
-    with pytest.raises(ValueError):
-        SegmentIndex(np.array([0, 5]), 5)
+    gt = slot_graph(8)
+    for trail in ((), (2,)):
+        x = Tensor(rng.standard_normal((3, gt.n, gt.n_types) + trail),
+                   requires_grad=True)
+        out = ad.segment_sum(x, gt.recv, gt.send, gt.pad)
+        edges = x.data.reshape((3, -1) + trail)[:, gt.src_type]
+        expect = np.zeros((3, gt.n) + trail)
+        np.add.at(np.moveaxis(expect, 1, 0), gt.dst, np.moveaxis(edges, 1, 0))
+        assert np.allclose(out.data, expect, rtol=1e-12, atol=1e-12)
+        weights = rng.standard_normal(out.data.shape)
+        ad.tsum(ad.mul(out, Tensor(weights))).backward()
+        grad = x.grad.reshape((3, -1) + trail)
+        assert np.array_equal(grad[:, gt.pad.reshape(-1)], np.zeros_like(
+            grad[:, gt.pad.reshape(-1)]))
+        assert np.array_equal(grad[:, gt.src_type], weights[:, gt.dst])
 
 
 def test_segment_softmax_matches_dense_oracle():
+    """Softmax over each node's slots with the pads left out, in sender and
+    receiver slots and with a trailing axis, with finite-difference grads."""
     rng = np.random.default_rng(9)
-    seg = np.array([0, 0, 1, 1, 1, 2])
-    x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
-    p = ad.segment_softmax(x, seg, n_segments=3, axis=1)
-    for s in range(3):
-        mask = seg == s
-        e = np.exp(x.data[:, mask] - x.data[:, mask].max(axis=1, keepdims=True))
-        assert np.allclose(p.data[:, mask], e / e.sum(axis=1, keepdims=True))
-    weights = rng.standard_normal((2, 6))
-    ad.tsum(ad.mul(p, Tensor(weights))).backward()
+    gt = slot_graph(9)
+    for pad, shape, axis in ((gt.pad, (2, gt.n, gt.n_types), -1),
+                             (gt.recv_pad, (2, gt.n, gt.n_types, 3), 2)):
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        p = ad.segment_softmax(x, pad, axis=axis)
+        keep = ~pad.reshape(pad.shape + (1,) * (len(shape) - 3))
+        for i in range(gt.n):
+            row = x.data[:, i][:, keep[i].ravel()]
+            e = np.exp(row - row.max(axis=1, keepdims=True))
+            assert np.allclose(p.data[:, i][:, keep[i].ravel()],
+                               e / e.sum(axis=1, keepdims=True))
+        assert np.all(p.data[:, pad] == 0.0)
+        weights = rng.standard_normal(shape)
+        ad.tsum(ad.mul(p, Tensor(weights))).backward()
 
-    def scalar():
-        with ad.no_grad():
-            q = ad.segment_softmax(Tensor(x.data), seg, n_segments=3, axis=1)
-            return float(ad.tsum(ad.mul(q, Tensor(weights))).data)
+        def scalar():
+            with ad.no_grad():
+                q = ad.segment_softmax(Tensor(x.data), pad, axis=axis)
+                return float(ad.tsum(ad.mul(q, Tensor(weights))).data)
 
-    assert np.abs(x.grad - fd_grad(scalar, x.data)).max() < 1e-6
+        assert np.abs(x.grad - fd_grad(scalar, x.data)).max() < 1e-6
+        assert np.all(x.grad[:, pad] == 0.0)
 
 
 def test_backward_requires_scalar():

@@ -40,6 +40,45 @@ def test_generate_unknown_preset_lists_valid(tmp_path, capsys):
     assert "LINE-SZ32-STP16-NDRP-STD0.2" in err
 
 
+def test_generate_unknown_direction_lists_valid(tmp_path, capsys):
+    rc = run_cli("generate", "--out", str(tmp_path / "x"), "--n", "5",
+                 "--t", "4", "--sigma", "0.3", "--preset-dir", "spiral")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'spiral'" in err
+    for name in ("line", "sine", "location", "history"):
+        assert name in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_unknown_model_lists_valid(tmp_path, capsys):
+    data = generate_tiny(tmp_path) / "seed0"
+    rc = run_cli("train", "--model", "ggnn-foo", "--data", str(data),
+                 "--out", str(tmp_path / "run"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'ggnn-foo'" in err and "ggnn-mulmlp" in err
+    assert "rw-stationary" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_visualize_unknown_node_id(tmp_path, capsys):
+    data = generate_tiny(tmp_path) / "seed0"
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--model", "rw-stationary", "--data", str(data),
+                   "--out", str(run_dir), "--epochs", "1", "--dims", "8",
+                   "--attn-dims", "2", "--steps", "2") == 0
+    graph = json.loads((data / "graph.json").read_text())
+    missing = max(v["id"] for v in graph["nodes"]) + 1
+    capsys.readouterr()
+    rc = run_cli("visualize", "--run", str(run_dir), "--src", str(missing),
+                 "--dst", str(graph["nodes"][0]["id"]),
+                 "--out", str(tmp_path / "viz"))
+    assert rc == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "viz").exists()
+
+
 def test_generate_custom_needs_all_three(tmp_path, capsys):
     rc = run_cli("generate", "--out", str(tmp_path / "x"), "--n", "5")
     assert rc == 2

@@ -102,6 +102,7 @@ def test_edge_distribution_large_direction_is_stable():
     p = edge_distribution([1e300, 1e300], 0.05)
     assert np.isfinite(p).all()
     assert p.sum() == pytest.approx(1.0)
+    assert np.array_equal(p, edge_distribution([1, 1], 0.05))
 
 
 def test_edge_distribution_validation():

@@ -56,13 +56,13 @@ def test_logits_match_dense_oracle():
     d = 6
     tp = random_tp(gt, d, rng)
     h = rng.standard_normal((gt.n, d))
-    logits = transition_logits(ad.Tensor(h), gt, tp)
+    logits = gt.edge_values(transition_logits(ad.Tensor(h), gt, tp).data)
     for i, (src, dst, et) in enumerate(zip(gt.src, gt.dst, gt.etype)):
         expect = (h[src] @ tp.w_src.data[:, et]
                   + h[dst] @ tp.w_dst.data[:, et]
                   + h[dst] @ tp.w_outer.data[et] @ h[src]
                   + tp.bias.data[et])
-        assert logits.data[i] == pytest.approx(expect, rel=1e-10)
+        assert logits[i] == pytest.approx(expect, rel=1e-10)
 
 
 def test_batched_logits_match_unbatched():
@@ -85,9 +85,10 @@ def test_transition_rows_are_stochastic():
         h = rng.standard_normal((2, gt.n, 4))
         trans = transition_matrix(transition_logits(ad.Tensor(h), gt, tp), gt)
         row_sums = np.zeros((2, gt.n))
-        np.add.at(row_sums.T, gt.src, trans.data.T)
+        np.add.at(row_sums.T, gt.src, gt.edge_values(trans.data).T)
         assert np.abs(row_sums - 1.0).max() < 1e-12
         assert trans.data.min() >= 0.0
+        assert np.all(trans.data[:, gt.pad] == 0.0)
 
 
 def test_flow_matches_dense_matvec():
@@ -99,12 +100,13 @@ def test_flow_matches_dense_matvec():
         trans = transition_matrix(transition_logits(ad.Tensor(h), gt, tp), gt)
         dense = dense_transition(gt, h, tp)
         # per-edge values agree with the dense matrix entries
+        per_edge = gt.edge_values(trans.data)
         for i, (s, d_) in enumerate(zip(gt.src, gt.dst)):
-            assert trans.data[i] == pytest.approx(dense[s, d_], abs=1e-12)
+            assert per_edge[i] == pytest.approx(dense[s, d_], abs=1e-12)
         focused = onehot_focus(gt.n, [0, gt.n - 1], np.float64)
         a = focused.data.copy()
         for _ in range(4):
-            trans_b = ad.add(ad.Tensor(np.zeros((2, 1))), trans)
+            trans_b = ad.add(ad.Tensor(np.zeros((2, 1, 1))), trans)
             flowing, focused = flow_step(focused, trans_b, gt)
             a = a @ dense
             assert np.abs(focused.data - a).max() < 1e-12
@@ -119,7 +121,7 @@ def test_flow_conserves_mass():
     focused = onehot_focus(gt.n, [0, 1, 2], np.float64)
     for _ in range(6):
         flowing, focused = flow_step(focused, trans, gt)
-        assert np.abs(flowing.data.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(flowing.data.sum(axis=(1, 2)) - 1.0).max() < 1e-12
         assert np.abs(focused.data.sum(axis=1) - 1.0).max() < 1e-12
 
 
@@ -213,8 +215,9 @@ def test_mulmlp_fold_matches_unfused_acting():
     for name in ("msg.b", "act.b"):  # nonzero, so their folds are exercised
         p[name].data = rng.standard_normal(p[name].data.shape)
     h = ad.Tensor(rng.standard_normal((2, gt.n, d)))
-    flowing = ad.Tensor(rng.random((2, gt.n_edges)), requires_grad=True)
-    weights = ad.Tensor(rng.standard_normal((2, gt.n_edges, d)))
+    slots = (2, gt.n, gt.n_types)
+    flowing = ad.Tensor(rng.random(slots), requires_grad=True)
+    weights = ad.Tensor(rng.standard_normal(slots + (d,)))
     leaves = [p["msg.W"], p["msg.b"], p["act.W"], p["act.b"], flowing]
 
     def acted_and_grads(acted):
@@ -226,14 +229,12 @@ def test_mulmlp_fold_matches_unfused_acting():
     fused = acted_and_grads(attend_message(
         MUL_MLP, flowing, model._ggnn_messages(h), None, p["act.b"]))
 
-    h_src = ad.take(h, gt.src, axis=1)
-    m = 0.0
+    m = []
     for t in range(gt.n_types):
-        mask = (gt.etype == t).astype(np.float64)[:, None]
         w_t = ad.reshape(ad.slice_axis(p["msg.W"], 0, t, t + 1), (d, d))
         b_t = ad.reshape(ad.slice_axis(p["msg.b"], 0, t, t + 1), (d,))
-        m = ad.add(m, ad.mul(ad.add(ad.matmul(h_src, w_t), b_t), mask))
-    scaled = ad.mul(m, ad.reshape(flowing, (2, gt.n_edges, 1)))
+        m.append(ad.reshape(ad.add(ad.matmul(h, w_t), b_t), (2, gt.n, 1, d)))
+    scaled = ad.mul(ad.concat(m, axis=2), ad.reshape(flowing, slots + (1,)))
     plain = acted_and_grads(
         ad.tanh(ad.add(ad.matmul(scaled, p["act.W"]), p["act.b"])))
 

@@ -57,12 +57,30 @@ def test_graph_tensors_layout():
     gt = GraphTensors(small_graph())
     assert gt.n == gt.graph.n_nodes
     assert gt.n_edges == len(gt.graph.edges)
-    # edges are sorted by type; (node, type) keys index node-side tables
+    # edges are sorted by type; each fills its sender's slot of its type
     assert np.all(np.diff(gt.etype) >= 0)
     assert np.array_equal(gt.src_type, gt.src * gt.n_types + gt.etype)
-    assert np.array_equal(gt.dst_type, gt.dst * gt.n_types + gt.etype)
+    assert gt.pad.sum() == gt.recv_pad.sum() == gt.n * gt.n_types - gt.n_edges
+    assert not gt.pad.reshape(-1)[gt.src_type].any()
+    # recv and send are inverse permutations; an edge's receiver slot holds
+    # its sender slot, and pads pair with pads
+    recv, send = gt.recv.reshape(-1), gt.send.reshape(-1)
+    assert np.array_equal(recv[send], np.arange(gt.n * gt.n_types))
+    assert np.array_equal(recv[gt.dst * gt.n_types + gt.etype], gt.src_type)
+    assert np.array_equal(gt.pad.reshape(-1)[recv], gt.recv_pad.reshape(-1))
     # compact indices round-trip
     assert np.array_equal(gt.node_ids[gt.to_indices(gt.node_ids)], gt.node_ids)
+
+
+def test_to_indices_rejects_unknown_ids():
+    gt = GraphTensors(small_graph())
+    present = gt.node_ids[[0, -1]]
+    assert np.array_equal(gt.to_indices(present), [0, gt.n - 1])
+    assert np.array_equal(gt.to_indices(int(present[1])), [gt.n - 1])
+    absent = np.setdiff1d(np.arange(-1, gt.node_ids.max() + 3), gt.node_ids)
+    for bad in absent:
+        with pytest.raises(ValueError, match=f"\\[{bad}\\]"):
+            gt.to_indices([present[0], bad])
 
 
 def test_graph_tensors_reject_shared_node_type_keys():
@@ -169,3 +187,71 @@ def test_float32_default_dtype():
         assert grads, name
         for pname, p in grads.items():
             assert p.grad.dtype == p.data.dtype, f"{name} {pname}"
+
+
+def test_traced_flowing_sums_to_focused_attention():
+    """Per-edge flowing attention from the trace, summed per sender, is the
+    step's focused attention, and summed per receiver, the next step's."""
+    g = small_graph(seed=2)
+    for name in ("ggnn-mul", "gat-noact", "fullgn-mulmlp"):
+        model = Model(small_cfg(name, steps=4), g, seed=3)
+        gt = model.gt
+        r = model.forward(np.array([0, 5, gt.n - 1]), trace=True)
+        for step, flowing in enumerate(r.flowing):
+            assert flowing.shape == (3, gt.n_edges)
+            by_sender = np.zeros((gt.n, 3))
+            np.add.at(by_sender, gt.src, flowing.T)
+            by_receiver = np.zeros((gt.n, 3))
+            np.add.at(by_receiver, gt.dst, flowing.T)
+            assert np.allclose(by_sender.T, r.focused[step],
+                               rtol=1e-12, atol=1e-12), (name, step)
+            assert np.allclose(by_receiver.T, r.focused[step + 1],
+                               rtol=1e-12, atol=1e-12), (name, step)
+
+
+def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
+    """Finite non-zero junk added to the pad slots of every segment op's
+    input leaves predictions, loss and parameter grads bit-identical."""
+    g = small_graph(seed=4)
+    src, dst = np.array([0, 3]), np.array([2, 5])
+    segment_sum, segment_softmax = ad.segment_sum, ad.segment_softmax
+    rng = np.random.default_rng(0)
+    calls = []
+
+    def with_junk(x, pad, node_axis):
+        shape = x.data.shape
+        pad = pad.reshape(pad.shape + (1,) * (len(shape) - node_axis - 2))
+        junk = rng.uniform(-50.0, 50.0, shape) + 100.0
+        calls.append(int(pad.sum()))
+        return ad.add(x, np.where(pad, junk, 0.0))
+
+    def junk_sum(x, recv, send, pad):
+        return segment_sum(with_junk(x, pad, 1), recv, send, pad)
+
+    def junk_softmax(x, pad, axis=-1):
+        node_axis = axis % x.data.ndim - 1
+        return segment_softmax(with_junk(x, pad, node_axis), pad, axis)
+
+    def run(model):
+        probs = model.predict(src)
+        loss = model.loss(src, dst)
+        loss.backward()
+        grads = {k: p.grad for k, p in model.params.items()}
+        for p in model.params.values():
+            p.zero_grad()
+        return probs, float(loss.data), grads
+
+    for name in MODEL_NAMES:
+        model = Model(small_cfg(name, dims=6, attn_dims=2, heads=3, steps=2),
+                      g, seed=2)
+        clean = run(model)
+        with monkeypatch.context() as m:
+            m.setattr(ad, "segment_sum", junk_sum)
+            m.setattr(ad, "segment_softmax", junk_softmax)
+            calls.clear()
+            dirty = run(model)
+        assert calls and min(calls) > 0, name
+        assert np.array_equal(clean[0], dirty[0]), name
+        assert clean[1] == dirty[1], name
+        for k, grad in clean[2].items():
+            assert np.array_equal(grad, dirty[2][k]), (name, k)
