@@ -6,14 +6,14 @@ per-edge quantity T_ij * a_i, which sums to 1 over all edges. Per-edge
 values are kept in sender-major slots (..., n, n_types), where slot (i, t)
 holds node i's outgoing edge of type t (see GraphTensors). The per-edge
 transition logit is
-    tau_ij = w1_e . h_i + w2_e . h_j + h_i^T Wo_e h_j + b_e
-with one parameter block per edge type. The receiver-side terms w2_t . h_j
-and Wo_t h_j are computed once per (node, type) pair and permuted to the
-sender slots, so no d x d outer product is formed and h_i is broadcast.
+    tau_ij = w1_t . h_i + w2_t . h_j + h_j^T Wo_t h_i + b_t
+for an edge of type t. Its receiver-side terms are one typed map of h_j,
+    trans.W[t] = [Wo_t | w2_t]  (d, d+1),  trans.b[t] = [w1_t : b_t]  (d+1,),
+computed once per (node, type) pair and permuted to the sender slots, so
+tau_ij = [h_i : 1] . (h_j trans.W[t] + trans.b[t]): no d x d outer product
+is formed and h_i is broadcast.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,36 +22,14 @@ from . import autodiff as ad
 NO_ACT, MUL, MUL_MLP = "noact", "mul", "mulmlp"
 
 
-@dataclass
-class TransitionParams:
-    w_src: ad.Tensor  # (d, n_types)
-    w_dst: ad.Tensor  # (d, n_types)
-    w_outer: ad.Tensor  # (n_types, d, d), per-type bilinear forms
-    bias: ad.Tensor  # (n_types,)
-
-
-def permute_slots(x, perm, axis=1) -> ad.Tensor:
-    """x (..., n, n_types, ...), slot axes at axis, with its slots reordered
-    by a flat slot permutation: slot s of the result is slot perm[s] of x.
-    gt.send reads receiver-side (node, type) tables from the sender slots;
-    gt.recv moves sender slots to receiver slots."""
-    shape = x.data.shape
-    flat = shape[:axis] + (-1,) + shape[axis + 2:]
-    return ad.reshape(ad.take(ad.reshape(x, flat), perm, axis=axis,
-                              unique=True), shape)
-
-
-def transition_logits(states, gt, tp: TransitionParams) -> ad.Tensor:
-    """Per-slot logits (B, n, n_types) from node states (B, n, d), or
-    (n, n_types) from (n, d) for the stationary case, which carries no
-    batch axis. Pad slots hold values that transition_matrix drops."""
-    axis = states.data.ndim - 2
-    s_src = ad.add(ad.matmul(states, tp.w_src), tp.bias)
-    s_dst = permute_slots(ad.matmul(states, tp.w_dst), gt.send, axis)
-    h_src = ad.reshape(states, states.data.shape[:-1] + (1, -1))
-    t_bil = ad.rowdot(h_src, permute_slots(
-        ad.typed_affine(states, tp.w_outer, None), gt.send, axis))
-    return ad.add(ad.add(s_src, s_dst), t_bil)
+def transition_logits(states, gt, w, b) -> ad.Tensor:
+    """Per-slot logits (B, n, n_types) from node states (B, n, d) and the
+    packed transition weights w (n_types, d, d+1), b (n_types, d+1). Pad
+    slots hold values that transition_matrix drops."""
+    ones = np.ones(states.data.shape[:-1] + (1,), dtype=states.data.dtype)
+    h_src = ad.concat([states, ones], axis=-1)
+    return ad.rowdot(ad.reshape(h_src, h_src.data.shape[:-1] + (1, -1)),
+                     ad.take(ad.typed_affine(states, w, b), gt.send))
 
 
 def transition_matrix(logits: ad.Tensor, gt) -> ad.Tensor:
@@ -63,12 +41,14 @@ def transition_matrix(logits: ad.Tensor, gt) -> ad.Tensor:
 def flow_step(focused: ad.Tensor, transition: ad.Tensor, gt):
     """One step of the flow dynamics; conservation is structural.
 
-    focused: (B, n); transition: per-slot (B, n, n_types) or (n, n_types).
+    focused: (B, n); transition: per-slot (B, n, n_types), or (1, n, n_types)
+    for a transition shared by the whole batch.
     Returns (flowing (B, n, n_types), next focused (B, n)).
     """
     a_src = ad.reshape(focused, focused.data.shape + (1,))
     flowing = ad.mul(transition, a_src)
-    return flowing, ad.segment_sum(flowing, gt.recv, gt.send, gt.pad)
+    return flowing, ad.segment_sum(flowing, gt.recv, gt.recv_pad,
+                                   gt.receiver, gt.pad)
 
 
 def attend_message(acting: str, flowing: ad.Tensor, messages: ad.Tensor,
@@ -93,12 +73,12 @@ def attend_message(acting: str, flowing: ad.Tensor, messages: ad.Tensor,
 
 def flow_loss(focused: ad.Tensor, dst_indices) -> ad.Tensor:
     """Mean of -log a_dst over the batch, clamped away from -log 0."""
-    b, n = focused.data.shape
+    n = focused.data.shape[1]
     dst = np.asarray(dst_indices, dtype=np.int64)
     if np.any(dst < 0) or np.any(dst >= n):
         raise ValueError("destination index outside the node set")
-    flat = ad.reshape(focused, (b * n,))
-    picked = ad.take(flat, np.arange(b) * n + dst, axis=0, unique=True)
+    picked = ad.tsum(ad.mul(focused, onehot_focus(n, dst, focused.data.dtype)),
+                     axis=1)
     return ad.tmean(ad.mul(ad.log(picked), -1.0))
 
 

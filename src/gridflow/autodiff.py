@@ -7,11 +7,12 @@ is provided.
 
 Per-edge values live in sender-major slots: axes (n, n_types) whose entry
 (i, t) holds node i's outgoing edge of type t, or padding where there is
-none. typed_affine produces that layout straight from one GEMM; the
-segment ops reduce over each node's slots, dropping the pads:
-segment_softmax normalizes over the type axis, and segment_sum reaches
-the receivers through a fixed slot permutation. Gathers whose indices
-never repeat (take(unique=True)) back-propagate by plain index assignment.
+none. typed_affine produces that layout straight from one GEMM; take
+reorders the slots by a fixed permutation, such as moving a receiver's
+(node, type) map to its sender slots, and back-propagates by gathering
+with the inverse permutation. The segment ops reduce over each node's
+slots, dropping the pads: segment_softmax normalizes over the type axis,
+and segment_sum reaches the receivers through the slot permutation.
 """
 from __future__ import annotations
 
@@ -181,29 +182,16 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """a: (..., k) or (..., m, k); b: (k, n) weight or (k,) vector."""
+    """a: (..., k) or (..., m, k); b: (k, n) weight."""
     a, b = _wrap(a), _wrap(b)
     ad, bd = a.data, b.data
-    out = ad @ bd
-    if bd.ndim == 2:
-        k, n = bd.shape
-
-        def vjp_a(g):
-            return g @ bd.T
-
-        def vjp_b(g):
-            return ad.reshape(-1, k).T @ g.reshape(-1, n)
-
-    elif bd.ndim == 1:
-        def vjp_a(g):
-            return g[..., None] * bd
-
-        def vjp_b(g):
-            return (ad * g[..., None]).reshape(-1, bd.shape[0]).sum(axis=0)
-
-    else:
-        raise ValueError(f"matmul rhs must be 1D or 2D, got shape {bd.shape}")
-    return _make(out, [(a, vjp_a), (b, vjp_b)])
+    if bd.ndim != 2:
+        raise ValueError(f"matmul rhs must be 2D, got shape {bd.shape}")
+    k, n = bd.shape
+    return _make(ad @ bd, [
+        (a, lambda g: g @ bd.T),
+        (b, lambda g: ad.reshape(-1, k).T @ g.reshape(-1, n)),
+    ])
 
 
 # -- shape ops -----------------------------------------------------------
@@ -387,51 +375,46 @@ def typed_affine(x, w, b):
 # -- indexed / segment ops -----------------------------------------------
 
 
-def take(x, idx, axis=0, unique: bool = False):
-    """Gather rows by index along axis.
-
-    Backward adds the gradients of repeated indices; unique=True promises
-    idx has no repeats, and backward then assigns rows instead.
-    """
+def take(x, perm):
+    """x (B, n, n_types, ...) with its slots reordered by a flat slot
+    permutation perm (n * n_types,): slot s of the result is slot perm[s]
+    of x. Backward gathers by the inverse permutation."""
     x = _wrap(x)
-    idx = np.asarray(idx, dtype=np.int64)
     shape = x.data.shape
-    where = (slice(None),) * (axis % len(shape)) + (idx,)
+    flat = shape[:1] + (-1,) + shape[3:]
 
     def vjp(g):
-        out = np.zeros(shape, dtype=g.dtype)
-        if unique:
-            out[where] = g
-        else:
-            np.add.at(out, where, g)
-        return out
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(perm.size)
+        return np.take(g.reshape(flat), inv, axis=1).reshape(shape)
 
-    return _make(np.take(x.data, idx, axis=axis), [(x, vjp)])
+    return _make(np.take(x.data.reshape(flat), perm, axis=1).reshape(shape),
+                 [(x, vjp)])
 
 
-def segment_sum(x, recv, send, pad):
+def segment_sum(x, recv, recv_pad, receiver, pad):
     """Per-receiver sums of sender-major slot values: x (B, n, n_types, ...)
     to (B, n, ...).
 
-    recv and send are inverse permutations of the flat slot index: receiver
-    slot (j, t), node j's incoming edge of type t, holds the edge in sender
-    slot recv[j * n_types + t]. pad (n, n_types) marks the sender slots with
-    no edge, which recv pairs with the receiver slots with none. Pads add
+    recv is a permutation of the flat slot index: receiver slot (j, t),
+    node j's incoming edge of type t, holds the edge in sender slot
+    recv[j * n_types + t]. receiver (n, n_types) is the receiving node of
+    each sender slot. pad and recv_pad (n, n_types) mark the sender and the
+    receiver slots with no edge, which recv pairs with each other. Pads add
     nothing and get zero gradient.
     """
     x = _wrap(x)
     xd = x.data
     b, n, nt = xd.shape[:3]
-    pad = pad.reshape(-1)
-    y = np.take(xd.reshape((b, n * nt) + xd.shape[3:]), recv, axis=1)
-    y[:, pad[recv]] = 0
-    out = np.einsum("bnt...->bn...", y.reshape(xd.shape))
-    receiver = send // nt
+    y = np.take(xd.reshape((b, n * nt) + xd.shape[3:]), recv,
+                axis=1).reshape(xd.shape)
+    y[:, recv_pad] = 0
+    out = np.einsum("bnt...->bn...", y)
 
     def vjp(g):
         dx = np.take(g, receiver, axis=1)
         dx[:, pad] = 0
-        return dx.reshape(xd.shape)
+        return dx
 
     return _make(out, [(x, vjp)])
 
@@ -475,18 +458,20 @@ def grad_check(f, params, eps=1e-5, sample_frac=0.05, min_coords=50, seed=0):
         size = p.data.size
         k = max(min(min_coords, size), int(round(sample_frac * size)))
         coords = rng.choice(size, size=min(k, size), replace=False)
-        flat = p.data.reshape(-1)
         for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
+            # An index into p.data itself, so any memory layout is perturbed
+            # in place.
+            c = np.unravel_index(c, p.data.shape)
+            orig = p.data[c]
+            p.data[c] = orig + eps
             with no_grad():
                 hi = float(f().data)
-            flat[c] = orig - eps
+            p.data[c] = orig - eps
             with no_grad():
                 lo = float(f().data)
-            flat[c] = orig
+            p.data[c] = orig
             numeric = (hi - lo) / (2.0 * eps)
-            analytic = float(grad.reshape(-1)[c])
+            analytic = float(grad[c])
             err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
             worst = max(worst, err)
     return worst

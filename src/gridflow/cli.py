@@ -211,6 +211,19 @@ def train(model, data_dir, run_dir, epochs=50, batch=None, dims=40,
     return 0
 
 
+def _load_checkpoint(model, run_dir, epoch) -> int:
+    """Load the epoch's snapshot into model: 0, or 2 after printing why the
+    snapshot does not fit the model."""
+    import numpy as np
+    with np.load(os.path.join(run_dir, f"epoch{epoch}.npz")) as f:
+        try:
+            model.load_state_dict(dict(f))
+        except ValueError as err:
+            print(err, file=sys.stderr)
+            return 2
+    return 0
+
+
 def evaluate(run, split="test", out=None) -> int:
     from . import training
 
@@ -224,11 +237,11 @@ def evaluate(run, split="test", out=None) -> int:
     cfg_doc, dataset, model, gt, examples = _load_run_pieces(run)
     src, dst = examples[split]
 
-    import numpy as np
     reports = []
     for epoch in manifest["selected_epochs"]:
-        with np.load(os.path.join(run, f"epoch{epoch}.npz")) as f:
-            model.load_state_dict(dict(f))
+        rc = _load_checkpoint(model, run, epoch)
+        if rc:
+            return rc
         reports.append(training.evaluate(model, src, dst))
     summary = training.aggregate_runs([reports])
     summary["split"] = split
@@ -251,11 +264,9 @@ def visualize(run, src, dst, out) -> int:
         manifest = json.load(f)
     cfg_doc, dataset, model, gt, examples = _load_run_pieces(run)
 
-    import numpy as np
-    best = manifest["selected_epochs"][0]
-    with np.load(os.path.join(run, f"epoch{best}.npz")) as f:
-        model.load_state_dict(dict(f))
-
+    rc = _load_checkpoint(model, run, manifest["selected_epochs"][0])
+    if rc:
+        return rc
     try:
         src_idx, dst_idx = gt.to_indices([src, dst])
     except ValueError as err:

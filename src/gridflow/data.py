@@ -118,8 +118,9 @@ def split_sources(sources: np.ndarray, seed: int) -> dict:
 
 
 def generate_trajectories(graph: GridGraph, params: GenParams) -> list:
-    """n_rollout trajectories per surviving node, with per-source RNG streams
-    so that parallel generation matches sequential."""
+    """n_rollout trajectories per surviving node. Each source draws from its
+    own RNG stream, seeded by the dataset seed and its node id, so its
+    trajectories do not depend on the other sources."""
     trajectories = []
     for src in graph.nodes.tolist():
         rng = np.random.default_rng([params.seed, 1, src])

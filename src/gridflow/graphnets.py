@@ -20,7 +20,6 @@ import numpy as np
 
 from . import attnflow
 from . import autodiff as ad
-from .attnflow import TransitionParams
 from .grid import GridGraph, N_EDGE_TYPES
 
 CORES = ("fullgn", "ggnn", "gat", "rw_stationary", "rw_dynamic")
@@ -88,7 +87,8 @@ class GraphTensors:
     each side, so the edges fill distinct slots and the rest are pads:
     pad and recv_pad, (n, n_types). recv (n * n_types,) gives the flat
     sender slot of each receiver slot and send is its inverse; they pair
-    pads with pads. src_type is each edge's flat sender slot.
+    pads with pads. receiver (n, n_types) is the node whose receiver slot
+    each sender slot maps to, and src_type is each edge's flat sender slot.
     """
 
     def __init__(self, graph: GridGraph):
@@ -127,6 +127,7 @@ class GraphTensors:
         self.recv[self.recv_pad.reshape(-1)] = np.flatnonzero(self.pad)
         self.send = np.empty_like(self.recv)
         self.send[self.recv] = np.arange(n * nt)
+        self.receiver = (self.send // nt).reshape(n, nt)
 
     def to_indices(self, node_ids) -> np.ndarray:
         """Compact indices of original node ids; ValueError names the ids
@@ -210,7 +211,8 @@ class Model:
     # -- parameters -------------------------------------------------------
 
     def _param(self, name, value):
-        t = ad.Tensor(value.astype(self.cfg.np_dtype), requires_grad=True)
+        t = ad.Tensor(np.array(value, dtype=self.cfg.np_dtype, order="C"),
+                      requires_grad=True)
         self.params[name] = t
         return t
 
@@ -260,10 +262,15 @@ class Model:
             self._param("global.b", np.zeros(d))
 
         if cfg.explicit_flow:
-            self._param("trans.w1", self._glorot(rng, (d, nt), d, 1))
-            self._param("trans.w2", self._glorot(rng, (d, nt), d, 1))
-            self._param("trans.wo", self._typed_glorot(rng, nt, d, d))
-            self._param("trans.b", np.zeros(nt))
+            # Packed receiver-side maps (see attnflow): W[t] = [Wo_t | w2_t],
+            # b[t] = [w1_t : b_t].
+            w1 = self._glorot(rng, (d, nt), d, 1)
+            w2 = self._glorot(rng, (d, nt), d, 1)
+            wo = self._typed_glorot(rng, nt, d, d)
+            self._param("trans.W", np.concatenate([wo, w2.T[:, :, None]],
+                                                  axis=2))
+            self._param("trans.b", np.concatenate([w1.T, np.zeros((nt, 1))],
+                                                  axis=1))
         if cfg.acting == "mulmlp":
             self._param("act.W", self._glorot(rng, (d, d), d, d))
             self._param("act.b", np.zeros(d))
@@ -282,14 +289,6 @@ class Model:
         self._param("gru.Whh", gates[2][2 * d:])
         self._param("gru.b", np.zeros(3 * d))
 
-    def transition_params(self) -> TransitionParams:
-        return TransitionParams(
-            w_src=self.params["trans.w1"],
-            w_dst=self.params["trans.w2"],
-            w_outer=self.params["trans.wo"],
-            bias=self.params["trans.b"],
-        )
-
     # -- propagation steps -------------------------------------------------
     # A step maps node and global states (h, g), this step's flowing
     # attention (None in regular variants) and focused attention to the
@@ -301,7 +300,7 @@ class Model:
         a batch of b.
 
         rw_stationary has no step: its states are the embeddings, fixed
-        for the whole forward.
+        for the whole forward and shared by the batch (a batch axis of 1).
         """
         cfg, p = self.cfg, self.params
         if cfg.core == "rw_stationary":
@@ -327,7 +326,8 @@ class Model:
                 self.cfg.acting, flowing, messages,
                 None if folded else p.get("act.W"), p.get("act.b"))
         gt = self.gt
-        return ad.segment_sum(messages, gt.recv, gt.send, gt.pad)
+        return ad.segment_sum(messages, gt.recv, gt.recv_pad, gt.receiver,
+                              gt.pad)
 
     def _fullgn_messages(self, h, g):
         """tanh([h_i : h_j : g] W_t + b_t), split into a sender-side map of
@@ -339,9 +339,8 @@ class Model:
         sender = ad.concat([h, expand(g, gt.n, axis=1)], axis=-1)
         return ad.tanh(ad.add(
             ad.typed_affine(sender, w_sender, p["msg.b"]),
-            attnflow.permute_slots(
-                ad.typed_affine(h, ad.slice_axis(w, 1, d, 2 * d), None),
-                gt.send)))
+            ad.take(ad.typed_affine(h, ad.slice_axis(w, 1, d, 2 * d), None),
+                    gt.send)))
 
     def _ggnn_messages(self, h):
         """h_i W_t + b_t per slot; in MulMlp variants, with act.W folded in:
@@ -361,10 +360,9 @@ class Model:
                        (-1, gt.n, gt.n_types, k, hw))
         # a1 . z_i is read from the sender's slot; a2 . z_j is node j's own
         # (node, type) map, so it is already in receiver slots.
-        s_i = attnflow.permute_slots(ad.tsum(ad.mul(z, p["gat.a1"]), axis=-1),
-                                     gt.recv)
+        s_i = ad.take(ad.tsum(ad.mul(z, p["gat.a1"]), axis=-1), gt.recv)
         s_j = ad.tsum(ad.mul(z, p["gat.a2"]), axis=-1)
-        alpha = attnflow.permute_slots(ad.segment_softmax(
+        alpha = ad.take(ad.segment_softmax(
             ad.leaky_relu(ad.add(s_i, s_j), cfg.leaky_slope),
             gt.recv_pad, axis=2), gt.send)
         weighted = ad.mul(z, ad.reshape(alpha, alpha.data.shape + (1,)))
@@ -407,14 +405,13 @@ class Model:
         result = ForwardResult(probs=None)
         step = self._pick_step(len(src))
         if step is None:
-            h, g = p["embed"], None
+            h, g = ad.reshape(p["embed"], (1, gt.n, cfg.dims)), None
         else:
             h = init_node_states(gt, p, src, cfg.attn_dims, dtype)
             g = ad.Tensor(np.zeros((len(src), cfg.dims), dtype=dtype))
 
         focused = focused_next = flowing = transition = None
         if cfg.explicit_flow:
-            tp = self.transition_params()
             focused = attnflow.onehot_focus(gt.n, src, dtype)
             if trace:
                 result.focused.append(focused.data.copy())
@@ -425,7 +422,8 @@ class Model:
                 # fixed rw_stationary states need one for the whole forward.
                 if step is not None or transition is None:
                     transition = attnflow.transition_matrix(
-                        attnflow.transition_logits(h, gt, tp), gt)
+                        attnflow.transition_logits(h, gt, p["trans.W"],
+                                                   p["trans.b"]), gt)
                 flowing, focused_next = attnflow.flow_step(focused, transition, gt)
                 if trace:
                     result.flowing.append(gt.edge_values(flowing.data))
@@ -457,6 +455,12 @@ class Model:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_dict(self, state: dict) -> None:
+        missing = sorted(self.params.keys() - state.keys())
+        unexpected = sorted(state.keys() - self.params.keys())
+        if missing or unexpected:
+            raise ValueError(
+                f"checkpoint does not match a {self.cfg.name} model: "
+                f"missing parameters {missing}, unexpected {unexpected}")
         for name, t in self.params.items():
             value = np.asarray(state[name])
             if value.shape != t.data.shape:
@@ -464,7 +468,7 @@ class Model:
                     f"checkpoint shape {value.shape} does not match "
                     f"parameter {name!r} shape {t.data.shape}"
                 )
-            t.data = value.astype(t.data.dtype)
+            t.data = np.array(value, dtype=t.data.dtype, order="C")
 
     def save(self, path) -> None:
         np.savez(path, **self.state_dict())

@@ -100,17 +100,18 @@ def test_flow_invariants_on_random_graphs():
                          grid.CorruptionParams(0.1, 0.1, seed=trial)))
         gt = GraphTensors(g)
         d = 4
-        tp = attnflow.TransitionParams(
-            w_src=ad.Tensor(rng.standard_normal((d, gt.n_types))),
-            w_dst=ad.Tensor(rng.standard_normal((d, gt.n_types))),
-            w_outer=ad.Tensor(rng.standard_normal((gt.n_types, d, d)) * 0.3),
-            bias=ad.Tensor(rng.standard_normal(gt.n_types)),
-        )
-        h = rng.standard_normal((gt.n, d))
-        trans = attnflow.transition_matrix(
-            attnflow.transition_logits(ad.Tensor(h), gt, tp), gt)
+        w1 = rng.standard_normal((d, gt.n_types))
+        w2 = rng.standard_normal((d, gt.n_types))
+        wo = rng.standard_normal((gt.n_types, d, d)) * 0.3
+        b = rng.standard_normal(gt.n_types)
+        h = rng.standard_normal((1, gt.n, d))
+        # packed as in Model: W[t] = [Wo_t | w2_t], b[t] = [w1_t : b_t]
+        trans = attnflow.transition_matrix(attnflow.transition_logits(
+            ad.Tensor(h), gt,
+            ad.Tensor(np.concatenate([wo, w2.T[:, :, None]], axis=2)),
+            ad.Tensor(np.concatenate([w1.T, b[:, None]], axis=1))), gt)
 
-        per_edge = gt.edge_values(trans.data)
+        per_edge = gt.edge_values(trans.data)[0]
         row_sums = np.zeros(gt.n)
         np.add.at(row_sums, gt.src, per_edge)
         assert np.abs(row_sums - 1.0).max() < 1e-12
@@ -119,9 +120,8 @@ def test_flow_invariants_on_random_graphs():
         dense[gt.src, gt.dst] = per_edge
         focused = attnflow.onehot_focus(gt.n, [0], np.float64)
         a = focused.data[0].copy()
-        trans_b = ad.add(ad.Tensor(np.zeros((1, 1, 1))), trans)
         for _ in range(3):
-            flowing, focused = attnflow.flow_step(focused, trans_b, gt)
+            flowing, focused = attnflow.flow_step(focused, trans, gt)
             a = a @ dense
             assert abs(flowing.data.sum() - 1.0) < 1e-9
             assert abs(focused.data.sum() - 1.0) < 1e-9
@@ -133,11 +133,12 @@ def test_stationary_transition_is_constant():
         grid.corrupt(grid.build_grid(5), grid.CorruptionParams(0.1, 0.0, seed=3)))
     model = Model(ModelConfig(core="rw_stationary", acting="noact", dims=8,
                               attn_dims=2, steps=4, dtype="float64"), g, seed=0)
+    p = model.params
     with ad.no_grad():
-        transition = attnflow.transition_matrix(
-            attnflow.transition_logits(model.params["embed"], model.gt,
-                                       model.transition_params()), model.gt)
-    t = model.gt.edge_values(transition.data)
+        transition = attnflow.transition_matrix(attnflow.transition_logits(
+            ad.Tensor(p["embed"].data[None]), model.gt, p["trans.W"],
+            p["trans.b"]), model.gt)
+    t = model.gt.edge_values(transition.data)[0]
     # every per-step flowing attention is exactly T * a_src, for any example
     for src_batch in ([0], [1, 2]):
         fr = model.forward(np.array(src_batch), trace=True)

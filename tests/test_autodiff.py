@@ -52,7 +52,7 @@ def test_add_mul_with_broadcasting():
 
 def test_matmul_weight_and_vector():
     rng = np.random.default_rng(1)
-    for shape_w in ((5, 3), (5,)):
+    for shape_w in ((5, 3),):
         x = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal(shape_w), requires_grad=True)
         loss = ad.tsum(ad.tanh(ad.matmul(x, w)))
@@ -181,16 +181,28 @@ def test_typed_affine_matches_gathered_oracle():
             assert np.abs(t.grad - fd_grad(scalar, t.data)).max() < 1e-6
 
 
-def test_take_backward_scatter_adds():
-    x = Tensor(np.arange(5.0), requires_grad=True)
-    idx = np.array([0, 2, 2, 4])
-    ad.tsum(ad.mul(ad.take(x, idx), np.array([1.0, 2.0, 3.0, 4.0]))).backward()
-    assert np.allclose(x.grad, [1.0, 0.0, 5.0, 0.0, 4.0])
-
-
 def slot_graph(seed):
     g = grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.1, seed=seed))
     return GraphTensors(grid.add_selfloops(g))
+
+
+def test_take_permutes_slots():
+    """take reorders the flat (node, type) slots of every batch row, with
+    any trailing axes, and its gradient is the inverse reordering."""
+    rng = np.random.default_rng(11)
+    gt = slot_graph(11)
+    for trail in ((), (2,)):
+        x = Tensor(rng.standard_normal((3, gt.n, gt.n_types) + trail),
+                   requires_grad=True)
+        out = ad.take(x, gt.send)
+        flat = x.data.reshape((3, -1) + trail)
+        assert np.array_equal(out.data.reshape(flat.shape), flat[:, gt.send])
+        weights = rng.standard_normal(out.data.shape)
+        x.zero_grad()
+        ad.tsum(ad.mul(out, Tensor(weights))).backward()
+        expect = np.zeros_like(flat)
+        expect[:, gt.send] = weights.reshape(flat.shape)
+        assert np.array_equal(x.grad, expect.reshape(x.data.shape))
 
 
 def test_segment_sum_matches_add_at():
@@ -201,7 +213,7 @@ def test_segment_sum_matches_add_at():
     for trail in ((), (2,)):
         x = Tensor(rng.standard_normal((3, gt.n, gt.n_types) + trail),
                    requires_grad=True)
-        out = ad.segment_sum(x, gt.recv, gt.send, gt.pad)
+        out = ad.segment_sum(x, gt.recv, gt.recv_pad, gt.receiver, gt.pad)
         edges = x.data.reshape((3, -1) + trail)[:, gt.src_type]
         expect = np.zeros((3, gt.n) + trail)
         np.add.at(np.moveaxis(expect, 1, 0), gt.dst, np.moveaxis(edges, 1, 0))
@@ -271,14 +283,18 @@ def test_free_graph_releases_closures():
 
 
 def test_grad_check_passes_on_smooth_function():
+    """Also for a Fortran-ordered parameter, which must be perturbed in
+    place, not through a flattened copy."""
     rng = np.random.default_rng(10)
-    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    w0 = rng.standard_normal((4, 3))
     x = np.linspace(-1, 1, 8).reshape(2, 4)
+    for data in (w0, np.asfortranarray(w0)):
+        w = Tensor(data, requires_grad=True)
 
-    def f():
-        return ad.tsum(ad.tanh(ad.matmul(Tensor(x), w)))
+        def f():
+            return ad.tsum(ad.tanh(ad.matmul(Tensor(x), w)))
 
-    assert ad.grad_check(f, [w], seed=0) < 1e-7
+        assert ad.grad_check(f, [w], seed=0) < 1e-7
 
 
 def test_grad_check_catches_wrong_gradient():

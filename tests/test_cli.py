@@ -158,6 +158,35 @@ def test_visualize_regular_variant_falls_back(tmp_path, capsys):
     assert not (viz_dir / "heatmap.svg").exists()
 
 
+def test_eval_and_visualize_reject_mismatched_checkpoint(tmp_path, capsys):
+    """A flow checkpoint in the unpacked transition layout (trans.w1, w2,
+    wo, b) is refused with exit 2 and the parameter names, not loaded."""
+    data = generate_tiny(tmp_path) / "seed0"
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--model", "rw-stationary", "--data", str(data),
+                   "--out", str(run_dir), "--epochs", "1", "--dims", "8",
+                   "--attn-dims", "2", "--steps", "2") == 0
+    epoch = json.loads((run_dir / "selection.json").read_text())[
+        "selected_epochs"][0]
+    path = run_dir / f"epoch{epoch}.npz"
+    with np.load(path) as f:
+        state = {k: f[k] for k in f.files if not k.startswith("trans.")}
+    for name in ("trans.w1", "trans.w2", "trans.wo", "trans.b"):
+        state[name] = np.zeros(1)
+    np.savez(path, **state)
+    capsys.readouterr()
+    assert run_cli("eval", "--run", str(run_dir), "--split", "valid") == 2
+    assert "'trans.W'" in capsys.readouterr().err
+    graph = json.loads((data / "graph.json").read_text())
+    rc = run_cli("visualize", "--run", str(run_dir),
+                 "--src", str(graph["nodes"][0]["id"]),
+                 "--dst", str(graph["nodes"][1]["id"]),
+                 "--out", str(tmp_path / "viz"))
+    assert rc == 2
+    assert "'trans.wo'" in capsys.readouterr().err
+    assert not (tmp_path / "viz").exists()
+
+
 def test_train_zero_epochs(tmp_path, capsys):
     data = generate_tiny(tmp_path) / "seed0"
     run_dir = tmp_path / "run"

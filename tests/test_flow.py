@@ -8,7 +8,6 @@ from gridflow.attnflow import (
     MUL,
     MUL_MLP,
     NO_ACT,
-    TransitionParams,
     attend_message,
     flow_loss,
     flow_step,
@@ -25,26 +24,35 @@ def random_graph(seed, n_side=5):
     return GraphTensors(grid.add_selfloops(g))
 
 
-def random_tp(gt, d, rng):
-    return TransitionParams(
-        w_src=ad.Tensor(rng.standard_normal((d, gt.n_types)), requires_grad=True),
-        w_dst=ad.Tensor(rng.standard_normal((d, gt.n_types)), requires_grad=True),
-        w_outer=ad.Tensor(rng.standard_normal((gt.n_types, d, d)) * 0.3,
-                          requires_grad=True),
-        bias=ad.Tensor(rng.standard_normal(gt.n_types), requires_grad=True),
-    )
+def pack_trans(w1, w2, wo, b):
+    """Packed transition weights: W[t] = [Wo_t | w2_t], b[t] = [w1_t : b_t]."""
+    return (ad.Tensor(np.concatenate([wo, w2.T[:, :, None]], axis=2),
+                      requires_grad=True),
+            ad.Tensor(np.concatenate([w1.T, b[:, None]], axis=1),
+                      requires_grad=True))
 
 
-def dense_transition(gt, states, tp):
+def random_trans(gt, d, rng):
+    return pack_trans(rng.standard_normal((d, gt.n_types)),
+                      rng.standard_normal((d, gt.n_types)),
+                      rng.standard_normal((gt.n_types, d, d)) * 0.3,
+                      rng.standard_normal(gt.n_types))
+
+
+def tau(h, w, b, src, dst, et):
+    """w1_t . h_i + w2_t . h_j + h_j^T Wo_t h_i + b_t, read from the blocks."""
+    d = h.shape[-1]
+    return (h[src] @ b.data[et, :d]
+            + h[dst] @ w.data[et, :, d]
+            + h[dst] @ w.data[et, :, :d] @ h[src]
+            + b.data[et, d])
+
+
+def dense_transition(gt, h, w, b):
     """O(n^2) oracle for the per-edge transition, as a dense (n, n) matrix."""
-    h = states
     t = np.full((gt.n, gt.n), -np.inf)
     for src, dst, et in zip(gt.src, gt.dst, gt.etype):
-        tau = (h[src] @ tp.w_src.data[:, et]
-               + h[dst] @ tp.w_dst.data[:, et]
-               + h[dst] @ tp.w_outer.data[et] @ h[src]
-               + tp.bias.data[et])
-        t[src, dst] = tau
+        t[src, dst] = tau(h, w, b, src, dst, et)
     e = np.exp(t - t.max(axis=1, keepdims=True))
     e[~np.isfinite(e)] = 0.0
     return e / e.sum(axis=1, keepdims=True)
@@ -54,36 +62,22 @@ def test_logits_match_dense_oracle():
     rng = np.random.default_rng(0)
     gt = random_graph(0)
     d = 6
-    tp = random_tp(gt, d, rng)
+    w, b = random_trans(gt, d, rng)
     h = rng.standard_normal((gt.n, d))
-    logits = gt.edge_values(transition_logits(ad.Tensor(h), gt, tp).data)
+    logits = gt.edge_values(
+        transition_logits(ad.Tensor(h[None]), gt, w, b).data)[0]
     for i, (src, dst, et) in enumerate(zip(gt.src, gt.dst, gt.etype)):
-        expect = (h[src] @ tp.w_src.data[:, et]
-                  + h[dst] @ tp.w_dst.data[:, et]
-                  + h[dst] @ tp.w_outer.data[et] @ h[src]
-                  + tp.bias.data[et])
-        assert logits[i] == pytest.approx(expect, rel=1e-10)
-
-
-def test_batched_logits_match_unbatched():
-    rng = np.random.default_rng(1)
-    gt = random_graph(1)
-    d = 5
-    tp = random_tp(gt, d, rng)
-    h = rng.standard_normal((3, gt.n, d))
-    batched = transition_logits(ad.Tensor(h), gt, tp)
-    for b in range(3):
-        single = transition_logits(ad.Tensor(h[b]), gt, tp)
-        assert np.allclose(batched.data[b], single.data)
+        assert logits[i] == pytest.approx(tau(h, w, b, src, dst, et),
+                                          rel=1e-10)
 
 
 def test_transition_rows_are_stochastic():
     rng = np.random.default_rng(2)
     for seed in range(10):
         gt = random_graph(seed)
-        tp = random_tp(gt, 4, rng)
+        w, b = random_trans(gt, 4, rng)
         h = rng.standard_normal((2, gt.n, 4))
-        trans = transition_matrix(transition_logits(ad.Tensor(h), gt, tp), gt)
+        trans = transition_matrix(transition_logits(ad.Tensor(h), gt, w, b), gt)
         row_sums = np.zeros((2, gt.n))
         np.add.at(row_sums.T, gt.src, gt.edge_values(trans.data).T)
         assert np.abs(row_sums - 1.0).max() < 1e-12
@@ -95,19 +89,20 @@ def test_flow_matches_dense_matvec():
     rng = np.random.default_rng(3)
     for seed in range(8):
         gt = random_graph(seed, n_side=4)
-        tp = random_tp(gt, 4, rng)
+        w, b = random_trans(gt, 4, rng)
         h = rng.standard_normal((gt.n, 4))
-        trans = transition_matrix(transition_logits(ad.Tensor(h), gt, tp), gt)
-        dense = dense_transition(gt, h, tp)
+        trans = transition_matrix(
+            transition_logits(ad.Tensor(h[None]), gt, w, b), gt)
+        dense = dense_transition(gt, h, w, b)
         # per-edge values agree with the dense matrix entries
-        per_edge = gt.edge_values(trans.data)
+        per_edge = gt.edge_values(trans.data)[0]
         for i, (s, d_) in enumerate(zip(gt.src, gt.dst)):
             assert per_edge[i] == pytest.approx(dense[s, d_], abs=1e-12)
         focused = onehot_focus(gt.n, [0, gt.n - 1], np.float64)
         a = focused.data.copy()
         for _ in range(4):
-            trans_b = ad.add(ad.Tensor(np.zeros((2, 1, 1))), trans)
-            flowing, focused = flow_step(focused, trans_b, gt)
+            # one transition, shared by the batch of 2
+            flowing, focused = flow_step(focused, trans, gt)
             a = a @ dense
             assert np.abs(focused.data - a).max() < 1e-12
 
@@ -115,9 +110,9 @@ def test_flow_matches_dense_matvec():
 def test_flow_conserves_mass():
     rng = np.random.default_rng(4)
     gt = random_graph(11)
-    tp = random_tp(gt, 6, rng)
+    w, b = random_trans(gt, 6, rng)
     h = rng.standard_normal((3, gt.n, 6))
-    trans = transition_matrix(transition_logits(ad.Tensor(h), gt, tp), gt)
+    trans = transition_matrix(transition_logits(ad.Tensor(h), gt, w, b), gt)
     focused = onehot_focus(gt.n, [0, 1, 2], np.float64)
     for _ in range(6):
         flowing, focused = flow_step(focused, trans, gt)

@@ -175,12 +175,33 @@ def test_checkpoint_shape_mismatch():
         a.load_state_dict(state)
 
 
+def test_checkpoint_of_another_variant_is_rejected():
+    """A flow variant's checkpoint carries trans.* parameters that the
+    regular variant lacks; loading either into the other names them."""
+    g = small_graph()
+    flow = Model(small_cfg("ggnn-mul"), g, seed=0)
+    regular = Model(small_cfg("ggnn"), g, seed=0)
+    with pytest.raises(ValueError, match="unexpected.*'trans.W'"):
+        regular.load_state_dict(flow.state_dict())
+    with pytest.raises(ValueError, match="missing.*'trans.W'"):
+        flow.load_state_dict(regular.state_dict())
+    # a checkpoint of the unpacked transition layout names both sides
+    old = regular.state_dict()
+    old.update({k: np.zeros(1) for k in ("trans.w1", "trans.w2", "trans.wo",
+                                          "trans.b")})
+    with pytest.raises(ValueError, match=r"missing parameters \['trans.W'\], "
+                       r"unexpected \['trans.w1', 'trans.w2', 'trans.wo'\]"):
+        flow.load_state_dict(old)
+
+
 def test_float32_default_dtype():
     g = small_graph()
     for name in MODEL_NAMES:
         model = Model(ModelConfig.from_name(name, dims=10, attn_dims=4,
                                             heads=5, steps=2), g, seed=0)
         assert model.params["embed"].data.dtype == np.float32
+        for pname, p in model.params.items():
+            assert p.data.flags.c_contiguous, f"{name} {pname}"
         assert model.predict([0]).dtype == np.float32
         model.loss([0, 2], [1, 3]).backward()
         grads = {k: p for k, p in model.params.items() if p.grad is not None}
@@ -225,8 +246,8 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
         calls.append(int(pad.sum()))
         return ad.add(x, np.where(pad, junk, 0.0))
 
-    def junk_sum(x, recv, send, pad):
-        return segment_sum(with_junk(x, pad, 1), recv, send, pad)
+    def junk_sum(x, recv, recv_pad, receiver, pad):
+        return segment_sum(with_junk(x, pad, 1), recv, recv_pad, receiver, pad)
 
     def junk_softmax(x, pad, axis=-1):
         node_axis = axis % x.data.ndim - 1
