@@ -25,6 +25,14 @@ from .grid import GridGraph, N_EDGE_TYPES
 CORES = ("fullgn", "ggnn", "gat", "rw_stationary", "rw_dynamic")
 ACTINGS = ("regular", "noact", "mul", "mulmlp")
 
+# Examples per forward: per training microbatch (gradients accumulate
+# across them) and per chunk of Model.predict for the message cores. On the
+# 32-grid presets, peak RSS grows by about 165 MB per example in a training
+# microbatch while the time per example stays the same; see predict for why
+# forward-only passes get slower per example in bigger chunks. perfbench's
+# reference losses are recorded per microbatch of this size.
+MICROBATCH_SIZE = 4
+
 MODEL_NAMES = [
     f"{core}{suffix}"
     for core in ("fullgn", "ggnn", "gat")
@@ -313,7 +321,7 @@ class Model:
         # The GRU's embedding term is the same at every step.
         u_pre = ad.add(ad.matmul(u, p["gru.Wu"]), p["gru.b"])
         if cfg.core == "ggnn":
-            return partial(self._ggnn_step, u_pre)
+            return partial(self._ggnn_step, u_pre, *self._ggnn_weights())
         return partial(self._gat_step, u_pre)
 
     def _receive(self, messages, flowing, folded=False):
@@ -342,14 +350,15 @@ class Model:
             ad.take(ad.typed_affine(h, ad.slice_axis(w, 1, d, 2 * d), None),
                     gt.send)))
 
-    def _ggnn_messages(self, h):
-        """h_i W_t + b_t per slot; in MulMlp variants, with act.W folded in:
-        (h_i W_t + b_t) act.W = h_i (W_t act.W) + b_t act.W."""
+    def _ggnn_weights(self):
+        """The typed message map (W_t, b_t); in MulMlp variants, with act.W
+        folded in: (h_i W_t + b_t) act.W = h_i (W_t act.W) + b_t act.W.
+        It is the same at every step, so a forward builds it once."""
         p = self.params
         w, b = p["msg.W"], p["msg.b"]
         if self.cfg.acting == "mulmlp":
             w, b = ad.matmul(w, p["act.W"]), ad.matmul(b, p["act.W"])
-        return ad.typed_affine(h, w, b)
+        return w, b
 
     def _gat_messages(self, h):
         """Per-slot messages z_i alpha_ij, with the attention alpha
@@ -360,8 +369,9 @@ class Model:
                        (-1, gt.n, gt.n_types, k, hw))
         # a1 . z_i is read from the sender's slot; a2 . z_j is node j's own
         # (node, type) map, so it is already in receiver slots.
-        s_i = ad.take(ad.tsum(ad.mul(z, p["gat.a1"]), axis=-1), gt.recv)
-        s_j = ad.tsum(ad.mul(z, p["gat.a2"]), axis=-1)
+        s_i = ad.take(ad.rowdot(z, ad.reshape(p["gat.a1"], (1, 1, 1, k, hw))),
+                      gt.recv)
+        s_j = ad.rowdot(z, ad.reshape(p["gat.a2"], (1, 1, 1, k, hw)))
         alpha = ad.take(ad.segment_softmax(
             ad.leaky_relu(ad.add(s_i, s_j), cfg.leaky_slope),
             gt.recv_pad, axis=2), gt.send)
@@ -378,8 +388,8 @@ class Model:
         g_next = ad.tanh(ad.add(ad.matmul(gfeat, p["global.W"]), p["global.b"]))
         return h_next, g_next
 
-    def _ggnn_step(self, u_pre, h, g, flowing, focused):
-        m_bar = self._receive(self._ggnn_messages(h), flowing, folded=True)
+    def _ggnn_step(self, u_pre, w, b, h, g, flowing, focused):
+        m_bar = self._receive(ad.typed_affine(h, w, b), flowing, folded=True)
         return gru(h, m_bar, u_pre, self.params, self.cfg.dims), g
 
     def _gat_step(self, u_pre, h, g, flowing, focused):
@@ -446,8 +456,24 @@ class Model:
         return attnflow.flow_loss(self.forward(src_indices).probs, dst_indices)
 
     def predict(self, src_indices) -> np.ndarray:
+        """Prediction distributions (B, n) under no_grad.
+
+        The message cores run forward on chunks of at most MICROBATCH_SIZE
+        examples. Their per-slot tensors (B, n, 9, d) grow with the batch:
+        at 64 examples on the 32-grid presets one is about 85 MB at
+        float32, above glibc's 32 MiB mmap threshold, so every op output
+        would be a fresh mapping whose pages the kernel faults in and
+        zeroes, and a bigger chunk is slower per example.
+        The rw cores hold nothing per slot wider than (B, n, 9), and
+        rw_stationary shares one transition across the batch, so they run
+        one forward per call.
+        """
+        src = np.asarray(src_indices, dtype=np.int64)
+        stop = max(len(src), 1)  # an empty batch still runs one forward
+        chunk = stop if self.cfg.core.startswith("rw_") else MICROBATCH_SIZE
         with ad.no_grad():
-            return self.forward(src_indices).probs.data
+            return np.concatenate([self.forward(src[lo:lo + chunk]).probs.data
+                                   for lo in range(0, stop, chunk)])
 
     # -- checkpoints -------------------------------------------------------
 

@@ -17,13 +17,8 @@ import numpy as np
 
 from .data import Dataset
 from .metrics import MetricsReport, metrics as compute_metrics, ranks_of
-from .graphnets import GraphTensors, Model, ModelConfig
+from .graphnets import MICROBATCH_SIZE, GraphTensors, Model, ModelConfig
 from .optim import Adam
-
-# On the 32-grid presets, peak RSS grows by about 165 MB per example in a
-# microbatch while the time per example stays the same. perfbench's
-# reference losses are recorded per microbatch of this size.
-MICROBATCH_SIZE = 4
 
 
 @dataclass
@@ -94,7 +89,12 @@ def prepare_examples(dataset: Dataset, gt: GraphTensors) -> dict:
 
 
 def evaluate(model: Model, src, dst, batch_size: int = 64) -> MetricsReport:
-    """Ranking metrics of the model's predictions over (src, dst) pairs."""
+    """Ranking metrics of the model's predictions over (src, dst) pairs.
+
+    batch_size pairs go to each Model.predict call, which runs the message
+    cores in microbatches of MICROBATCH_SIZE: at 64 examples their per-slot
+    tensors pass glibc's mmap threshold, so each op output would cost page
+    faults and zero fills."""
     ranks = []
     for lo in range(0, len(src), batch_size):
         probs = model.predict(src[lo:lo + batch_size])

@@ -194,7 +194,8 @@ def test_noact_messages_equal_regular_messages():
     for name in ("embed", "msg.W", "gru.Wm", "gru.Whh"):
         assert np.array_equal(reg.params[name].data, noa.params[name].data)
     h = ad.Tensor(np.random.default_rng(0).standard_normal((2, reg.gt.n, 12)))
-    assert np.allclose(reg._ggnn_messages(h).data, noa._ggnn_messages(h).data)
+    assert np.allclose(ad.typed_affine(h, *reg._ggnn_weights()).data,
+                       ad.typed_affine(h, *noa._ggnn_weights()).data)
 
 
 def test_mulmlp_fold_matches_unfused_acting():
@@ -222,7 +223,8 @@ def test_mulmlp_fold_matches_unfused_acting():
         return acted.data, [t.grad.copy() for t in leaves]
 
     fused = acted_and_grads(attend_message(
-        MUL_MLP, flowing, model._ggnn_messages(h), None, p["act.b"]))
+        MUL_MLP, flowing, ad.typed_affine(h, *model._ggnn_weights()), None,
+        p["act.b"]))
 
     m = []
     for t in range(gt.n_types):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gridflow import autodiff as ad, grid
+from gridflow import autodiff as ad, grid, training
 from gridflow.graphnets import (
+    MICROBATCH_SIZE,
     MODEL_NAMES,
     GraphTensors,
     Model,
@@ -110,6 +111,43 @@ def test_all_variants_forward_and_backward():
         grads = [p.grad for p in model.params.values() if p.grad is not None]
         assert grads, name
         assert all(np.all(np.isfinite(gr)) for gr in grads), name
+
+
+def test_predict_equals_one_forward():
+    """predict's microbatches give the distributions of one forward over
+    the whole batch; 9 pairs leave a short last chunk."""
+    g = small_graph()
+    src = np.array([0, 2, 5, 1, 7, 3, 0, 9, 4])
+    for name in MODEL_NAMES:
+        model = Model(small_cfg(name), g, seed=1)
+        with ad.no_grad():
+            whole = model.forward(src).probs.data
+        np.testing.assert_allclose(model.predict(src), whole, rtol=0,
+                                   atol=1e-12, err_msg=name)
+
+
+def test_predict_chunks_message_cores_only(monkeypatch):
+    """The message cores run forward on at most MICROBATCH_SIZE examples;
+    rw-stationary, which shares one transition across the batch, runs one
+    forward per call."""
+    assert training.MICROBATCH_SIZE == MICROBATCH_SIZE
+    g = small_graph()
+    src = np.arange(9)
+    for name in ("ggnn-mulmlp", "gat", "rw-stationary"):
+        model = Model(small_cfg(name), g, seed=1)
+        sizes, forward = [], model.forward
+
+        def recording(s, **kw):
+            sizes.append(len(s))
+            return forward(s, **kw)
+
+        monkeypatch.setattr(model, "forward", recording)
+        assert model.predict(src).shape == (9, model.gt.n)
+        assert sum(sizes) == 9, name
+        if name == "rw-stationary":
+            assert sizes == [9]
+        else:
+            assert max(sizes) <= MICROBATCH_SIZE, (name, sizes)
 
 
 def test_gradient_check_per_variant():
