@@ -158,12 +158,6 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _sum_rows(rows):
-    """rows (m, k) summed over m, as a GEMV: ones @ rows runs several times
-    faster than rows.sum(axis=0) for the tall, narrow bias gradients."""
-    return np.ones(rows.shape[0], dtype=rows.dtype) @ rows
-
-
 # -- arithmetic ----------------------------------------------------------
 
 
@@ -332,23 +326,18 @@ def scale_affine_tanh(s, q, b):
     tanh(s (m W) + b)."""
     s, q, b = _wrap(s), _wrap(q), _wrap(b)
     sd, qd = s.data[..., None], q.data
-    out = np.multiply(sd, qd)
-    out += b.data
-    np.tanh(out, out=out)
+    out = np.tanh(sd * qd + b.data)
     cache = {}
 
     def gpre(g):
         if "g" not in cache:
-            gp = np.multiply(out, out)
-            np.subtract(1.0, gp, out=gp)
-            gp *= g
-            cache["g"] = gp
+            cache["g"] = g * (1.0 - out * out)
         return cache["g"]
 
     return _make(out, [
         (s, lambda g: np.einsum("...i,...i->...", gpre(g), qd)),
         (q, lambda g: gpre(g) * sd),
-        (b, lambda g: _sum_rows(gpre(g).reshape(-1, out.shape[-1]))),
+        (b, lambda g: gpre(g).reshape(-1, out.shape[-1]).sum(axis=0)),
     ])
 
 
@@ -379,7 +368,7 @@ def typed_affine(x, w, b):
             .transpose(1, 0, 2))),
     ]
     if b is not None:
-        vjps.append((b, lambda g: _sum_rows(rows(g)).reshape(nt, dout)))
+        vjps.append((b, lambda g: rows(g).sum(axis=0).reshape(nt, dout)))
     return _make(y.reshape(xd.shape[:-1] + (nt, dout)), vjps)
 
 

@@ -26,10 +26,8 @@ CORES = ("fullgn", "ggnn", "gat", "rw_stationary", "rw_dynamic")
 ACTINGS = ("regular", "noact", "mul", "mulmlp")
 
 # Examples per forward: per training microbatch (gradients accumulate
-# across them) and per chunk of Model.predict for the message cores. On the
-# 32-grid presets, peak RSS grows by about 165 MB per example in a training
-# microbatch while the time per example stays the same; see predict for why
-# forward-only passes get slower per example in bigger chunks. perfbench's
+# across them) and per chunk of Model.predict. On the 32-grid presets, peak
+# RSS grows by about 165 MB per example in a training microbatch. perfbench's
 # reference losses are recorded per microbatch of this size.
 MICROBATCH_SIZE = 4
 
@@ -458,19 +456,19 @@ class Model:
     def predict(self, src_indices) -> np.ndarray:
         """Prediction distributions (B, n) under no_grad.
 
-        The message cores run forward on chunks of at most MICROBATCH_SIZE
-        examples. Their per-slot tensors (B, n, 9, d) grow with the batch:
-        at 64 examples on the 32-grid presets one is about 85 MB at
+        Forward runs on chunks of at most MICROBATCH_SIZE examples. The
+        per-slot tensors (B, n, 9, d) of the message cores, and rw_dynamic's
+        per-batch transition maps (B, n, 9, d+1), grow with the batch: at
+        64 examples on the 32-grid presets one is about 85-97 MB at
         float32, above glibc's 32 MiB mmap threshold, so every op output
         would be a fresh mapping whose pages the kernel faults in and
-        zeroes, and a bigger chunk is slower per example.
-        The rw cores hold nothing per slot wider than (B, n, 9), and
-        rw_stationary shares one transition across the batch, so they run
-        one forward per call.
+        zeroes, and a bigger chunk is slower per example. rw_stationary
+        shares one transition across the batch and holds nothing per slot
+        wider than (B, n, 9), so it runs one forward per call.
         """
         src = np.asarray(src_indices, dtype=np.int64)
         stop = max(len(src), 1)  # an empty batch still runs one forward
-        chunk = stop if self.cfg.core.startswith("rw_") else MICROBATCH_SIZE
+        chunk = stop if self.cfg.core == "rw_stationary" else MICROBATCH_SIZE
         with ad.no_grad():
             return np.concatenate([self.forward(src[lo:lo + chunk]).probs.data
                                    for lo in range(0, stop, chunk)])

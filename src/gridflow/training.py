@@ -89,12 +89,7 @@ def prepare_examples(dataset: Dataset, gt: GraphTensors) -> dict:
 
 
 def evaluate(model: Model, src, dst, batch_size: int = 64) -> MetricsReport:
-    """Ranking metrics of the model's predictions over (src, dst) pairs.
-
-    batch_size pairs go to each Model.predict call, which runs the message
-    cores in microbatches of MICROBATCH_SIZE: at 64 examples their per-slot
-    tensors pass glibc's mmap threshold, so each op output would cost page
-    faults and zero fills."""
+    """Ranking metrics of the model's predictions over (src, dst) pairs."""
     ranks = []
     for lo in range(0, len(src), batch_size):
         probs = model.predict(src[lo:lo + batch_size])

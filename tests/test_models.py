@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridflow import autodiff as ad, grid, training
+from gridflow import autodiff as ad, grid
 from gridflow.graphnets import (
     MICROBATCH_SIZE,
     MODEL_NAMES,
@@ -126,14 +126,13 @@ def test_predict_equals_one_forward():
                                    atol=1e-12, err_msg=name)
 
 
-def test_predict_chunks_message_cores_only(monkeypatch):
-    """The message cores run forward on at most MICROBATCH_SIZE examples;
-    rw-stationary, which shares one transition across the batch, runs one
-    forward per call."""
-    assert training.MICROBATCH_SIZE == MICROBATCH_SIZE
+def test_predict_chunks_unless_transition_shared(monkeypatch):
+    """predict runs forward on at most MICROBATCH_SIZE examples, except for
+    rw-stationary, which shares one transition across the batch and runs
+    one forward per call."""
     g = small_graph()
     src = np.arange(9)
-    for name in ("ggnn-mulmlp", "gat", "rw-stationary"):
+    for name in ("ggnn-mulmlp", "gat", "rw-dynamic", "rw-stationary"):
         model = Model(small_cfg(name), g, seed=1)
         sizes, forward = [], model.forward
 
