@@ -7,8 +7,10 @@
 #   - line-ggnn-mul: GGNN-Mul on the same LINE group
 #
 # Usage: scripts/run_benchmarks.sh [run ...]
-# With no arguments all three runs are made. It runs from a checkout: the
-# package is taken from src/, so nothing needs to be installed.
+# With no arguments all three runs are made. An unknown run name exits 2,
+# listing the valid ones, before anything is generated. It runs from a
+# checkout: the package is taken from src/, so nothing needs to be
+# installed.
 #
 # The runs go in two chains side by side, one BLAS thread each, sized for
 # 2 cores: sine-ggnn then line-ggnn-mul, and line-ggnn-mulmlp. Each run
@@ -17,15 +19,25 @@
 # committed.
 #
 # Wall time on a shared 2-core host with numpy 2.4: sine-ggnn alone took
-# 3 h 14 min at GRIDFLOW_THREADS=2. From measured per-batch times at one
-# thread, line-ggnn-mul takes about 15 h and line-ggnn-mulmlp about 23 h,
-# so all three take about 23 h.
+# 3 h 14 min at GRIDFLOW_THREADS=2. From per-batch times measured at one
+# thread, two processes side by side (the command is in README
+# "Benchmarks"), line-ggnn-mul takes about 16 h and line-ggnn-mulmlp about
+# 19 h, so each chain, and all three runs, take about 19 h.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 OUT="$ROOT/artifacts/accept8"
 DATA="${BENCH_DATA_DIR:-$OUT/data}"
-RUNS=" ${*:-sine-ggnn line-ggnn-mulmlp line-ggnn-mul} "
+ALL_RUNS="sine-ggnn line-ggnn-mulmlp line-ggnn-mul"
+RUNS=" ${*:-$ALL_RUNS} "
+
+for name in "$@"; do
+    if [[ " $ALL_RUNS " != *" $name "* ]]; then
+        echo "unknown run '$name'; valid runs:" >&2
+        printf '  %s\n' $ALL_RUNS >&2
+        exit 2
+    fi
+done
 
 export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 # large-allocation churn dominates otherwise; keep arenas resident

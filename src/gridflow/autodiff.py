@@ -59,11 +59,11 @@ class Tensor:
 
     # -- graph ------------------------------------------------------------
 
-    def backward(self, free_graph: bool = False) -> None:
+    def backward(self) -> None:
         """Fill grad on every reachable requires_grad tensor.
 
-        With free_graph=True, gradients and recorded closures of interior
-        nodes are dropped as soon as they are consumed (training mode).
+        Gradients and recorded closures of interior nodes are dropped as
+        soon as they are consumed, so only leaves keep a grad.
         """
         if self.data.ndim != 0:
             raise ValueError(f"backward needs a scalar loss, got shape {self.shape}")
@@ -90,45 +90,12 @@ class Tensor:
                     continue
                 contrib = vjp(g)
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
-            if free_graph and node._vjps:
+            if node._vjps:
                 node.grad = None
                 node._vjps = ()
 
     def zero_grad(self):
         self.grad = None
-
-    # -- operator sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 def _make(data, vjps):

@@ -52,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="propagation steps; defaults to the dataset's T")
     t.add_argument("--seed", type=int, help="parameter init seed")
     t.add_argument("--shuffle-seed", type=int)
-    t.add_argument("--lr-constant", action="store_true",
-                   help="disable the learning-rate decay schedule")
 
     e = command("eval", "evaluate selected checkpoints")
     e.add_argument("--run", required=True, help="run directory from train")
@@ -124,9 +122,19 @@ def generate(out, preset=None, seeds=1, n=None, t=None, sigma=None,
     return 0
 
 
-def _load_run_pieces(run_dir):
+def _load_run(run_dir):
+    """A trained run directory's selection manifest, model, GraphTensors
+    and examples; None after printing why there is no manifest."""
     from . import data, graphnets, training
 
+    manifest_path = os.path.join(run_dir, "selection.json")
+    if not os.path.exists(manifest_path):
+        print("no selection manifest in run directory; snapshots are only "
+              "selected when a run of at least one epoch finishes",
+              file=sys.stderr)
+        return None
+    with open(manifest_path) as f:
+        manifest = json.load(f)
     with open(os.path.join(run_dir, "config.json")) as f:
         cfg_doc = json.load(f)
     # A relative data path is relative to the run directory; older configs
@@ -139,12 +147,11 @@ def _load_run_pieces(run_dir):
     gt = graphnets.GraphTensors(dataset.graph)
     model = graphnets.Model(model_cfg, gt, seed=cfg_doc["seed"])
     examples = training.prepare_examples(dataset, gt)
-    return cfg_doc, dataset, model, gt, examples
+    return manifest, model, gt, examples
 
 
 def train(model, data_dir, run_dir, epochs=50, batch=None, dims=40,
-          attn_dims=8, steps=None, seed=0, shuffle_seed=0,
-          lr_constant=False) -> int:
+          attn_dims=8, steps=None, seed=0, shuffle_seed=0) -> int:
     from . import data, graphnets, training
 
     if model.lower().replace("_", "-") not in graphnets.MODEL_NAMES:
@@ -162,8 +169,6 @@ def train(model, data_dir, run_dir, epochs=50, batch=None, dims=40,
     train_cfg = training.TrainConfig(
         batch_size=batch, epochs=epochs, shuffle_seed=shuffle_seed,
         snapshot_top_k=min(3, epochs) if epochs else 3)
-    if lr_constant:
-        train_cfg.lr_end = train_cfg.lr_start
 
     os.makedirs(run_dir, exist_ok=True)
     with open(os.path.join(run_dir, "config.json"), "w") as f:
@@ -214,27 +219,21 @@ def train(model, data_dir, run_dir, epochs=50, batch=None, dims=40,
 def _load_checkpoint(model, run_dir, epoch) -> int:
     """Load the epoch's snapshot into model: 0, or 2 after printing why the
     snapshot does not fit the model."""
-    import numpy as np
-    with np.load(os.path.join(run_dir, f"epoch{epoch}.npz")) as f:
-        try:
-            model.load_state_dict(dict(f))
-        except ValueError as err:
-            print(err, file=sys.stderr)
-            return 2
+    try:
+        model.load(os.path.join(run_dir, f"epoch{epoch}.npz"))
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
     return 0
 
 
 def evaluate(run, split="test", out=None) -> int:
     from . import training
 
-    manifest_path = os.path.join(run, "selection.json")
-    if not os.path.exists(manifest_path):
-        print("no selection manifest in run directory; the test split is "
-              "only evaluated after snapshot selection", file=sys.stderr)
+    loaded = _load_run(run)
+    if loaded is None:
         return 2
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    cfg_doc, dataset, model, gt, examples = _load_run_pieces(run)
+    manifest, model, gt, examples = loaded
     src, dst = examples[split]
 
     reports = []
@@ -256,14 +255,10 @@ def evaluate(run, split="test", out=None) -> int:
 def visualize(run, src, dst, out) -> int:
     from . import viz
 
-    manifest_path = os.path.join(run, "selection.json")
-    if not os.path.exists(manifest_path):
-        print("run directory has no selection manifest", file=sys.stderr)
+    loaded = _load_run(run)
+    if loaded is None:
         return 2
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    cfg_doc, dataset, model, gt, examples = _load_run_pieces(run)
-
+    manifest, model, gt, examples = loaded
     rc = _load_checkpoint(model, run, manifest["selected_epochs"][0])
     if rc:
         return rc

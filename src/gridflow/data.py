@@ -99,9 +99,6 @@ class Dataset:
     pairs: np.ndarray  # (M, 2) of (src, dst), deduplicated
     splits: np.ndarray  # (M,) of TRAIN/VALID/TEST, a function of src
 
-    def split_pairs(self, split: int) -> np.ndarray:
-        return self.pairs[self.splits == split]
-
 
 def split_sources(sources: np.ndarray, seed: int) -> dict:
     """Shuffle sorted sources with the dataset seed, take 80/10/10."""

@@ -46,7 +46,6 @@ class ModelConfig:
     attn_dims: int = 8
     heads: int = 5
     steps: int = 16
-    leaky_slope: float = 0.2
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -247,19 +246,15 @@ class Model:
             self._param("node.b", np.zeros(d))
             self._param("global.W", self._glorot(rng, (3 * d, d), 3 * d, d))
             self._param("global.b", np.zeros(d))
-        elif cfg.core == "ggnn":
-            self._param("msg.W", self._typed_glorot(rng, nt, d, d))
+        elif cfg.core in ("ggnn", "gat"):
+            # A GAT block maps to all heads at once; its fan-out is one head.
+            hw = d // cfg.heads if cfg.core == "gat" else d
+            self._param("msg.W", np.stack(
+                [self._glorot(rng, (d, d), d, hw) for _ in range(nt)]))
             self._param("msg.b", np.zeros((nt, d)))
-            self._build_gru(rng, x_dim=2 * d)
-        elif cfg.core == "gat":
-            hw = d // cfg.heads
-            blocks = np.stack(
-                [self._glorot(rng, (d, cfg.heads * hw), d, hw) for _ in range(nt)]
-            )  # (nt, d, K*hw)
-            self._param("gat.W", blocks.transpose(1, 0, 2).reshape(d, nt * d))
-            self._param("gat.b", np.zeros(nt * d))
-            self._param("gat.a1", self._glorot(rng, (cfg.heads, hw), 2 * hw, 1))
-            self._param("gat.a2", self._glorot(rng, (cfg.heads, hw), 2 * hw, 1))
+            if cfg.core == "gat":
+                self._param("gat.a1", self._glorot(rng, (cfg.heads, hw), 2 * hw, 1))
+                self._param("gat.a2", self._glorot(rng, (cfg.heads, hw), 2 * hw, 1))
             self._build_gru(rng, x_dim=2 * d)
         elif cfg.core == "rw_dynamic":
             self._param("node.W", self._glorot(rng, (3 * d, d), 3 * d, d))
@@ -363,7 +358,7 @@ class Model:
         normalized over each receiver's incoming edges in receiver slots."""
         gt, p, cfg = self.gt, self.params, self.cfg
         k, hw = cfg.heads, cfg.dims // cfg.heads
-        z = ad.reshape(ad.add(ad.matmul(h, p["gat.W"]), p["gat.b"]),
+        z = ad.reshape(ad.typed_affine(h, p["msg.W"], p["msg.b"]),
                        (-1, gt.n, gt.n_types, k, hw))
         # a1 . z_i is read from the sender's slot; a2 . z_j is node j's own
         # (node, type) map, so it is already in receiver slots.
@@ -371,7 +366,7 @@ class Model:
                       gt.recv)
         s_j = ad.rowdot(z, ad.reshape(p["gat.a2"], (1, 1, 1, k, hw)))
         alpha = ad.take(ad.segment_softmax(
-            ad.leaky_relu(ad.add(s_i, s_j), cfg.leaky_slope),
+            ad.leaky_relu(ad.add(s_i, s_j)),
             gt.recv_pad, axis=2), gt.send)
         weighted = ad.mul(z, ad.reshape(alpha, alpha.data.shape + (1,)))
         return ad.reshape(weighted, (-1, gt.n, gt.n_types, cfg.dims))

@@ -15,8 +15,6 @@ E, NE, N, NW, W, SW, S, SE, SELFLOOP = range(9)
 N_EDGE_TYPES = 9
 N_DIRECTIONS = 8
 
-EDGE_NAMES = ("E", "NE", "N", "NW", "W", "SW", "S", "SE", "SELFLOOP")
-
 # Integer (dx, dy) offsets of the 8 directional types, counterclockwise from east.
 OFFSETS = np.array(
     [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]],

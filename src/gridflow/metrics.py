@@ -6,7 +6,6 @@ than the target's, so ties never count against the target.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,6 @@ class MetricsReport:
         doc = dataclasses.asdict(self)
         doc["tie_policy"] = TIE_POLICY
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def ranks_of(scores: np.ndarray, target_indices) -> np.ndarray:

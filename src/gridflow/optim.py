@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -14,11 +14,10 @@ class Adam:
     in this project only node embeddings carry it).
     """
 
-    def __init__(self, params: dict, lr=0.0005, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=0.0, decay_names=()):
+    def __init__(self, params: dict, lr=0.0005, weight_decay=0.0,
+                 decay_names=()):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.decay_names = frozenset(decay_names)
         self.step_count = 0
@@ -32,9 +31,8 @@ class Adam:
     def step(self, lr=None):
         lr = self.lr if lr is None else lr
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.step_count
-        bc2 = 1.0 - b2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -48,8 +46,8 @@ class Adam:
                 p.data -= lr * self.weight_decay * p.data
             m = self.m[name]
             v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

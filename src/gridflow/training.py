@@ -15,6 +15,7 @@ from decimal import Decimal
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import Dataset
 from .metrics import MetricsReport, metrics as compute_metrics, ranks_of
 from .graphnets import MICROBATCH_SIZE, GraphTensors, Model, ModelConfig
@@ -61,20 +62,19 @@ class Snapshot:
     valid: MetricsReport
     state: dict  # parameter name -> array
 
+    def log_line(self) -> str:
+        v = self.valid
+        return "\t".join(
+            [str(self.epoch), f"{self.lr:.6g}", f"{self.train_loss:.6f}",
+             f"{v.hits1:.6f}", f"{v.hits5:.6f}", f"{v.hits10:.6f}",
+             f"{v.mr:.4f}", f"{v.mrr:.6f}"]
+        )
+
 
 @dataclass
 class RunResult:
     model_name: str
     snapshots: list = field(default_factory=list)
-
-    def log_lines(self):
-        for s in self.snapshots:
-            v = s.valid
-            yield "\t".join(
-                [str(s.epoch), f"{s.lr:.6g}", f"{s.train_loss:.6f}",
-                 f"{v.hits1:.6f}", f"{v.hits5:.6f}", f"{v.hits10:.6f}",
-                 f"{v.mr:.4f}", f"{v.mrr:.6f}"]
-            )
 
 
 def prepare_examples(dataset: Dataset, gt: GraphTensors) -> dict:
@@ -131,7 +131,7 @@ def train(model: Model, cfg: TrainConfig, examples: dict,
             for mlo in range(0, len(batch), MICROBATCH_SIZE):
                 micro = batch[mlo:mlo + MICROBATCH_SIZE]
                 weight = len(micro) / len(batch)
-                loss = model.loss(tr_src[micro], tr_dst[micro]) * weight
+                loss = ad.mul(model.loss(tr_src[micro], tr_dst[micro]), weight)
                 value = float(loss.data)
                 if not np.isfinite(value):
                     raise FloatingPointError(
@@ -139,7 +139,7 @@ def train(model: Model, cfg: TrainConfig, examples: dict,
                         f"{start // cfg.batch_size}; parameter norms: "
                         f"{_param_norms(model)}"
                     )
-                loss.backward(free_graph=True)
+                loss.backward()
                 batch_loss += value
             opt.step(lr=lr)
             losses.append(batch_loss)
@@ -150,7 +150,7 @@ def train(model: Model, cfg: TrainConfig, examples: dict,
                         valid=valid, state=model.state_dict())
         result.snapshots.append(snap)
         if log is not None:
-            log(list(result.log_lines())[-1])
+            log(snap.log_line())
     return result
 
 

@@ -277,7 +277,7 @@ def test_no_grad_disables_recording():
 def test_free_graph_releases_closures():
     x = Tensor(np.ones(3), requires_grad=True)
     y = ad.tsum(ad.tanh(x))
-    y.backward(free_graph=True)
+    y.backward()
     assert x.grad is not None
     assert y._vjps == ()
 

@@ -298,3 +298,19 @@ def test_thread_cap_reaches_blas(tmp_path, entry):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "1"
+
+
+def test_run_benchmarks_rejects_unknown_run(tmp_path):
+    """A mistyped run name exits 2, listing the valid names, before any
+    dataset is generated."""
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "run_benchmarks.sh")
+    data = tmp_path / "data"
+    proc = subprocess.run(["bash", script, "line-ggnn-mlp"],
+                          env=os.environ | {"BENCH_DATA_DIR": str(data)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    for name in ("sine-ggnn", "line-ggnn-mulmlp", "line-ggnn-mul"):
+        assert name in proc.stderr
+    assert proc.stdout == ""
+    assert not data.exists()

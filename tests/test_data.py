@@ -133,11 +133,3 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.splits, ds.splits)
     assert np.array_equal(loaded.graph.edges, ds.graph.edges)
     assert load_params(tmp_path) == params
-
-
-def test_split_pairs_accessor():
-    ds = build_dataset(small_params())
-    total = sum(len(ds.split_pairs(s)) for s in (TRAIN, VALID, TEST))
-    assert total == len(ds.pairs)
-    for src, _ in ds.split_pairs(TEST).tolist():
-        assert ds.splits[np.where(ds.pairs[:, 0] == src)[0]].min() == TEST

@@ -66,7 +66,7 @@ def test_metrics_rejects_empty():
 
 
 def test_json_export():
-    doc = json.loads(metrics([1, 1, 3]).to_json())
+    doc = json.loads(json.dumps(metrics([1, 1, 3]).to_json_dict()))
     assert doc["tie_policy"] == "optimistic"
     assert doc["n"] == 3
     assert doc["hits1"] == pytest.approx(2 / 3)

@@ -107,7 +107,7 @@ def test_all_variants_forward_and_backward():
         assert probs.min() >= 0.0
         loss = model.loss(src, dst)
         assert np.isfinite(float(loss.data))
-        loss.backward(free_graph=True)
+        loss.backward()
         grads = [p.grad for p in model.params.values() if p.grad is not None]
         assert grads, name
         assert all(np.all(np.isfinite(gr)) for gr in grads), name

@@ -14,6 +14,16 @@ from gridflow.graphnets import Model, ModelConfig
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
+# Layer spans that perfbench reports per-layer metrics from, all reached by
+# the workload below: a flow variant's training step and a regular
+# variant's prediction.
+LAYER_SPANS = (
+    "graphnets.gru", "graphnets.init_node_states", "graphnets.implicit_readout",
+    "graphnets.Model.forward", "attnflow.transition_logits",
+    "attnflow.transition_matrix", "attnflow.flow_step",
+    "attnflow.attend_message", "autodiff.backward",
+)
+
 
 def load_tracing(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -41,3 +51,5 @@ def test_layer_patches_resolve_and_every_op_is_called(monkeypatch):
     summary = tracer.summary()
     for op in tracing.AUTODIFF_OPS:
         assert summary.get(f"autodiff.{op}", {}).get("calls", 0) > 0, op
+    for span in LAYER_SPANS:
+        assert summary.get(span, {}).get("calls", 0) > 0, span
