@@ -315,7 +315,7 @@ class Model:
         u_pre = ad.add(ad.matmul(u, p["gru.Wu"]), p["gru.b"])
         if cfg.core == "ggnn":
             return partial(self._ggnn_step, u_pre, *self._ggnn_weights())
-        return partial(self._gat_step, u_pre)
+        return partial(self._gat_step, u_pre, self._gat_score_maps())
 
     def _receive(self, messages, flowing, folded=False):
         """Per-slot messages, acted on by the flowing attention in flow
@@ -353,7 +353,22 @@ class Model:
             w, b = ad.matmul(w, p["act.W"]), ad.matmul(b, p["act.W"])
         return w, b
 
-    def _gat_messages(self, h):
+    def _gat_score_maps(self):
+        """Typed maps of the node rows to the attention scores, one
+        (W_t a, b_t . a) pair per score vector a in (gat.a1, gat.a2): since
+        z_t = h W_t + b_t, head k's score is a_k . z_t[k] =
+        h (W_t[:, k] a_k) + b_t[k] . a_k, an (n_types, d, heads) map and an
+        (n_types, heads) bias. It is the same at every step, so a forward
+        builds it once."""
+        p, cfg, nt = self.params, self.cfg, self.gt.n_types
+        k, hw = cfg.heads, cfg.dims // cfg.heads
+        w = ad.reshape(p["msg.W"], (nt, cfg.dims, k, hw))
+        b = ad.reshape(p["msg.b"], (nt, k, hw))
+        return [(ad.rowdot(w, ad.reshape(p[name], (1, 1, k, hw))),
+                 ad.rowdot(b, ad.reshape(p[name], (1, k, hw))))
+                for name in ("gat.a1", "gat.a2")]
+
+    def _gat_messages(self, h, score_maps):
         """Per-slot messages z_i alpha_ij, with the attention alpha
         normalized over each receiver's incoming edges in receiver slots."""
         gt, p, cfg = self.gt, self.params, self.cfg
@@ -362,11 +377,9 @@ class Model:
                        (-1, gt.n, gt.n_types, k, hw))
         # a1 . z_i is read from the sender's slot; a2 . z_j is node j's own
         # (node, type) map, so it is already in receiver slots.
-        s_i = ad.take(ad.rowdot(z, ad.reshape(p["gat.a1"], (1, 1, 1, k, hw))),
-                      gt.recv)
-        s_j = ad.rowdot(z, ad.reshape(p["gat.a2"], (1, 1, 1, k, hw)))
+        s_i, s_j = (ad.typed_affine(h, w, b) for w, b in score_maps)
         alpha = ad.take(ad.segment_softmax(
-            ad.leaky_relu(ad.add(s_i, s_j)),
+            ad.leaky_relu(ad.add(ad.take(s_i, gt.recv), s_j)),
             gt.recv_pad, axis=2), gt.send)
         weighted = ad.mul(z, ad.reshape(alpha, alpha.data.shape + (1,)))
         return ad.reshape(weighted, (-1, gt.n, gt.n_types, cfg.dims))
@@ -385,8 +398,8 @@ class Model:
         m_bar = self._receive(ad.typed_affine(h, w, b), flowing, folded=True)
         return gru(h, m_bar, u_pre, self.params, self.cfg.dims), g
 
-    def _gat_step(self, u_pre, h, g, flowing, focused):
-        m_bar = self._receive(self._gat_messages(h), flowing)
+    def _gat_step(self, u_pre, score_maps, h, g, flowing, focused):
+        m_bar = self._receive(self._gat_messages(h, score_maps), flowing)
         return gru(h, m_bar, u_pre, self.params, self.cfg.dims), g
 
     def _rw_dynamic_step(self, u, h, g, flowing, focused):

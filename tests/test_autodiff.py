@@ -254,6 +254,44 @@ def test_segment_softmax_matches_dense_oracle():
         assert np.all(x.grad[:, pad] == 0.0)
 
 
+def test_type_axis_ops_keep_dtype_and_inputs_and_ignore_pad_junk():
+    """segment_softmax in both slot layouts and leaky_relu keep float32 in
+    their output and grad and write into neither their input nor the
+    incoming grad; segment_softmax gives the same output and grad when the
+    pads hold +-1e30 junk as when they hold clean values."""
+    rng = np.random.default_rng(12)
+    gt = slot_graph(12)
+    cases = (
+        (lambda t: ad.segment_softmax(t, gt.pad, axis=-1),
+         (2, gt.n, gt.n_types), gt.pad),
+        (lambda t: ad.segment_softmax(t, gt.recv_pad, axis=2),
+         (2, gt.n, gt.n_types, 3), gt.recv_pad),
+        (ad.leaky_relu, (2, gt.n, gt.n_types), None),
+    )
+    for op, shape, pad in cases:
+        x = rng.standard_normal(shape).astype(np.float32)
+        g = rng.standard_normal(shape).astype(np.float32)
+        inputs = [x]
+        if pad is not None:
+            junk = x.copy()
+            junk[:, pad] = rng.choice(np.float32([-1e30, 1e30]),
+                                      size=junk[:, pad].shape)
+            inputs.append(junk)
+        results = []
+        for xd in inputs:
+            xd_before, g_before = xd.copy(), g.copy()
+            out = op(Tensor(xd, requires_grad=True))
+            grad = out._vjps[0][1](g)
+            assert out.data.dtype == grad.dtype == np.float32
+            assert np.array_equal(xd, xd_before)
+            assert np.array_equal(g, g_before)
+            assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(grad))
+            results.append((out.data, grad))
+        for out, grad in results[1:]:
+            assert np.array_equal(out, results[0][0])
+            assert np.array_equal(grad, results[0][1])
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):

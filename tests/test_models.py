@@ -165,6 +165,54 @@ def test_gradient_check_per_variant():
         assert err < 1e-4, f"{name}: {err:.3g}"
 
 
+def test_gat_score_fold_matches_unfused():
+    """GAT's scores from the folded maps (W_t a, b_t . a) equal a . z of the
+    per-slot z = h W_t + b_t, as do the messages built from them and the
+    grads of msg.W, msg.b, gat.a1 and gat.a2. msg.b is drawn non-zero, so
+    a fold that drops the bias term b_t . a fails."""
+    rng = np.random.default_rng(5)
+    model = Model(small_cfg("gat"), small_graph(), seed=1)
+    gt, p, cfg = model.gt, model.params, model.cfg
+    k, hw = cfg.heads, cfg.dims // cfg.heads
+    p["msg.b"].data = rng.standard_normal(p["msg.b"].shape)
+    h = ad.Tensor(rng.standard_normal((2, gt.n, cfg.dims)))
+    names = ("msg.W", "msg.b", "gat.a1", "gat.a2")
+
+    def unfused():
+        z = ad.reshape(ad.typed_affine(h, p["msg.W"], p["msg.b"]),
+                       (-1, gt.n, gt.n_types, k, hw))
+        s_i, s_j = (ad.rowdot(z, ad.reshape(p[a], (1, 1, 1, k, hw)))
+                    for a in ("gat.a1", "gat.a2"))
+        alpha = ad.take(ad.segment_softmax(
+            ad.leaky_relu(ad.add(ad.take(s_i, gt.recv), s_j)),
+            gt.recv_pad, axis=2), gt.send)
+        weighted = ad.mul(z, ad.reshape(alpha, alpha.data.shape + (1,)))
+        return [s_i, s_j,
+                ad.reshape(weighted, (-1, gt.n, gt.n_types, cfg.dims))]
+
+    def folded():
+        maps = model._gat_score_maps()
+        return ([ad.typed_affine(h, w, b) for w, b in maps]
+                + [model._gat_messages(h, maps)])
+
+    weights = [rng.standard_normal(out.shape) for out in unfused()]
+
+    def run(outputs):
+        for t in p.values():
+            t.zero_grad()
+        loss = ad.tsum(ad.mul(outputs[0], weights[0]))
+        for out, w in zip(outputs[1:], weights[1:]):
+            loss = ad.add(loss, ad.tsum(ad.mul(out, w)))
+        loss.backward()
+        return [out.data for out in outputs], [p[n].grad for n in names]
+
+    (outs_u, grads_u), (outs_f, grads_f) = run(unfused()), run(folded())
+    for what, u, f in zip(("s_i", "s_j", "messages"), outs_u, outs_f):
+        assert np.abs(u - f).max() < 1e-10, what
+    for name, u, f in zip(names, grads_u, grads_f):
+        assert np.abs(u - f).max() < 1e-10, name
+
+
 def test_trace_shapes():
     model = Model(small_cfg("ggnn-mul"), small_graph(), seed=0)
     r = model.forward([1], trace=True)
