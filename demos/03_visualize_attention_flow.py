@@ -28,7 +28,7 @@ dataset = build_dataset(params)
 gt = GraphTensors(dataset.graph)
 examples = prepare_examples(dataset, gt)
 
-model = Model(ModelConfig(core="ggnn", acting="mul", dims=20, attn_dims=4,
+model = Model(ModelConfig("ggnn-mul", dims=20, attn_dims=4,
                           steps=params.max_steps), gt, seed=0)
 print("training ggnn-mul for 5 epochs...")
 train(model, TrainConfig(batch_size=16, epochs=5, snapshot_top_k=3),

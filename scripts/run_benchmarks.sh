@@ -21,8 +21,9 @@
 # Wall time on a shared 2-core host with numpy 2.4: sine-ggnn alone took
 # 3 h 14 min at GRIDFLOW_THREADS=2. From per-batch times measured at one
 # thread, two processes side by side (the command is in README
-# "Benchmarks"), line-ggnn-mul takes about 16 h and line-ggnn-mulmlp about
-# 19 h, so each chain, and all three runs, take about 19 h.
+# "Benchmarks"), line-ggnn-mul takes about 10-12 h and line-ggnn-mulmlp
+# about 11-14 h, so all three runs take about 13.5-15.5 h. Per-batch times
+# drift by 1.3-1.45x between sessions on the same host; plan for 13-19 h.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"

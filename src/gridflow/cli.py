@@ -92,6 +92,9 @@ def generate(out, preset=None, seeds=1, n=None, t=None, sigma=None,
             return _unknown("preset", preset, data.preset_names())
     elif direction.lower() not in DIRECTION_PRESETS:
         return _unknown("direction", direction, DIRECTION_PRESETS)
+    elif n is None or t is None or sigma is None:
+        print("custom datasets need --n, --t and --sigma", file=sys.stderr)
+        return 2
 
     header = ("seed", "nodes", "edges", "pairs", "pairs_per_node", "traj_len")
     print("\t".join(header))
@@ -99,18 +102,18 @@ def generate(out, preset=None, seeds=1, n=None, t=None, sigma=None,
         if preset:
             params = data.preset_params(preset, seed=seed)
         else:
-            if n is None or t is None or sigma is None:
-                print("custom datasets need --n, --t and --sigma",
-                      file=sys.stderr)
-                return 2
             params = data.GenParams(
                 n_side=n, max_steps=t, sigma=sigma,
                 corruption=data.CorruptionParams(0.1, 0.0, seed),
                 direction=DirectionFunction.preset(direction.lower()),
                 seed=seed,
             )
-        dataset, trajectories = data.build_dataset(params,
-                                                   return_trajectories=True)
+        try:
+            dataset, trajectories = data.build_dataset(
+                params, return_trajectories=True)
+        except ValueError as err:
+            print(err, file=sys.stderr)
+            return 2
         stats = data.dataset_stats(dataset, trajectories)
         outdir = os.path.join(out, f"seed{seed}")
         data.save_dataset(outdir, dataset, params, stats)
@@ -154,21 +157,26 @@ def train(model, data_dir, run_dir, epochs=50, batch=None, dims=40,
           attn_dims=8, steps=None, seed=0, shuffle_seed=0) -> int:
     from . import data, graphnets, training
 
-    if model.lower().replace("_", "-") not in graphnets.MODEL_NAMES:
-        return _unknown("model", model, graphnets.MODEL_NAMES)
     if not os.path.isdir(data_dir):
         print(f"dataset directory {data_dir!r} does not exist; run "
               "`gridflow generate` first", file=sys.stderr)
         return 2
-    dataset = data.load_dataset(data_dir)
     params = data.load_params(data_dir)
     batch = batch or (4 if params.n_side == 64 else 16)
     steps = steps or params.max_steps
-    model_cfg = graphnets.ModelConfig.from_name(
-        model, dims=dims, attn_dims=attn_dims, steps=steps)
-    train_cfg = training.TrainConfig(
-        batch_size=batch, epochs=epochs, shuffle_seed=shuffle_seed,
-        snapshot_top_k=min(3, epochs) if epochs else 3)
+    # Everything that can refuse the run does so before the run directory
+    # is made.
+    try:
+        model_cfg = graphnets.ModelConfig.from_name(
+            model, dims=dims, attn_dims=attn_dims, steps=steps)
+        train_cfg = training.TrainConfig(
+            batch_size=batch, epochs=epochs, shuffle_seed=shuffle_seed,
+            snapshot_top_k=min(3, epochs) if epochs else 3)
+        dataset = data.load_dataset(data_dir)
+        training.check_dataset(dataset)
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
 
     os.makedirs(run_dir, exist_ok=True)
     with open(os.path.join(run_dir, "config.json"), "w") as f:
@@ -181,11 +189,8 @@ def train(model, data_dir, run_dir, epochs=50, batch=None, dims=40,
 
     log_path = os.path.join(run_dir, "run.log")
     with open(log_path, "w") as log_file:
-        header = "\t".join(["epoch", "lr", "train_loss", "valid_hits1",
-                            "valid_hits5", "valid_hits10", "valid_mr",
-                            "valid_mrr"])
-        log_file.write(header + "\n")
-        if model_cfg.core == "rw_stationary":
+        log_file.write("\t".join(training.LOG_COLUMNS) + "\n")
+        if model_cfg.name == "rw-stationary":
             log_file.write("# constant_transition\ttrue\n")
         log_file.flush()  # the first epoch can take minutes
 

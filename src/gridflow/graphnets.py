@@ -22,9 +22,6 @@ from . import attnflow
 from . import autodiff as ad
 from .grid import GridGraph, N_EDGE_TYPES
 
-CORES = ("fullgn", "ggnn", "gat", "rw_stationary", "rw_dynamic")
-ACTINGS = ("regular", "noact", "mul", "mulmlp")
-
 # Examples per forward: per training microbatch (gradients accumulate
 # across them) and per chunk of Model.predict. On the 32-grid presets, peak
 # RSS grows by about 165 MB per example in a training microbatch. perfbench's
@@ -40,8 +37,7 @@ MODEL_NAMES = [
 
 @dataclass
 class ModelConfig:
-    core: str = "ggnn"
-    acting: str = "regular"  # regular | noact | mul | mulmlp
+    name: str = "ggnn"  # one of MODEL_NAMES
     dims: int = 40
     attn_dims: int = 8
     heads: int = 5
@@ -49,24 +45,31 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.core not in CORES:
-            raise ValueError(f"unknown core {self.core!r}")
-        if self.acting not in ACTINGS:
-            raise ValueError(f"unknown acting {self.acting!r}")
+        if self.name not in MODEL_NAMES:
+            raise ValueError(f"unknown model {self.name!r}; valid models: "
+                             f"{', '.join(MODEL_NAMES)}")
         if not self.attn_dims < self.dims:
             raise ValueError("attn_dims must be smaller than dims")
         if self.core == "gat" and self.dims % self.heads:
             raise ValueError("gat needs dims divisible by heads")
 
     @property
-    def name(self) -> str:
-        if self.core.startswith("rw_"):
-            return self.core.replace("_", "-")
-        return self.core if self.acting == "regular" else f"{self.core}-{self.acting}"
+    def core(self) -> str:
+        """fullgn, ggnn, gat, rw-stationary or rw-dynamic."""
+        return (self.name if self.name.startswith("rw-")
+                else self.name.partition("-")[0])
+
+    @property
+    def acting(self) -> str:
+        """How flowing attention acts on messages: regular (no flow),
+        noact, mul or mulmlp. The random walks pass no messages."""
+        if self.name.startswith("rw-"):
+            return "noact"
+        return self.name.partition("-")[2] or "regular"
 
     @property
     def explicit_flow(self) -> bool:
-        return self.core.startswith("rw_") or self.acting != "regular"
+        return self.acting != "regular"
 
     @property
     def np_dtype(self):
@@ -74,11 +77,8 @@ class ModelConfig:
 
     @classmethod
     def from_name(cls, name: str, **kw) -> "ModelConfig":
-        name = name.lower().replace("_", "-")
-        if name in ("rw-stationary", "rw-dynamic"):
-            return cls(core=name.replace("-", "_"), acting="noact", **kw)
-        core, _, acting = name.partition("-")
-        return cls(core=core, acting=acting or "regular", **kw)
+        """The config of a model name in any case, with _ or - as separator."""
+        return cls(name.lower().replace("_", "-"), **kw)
 
 
 class GraphTensors:
@@ -236,8 +236,13 @@ class Model:
         cfg, gt = self.cfg, self.gt
         d, dp, nt = cfg.dims, cfg.attn_dims, gt.n_types
         self._param("embed", self._glorot(rng, (gt.n, d), d, d))
-        self._param("init.W", self._glorot(rng, (d, d - dp), d, d - dp))
-        self._param("init.b", np.zeros(d - dp))
+        # rw-stationary's states are the embeddings, so it has no initial
+        # map. It still draws one: perfbench's train-rw reference outputs
+        # were recorded with the trans.* draws that follow it.
+        init_w = self._glorot(rng, (d, d - dp), d, d - dp)
+        if cfg.core != "rw-stationary":
+            self._param("init.W", init_w)
+            self._param("init.b", np.zeros(d - dp))
 
         if cfg.core == "fullgn":
             self._param("msg.W", self._typed_glorot(rng, nt, 3 * d, d))
@@ -256,7 +261,7 @@ class Model:
                 self._param("gat.a1", self._glorot(rng, (cfg.heads, hw), 2 * hw, 1))
                 self._param("gat.a2", self._glorot(rng, (cfg.heads, hw), 2 * hw, 1))
             self._build_gru(rng, x_dim=2 * d)
-        elif cfg.core == "rw_dynamic":
+        elif cfg.core == "rw-dynamic":
             self._param("node.W", self._glorot(rng, (3 * d, d), 3 * d, d))
             self._param("node.b", np.zeros(d))
             self._param("global.W", self._glorot(rng, (2 * d, d), 2 * d, d))
@@ -300,16 +305,16 @@ class Model:
         """The core's step, bound to its input from the node embeddings for
         a batch of b.
 
-        rw_stationary has no step: its states are the embeddings, fixed
+        rw-stationary has no step: its states are the embeddings, fixed
         for the whole forward and shared by the batch (a batch axis of 1).
         """
         cfg, p = self.cfg, self.params
-        if cfg.core == "rw_stationary":
+        if cfg.core == "rw-stationary":
             return None
         u = expand(p["embed"], b, axis=0)
         if cfg.core == "fullgn":
             return partial(self._fullgn_step, u)
-        if cfg.core == "rw_dynamic":
+        if cfg.core == "rw-dynamic":
             return partial(self._rw_dynamic_step, u)
         # The GRU's embedding term is the same at every step.
         u_pre = ad.add(ad.matmul(u, p["gru.Wu"]), p["gru.b"])
@@ -432,10 +437,14 @@ class Model:
             if trace:
                 result.focused.append(focused.data.copy())
 
-        for _ in range(cfg.steps):
+        # A flow variant's prediction reads its states only through the
+        # transitions, so its last step makes none; a regular variant reads
+        # out the states of its last step.
+        updates = cfg.steps - 1 if cfg.explicit_flow else cfg.steps
+        for t in range(cfg.steps):
             if cfg.explicit_flow:
                 # States that change need a new transition every step; the
-                # fixed rw_stationary states need one for the whole forward.
+                # fixed rw-stationary states need one for the whole forward.
                 if step is not None or transition is None:
                     transition = attnflow.transition_matrix(
                         attnflow.transition_logits(h, gt, p["trans.W"],
@@ -444,7 +453,7 @@ class Model:
                 if trace:
                     result.flowing.append(gt.edge_values(flowing.data))
                     result.focused.append(focused_next.data.copy())
-            if step is not None:
+            if step is not None and t < updates:
                 h, g = step(h, g, flowing, focused)
                 self._check_finite(h)
             focused = focused_next
@@ -465,18 +474,18 @@ class Model:
         """Prediction distributions (B, n) under no_grad.
 
         Forward runs on chunks of at most MICROBATCH_SIZE examples. The
-        per-slot tensors (B, n, 9, d) of the message cores, and rw_dynamic's
+        per-slot tensors (B, n, 9, d) of the message cores, and rw-dynamic's
         per-batch transition maps (B, n, 9, d+1), grow with the batch: at
         64 examples on the 32-grid presets one is about 85-97 MB at
         float32, above glibc's 32 MiB mmap threshold, so every op output
         would be a fresh mapping whose pages the kernel faults in and
-        zeroes, and a bigger chunk is slower per example. rw_stationary
+        zeroes, and a bigger chunk is slower per example. rw-stationary
         shares one transition across the batch and holds nothing per slot
         wider than (B, n, 9), so it runs one forward per call.
         """
         src = np.asarray(src_indices, dtype=np.int64)
         stop = max(len(src), 1)  # an empty batch still runs one forward
-        chunk = stop if self.cfg.core == "rw_stationary" else MICROBATCH_SIZE
+        chunk = stop if self.cfg.core == "rw-stationary" else MICROBATCH_SIZE
         with ad.no_grad():
             return np.concatenate([self.forward(src[lo:lo + chunk]).probs.data
                                    for lo in range(0, stop, chunk)])

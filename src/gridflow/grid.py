@@ -159,7 +159,7 @@ def build_grid(n_side: int) -> GridGraph:
     return GridGraph(n_side, nodes, edges)
 
 
-def corrupt(graph: GridGraph, params: CorruptionParams, rng=None) -> GridGraph:
+def corrupt(graph: GridGraph, params: CorruptionParams) -> GridGraph:
     """Drop nodes, then undirected edge pairs, then isolated nodes.
 
     Dropping a node removes all its incident edges; dropping an edge removes
@@ -167,8 +167,7 @@ def corrupt(graph: GridGraph, params: CorruptionParams, rng=None) -> GridGraph:
     """
     if graph.has_selfloops():
         raise ValueError("corrupt expects a graph without selfloops")
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(params.seed)
 
     node_keep = rng.random(graph.n_nodes) >= params.p_node_drop
     kept_nodes = set(graph.nodes[node_keep].tolist())

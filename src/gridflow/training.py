@@ -16,7 +16,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset
+from .data import TRAIN, VALID, Dataset
 from .metrics import MetricsReport, metrics as compute_metrics, ranks_of
 from .graphnets import MICROBATCH_SIZE, GraphTensors, Model, ModelConfig
 from .optim import Adam
@@ -54,6 +54,11 @@ def lr_schedule(epoch: int, cfg: TrainConfig = None) -> float:
     return max(cfg.lr_end, float(lr))
 
 
+# run.log's columns: the header above the rows that Snapshot.log_line makes.
+LOG_COLUMNS = ("epoch", "lr", "train_loss", "valid_hits1", "valid_hits5",
+               "valid_hits10", "valid_mr", "valid_mrr")
+
+
 @dataclass
 class Snapshot:
     epoch: int
@@ -86,6 +91,16 @@ def prepare_examples(dataset: Dataset, gt: GraphTensors) -> dict:
         mask = dataset.splits == code
         out[name] = (src[mask], dst[mask])
     return out
+
+
+def check_dataset(dataset: Dataset) -> None:
+    """ValueError unless the dataset has the train and valid pairs that
+    train needs."""
+    n_train, n_valid = (int(np.sum(dataset.splits == code))
+                        for code in (TRAIN, VALID))
+    if not (n_train and n_valid):
+        raise ValueError(f"the dataset has {n_train} train and {n_valid} "
+                         "valid pairs; training needs at least one of each")
 
 
 def evaluate(model: Model, src, dst, batch_size: int = 64) -> MetricsReport:

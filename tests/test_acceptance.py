@@ -131,8 +131,8 @@ def test_flow_invariants_on_random_graphs():
 def test_stationary_transition_is_constant():
     g = grid.add_selfloops(
         grid.corrupt(grid.build_grid(5), grid.CorruptionParams(0.1, 0.0, seed=3)))
-    model = Model(ModelConfig(core="rw_stationary", acting="noact", dims=8,
-                              attn_dims=2, steps=4, dtype="float64"), g, seed=0)
+    model = Model(ModelConfig("rw-stationary", dims=8, attn_dims=2, steps=4,
+                              dtype="float64"), g, seed=0)
     p = model.params
     with ad.no_grad():
         transition = attnflow.transition_matrix(attnflow.transition_logits(
@@ -188,7 +188,7 @@ def test_memorization_of_ten_pairs():
                                    gt.n - 1) > 0
     dst = np.array([rng.choice(np.flatnonzero(reach[s])) for s in src])
 
-    model = Model(ModelConfig(core="ggnn", acting="mulmlp", dims=40,
+    model = Model(ModelConfig("ggnn-mulmlp", dims=40,
                               attn_dims=8, steps=16), gt, seed=0)
     cfg = TrainConfig(batch_size=16, epochs=300, lr_start=0.0005,
                       lr_end=0.0005, snapshot_top_k=1)
@@ -254,7 +254,7 @@ def test_visualization_contract_on_trained_model():
                        seed=0)
     ds = build_dataset(params)
     gt = GraphTensors(ds.graph)
-    model = Model(ModelConfig(core="ggnn", acting="mulmlp", dims=12,
+    model = Model(ModelConfig("ggnn-mulmlp", dims=12,
                               attn_dims=4, steps=6), gt, seed=0)
     examples = prepare_examples(ds, gt)
     train(model, TrainConfig(batch_size=16, epochs=2, snapshot_top_k=2),

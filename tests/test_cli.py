@@ -79,6 +79,38 @@ def test_visualize_unknown_node_id(tmp_path, capsys):
     assert not (tmp_path / "viz").exists()
 
 
+BAD_INPUT = {
+    "gat-dims": (["train", "--model", "gat", "--data", "{data}",
+                  "--dims", "42"], "divisible by heads"),
+    "attn-dims": (["train", "--model", "ggnn", "--data", "{data}",
+                   "--dims", "8", "--attn-dims", "8"],
+                  "attn_dims must be smaller"),
+    "no-valid-pairs": (["train", "--model", "ggnn", "--data", "{grid2}"],
+                       "0 valid pairs"),
+    "n-1": (["generate", "--n", "1", "--t", "4", "--sigma", "0.3"],
+            "n_side must be >= 2"),
+    "sigma-0": (["generate", "--n", "5", "--t", "4", "--sigma", "0"],
+                "sigma must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    """The library's message on stderr, exit 2, and no output directory.
+    A 2x2 grid's two sources leave no valid pairs."""
+    data = generate_tiny(tmp_path) / "seed0"
+    grid2 = tmp_path / "grid2"
+    assert run_cli("generate", "--out", str(grid2), "--n", "2", "--t", "2",
+                   "--sigma", "0.3", "--preset-dir", "line") == 0
+    argv, message = BAD_INPUT[case]
+    out = tmp_path / "out"
+    argv = [a.format(data=data, grid2=grid2 / "seed0") for a in argv]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_custom_needs_all_three(tmp_path, capsys):
     rc = run_cli("generate", "--out", str(tmp_path / "x"), "--n", "5")
     assert rc == 2
@@ -100,6 +132,8 @@ def test_train_eval_visualize_round_trip(tmp_path, capsys):
     log_lines = (run_dir / "run.log").read_text().splitlines()
     assert log_lines[0].startswith("epoch\tlr\ttrain_loss")
     assert len(log_lines) == 3
+    assert {len(line.split("\t")) for line in log_lines} == {
+        len(log_lines[0].split("\t"))}
     assert manifest["test"]["n_snapshots"] == 2
 
     rc = run_cli("eval", "--run", str(run_dir), "--split", "valid",

@@ -123,7 +123,7 @@ def test_flow_conserves_mass():
 def test_rw_stationary_transition_is_step_and_example_invariant():
     g = grid.add_selfloops(
         grid.corrupt(grid.build_grid(5), grid.CorruptionParams(0.1, 0.0, seed=2)))
-    model = Model(ModelConfig(core="rw_stationary", acting="noact", dims=10,
+    model = Model(ModelConfig("rw-stationary", dims=10,
                               attn_dims=4, steps=5, dtype="float64"), g, seed=0)
     r1 = model.forward([0, 1], trace=True)
     r2 = model.forward([1], trace=True)
@@ -186,9 +186,9 @@ def test_onehot_focus():
 def test_noact_messages_equal_regular_messages():
     g = grid.add_selfloops(
         grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=3)))
-    reg = Model(ModelConfig(core="ggnn", acting="regular", dims=12, attn_dims=4,
+    reg = Model(ModelConfig("ggnn", dims=12, attn_dims=4,
                             steps=3, dtype="float64"), g, seed=7)
-    noa = Model(ModelConfig(core="ggnn", acting="noact", dims=12, attn_dims=4,
+    noa = Model(ModelConfig("ggnn-noact", dims=12, attn_dims=4,
                             steps=3, dtype="float64"), g, seed=7)
     # shared-core parameters are drawn identically from the same seed
     for name in ("embed", "msg.W", "gru.Wm", "gru.Whh"):
@@ -204,7 +204,7 @@ def test_mulmlp_fold_matches_unfused_acting():
     g = grid.add_selfloops(
         grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=3)))
     d = 6
-    model = Model(ModelConfig(core="ggnn", acting="mulmlp", dims=d, attn_dims=2,
+    model = Model(ModelConfig("ggnn-mulmlp", dims=d, attn_dims=2,
                               steps=2, dtype="float64"), g, seed=5)
     gt, p = model.gt, model.params
     rng = np.random.default_rng(1)

@@ -33,20 +33,29 @@ def test_model_name_list():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ModelConfig(core="transformer")
-    with pytest.raises(ValueError):
-        ModelConfig(acting="gated")
+    # Besides plain unknowns: the random walks with an acting of their own
+    # and an explicit "regular", which name no variant, and the underscore
+    # spelling, which only from_name accepts.
+    for name in ("transformer", "ggnn-gated", "ggnn-regular",
+                 "rw-stationary-mul", "rw-dynamic-mulmlp",
+                 "rw-dynamic-regular", "rw_stationary"):
+        with pytest.raises(ValueError, match="unknown model"):
+            ModelConfig(name)
     with pytest.raises(ValueError):
         ModelConfig(dims=8, attn_dims=8)
     with pytest.raises(ValueError):
-        ModelConfig(core="gat", dims=42, heads=5, attn_dims=8)
+        ModelConfig("gat", dims=42, heads=5, attn_dims=8)
+    assert ModelConfig.from_name("RW_Stationary").name == "rw-stationary"
+    assert ModelConfig.from_name("GGNN_MulMlp").name == "ggnn-mulmlp"
+    cfg = ModelConfig.from_name("gat-mul")
+    assert (cfg.core, cfg.acting) == ("gat", "mul")
 
 
 def test_explicit_flow_flag():
     assert not small_cfg("fullgn").explicit_flow
     assert small_cfg("fullgn-noact").explicit_flow
     assert small_cfg("rw-dynamic").explicit_flow
+    assert small_cfg("rw-stationary").explicit_flow
 
 
 def test_graph_tensors_require_selfloops():
@@ -96,21 +105,52 @@ def test_graph_tensors_reject_shared_node_type_keys():
 
 
 def test_all_variants_forward_and_backward():
+    """Every parameter of every variant gets a finite gradient of its own
+    dtype: a variant owns nothing that its prediction does not read. At 3
+    steps, a flow variant's global state of the first node update reaches
+    the transition of the third step."""
     g = small_graph()
+    src = np.array([0, 2])
+    dst = np.array([1, 3])
+    for dtype, atol in (("float32", 1e-5), ("float64", 1e-9)):
+        for name in MODEL_NAMES:
+            model = Model(small_cfg(name, dtype=dtype), g, seed=1)
+            probs = model.predict(src)
+            assert probs.shape == (2, model.gt.n)
+            assert np.abs(probs.sum(axis=1) - 1.0).max() < atol
+            assert probs.min() >= 0.0
+            loss = model.loss(src, dst)
+            assert np.isfinite(float(loss.data))
+            loss.backward()
+            for pname, p in model.params.items():
+                where = (dtype, name, pname)
+                assert p.grad is not None, where
+                assert p.grad.dtype == p.data.dtype, where
+                assert np.all(np.isfinite(p.grad)), where
+
+
+def test_flow_variants_skip_the_last_node_update(monkeypatch):
+    """A flow variant reads its node states only through the transitions,
+    so it runs steps - 1 node updates; a regular variant reads out the
+    states of the last one and runs steps. rw-stationary runs none."""
+    g = small_graph()
+    updates = []
+    for step in ("_fullgn_step", "_ggnn_step", "_gat_step",
+                 "_rw_dynamic_step"):
+        def counting(self, *args, _step=getattr(Model, step)):
+            updates.append(1)
+            return _step(self, *args)
+
+        monkeypatch.setattr(Model, step, counting)
     for name in MODEL_NAMES:
-        model = Model(small_cfg(name), g, seed=1)
-        src = np.array([0, 2])
-        dst = np.array([1, 3])
-        probs = model.predict(src)
-        assert probs.shape == (2, model.gt.n)
-        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
-        assert probs.min() >= 0.0
-        loss = model.loss(src, dst)
-        assert np.isfinite(float(loss.data))
-        loss.backward()
-        grads = [p.grad for p in model.params.values() if p.grad is not None]
-        assert grads, name
-        assert all(np.all(np.isfinite(gr)) for gr in grads), name
+        cfg = small_cfg(name)
+        updates.clear()
+        Model(cfg, g, seed=1).forward([0, 2])
+        if name == "rw-stationary":
+            expected = 0
+        else:
+            expected = cfg.steps - 1 if cfg.explicit_flow else cfg.steps
+        assert len(updates) == expected, name
 
 
 def test_predict_equals_one_forward():

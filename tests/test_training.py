@@ -118,7 +118,7 @@ def test_prepare_examples_covers_all_pairs():
 def test_train_loss_decreases():
     ds = tiny_dataset()
     gt = GraphTensors(ds.graph)
-    model = Model(ModelConfig(core="ggnn", acting="mul", dims=10, attn_dims=4,
+    model = Model(ModelConfig("ggnn-mul", dims=10, attn_dims=4,
                               steps=3, dtype="float64"), gt, seed=0)
     cfg = TrainConfig(batch_size=8, epochs=4, snapshot_top_k=2,
                       lr_start=0.01, lr_end=0.01)
@@ -136,7 +136,7 @@ def test_train_is_deterministic():
 
     def go():
         gt = GraphTensors(ds.graph)
-        model = Model(ModelConfig(core="ggnn", acting="noact", dims=8,
+        model = Model(ModelConfig("ggnn-noact", dims=8,
                                   attn_dims=2, steps=2, dtype="float64"),
                       gt, seed=1)
         cfg = TrainConfig(batch_size=8, epochs=2, snapshot_top_k=1)
@@ -180,7 +180,7 @@ def test_run_experiment_zero_epochs():
 def test_run_experiment_end_to_end():
     ds = tiny_dataset()
     model, result, selected, tests = run_experiment(
-        ModelConfig(core="rw_stationary", acting="noact", dims=8, attn_dims=2,
+        ModelConfig("rw-stationary", dims=8, attn_dims=2,
                     steps=3, dtype="float64"),
         TrainConfig(batch_size=8, epochs=3, snapshot_top_k=2), ds, model_seed=0)
     assert len(result.snapshots) == 3
