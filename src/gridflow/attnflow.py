@@ -12,6 +12,11 @@ for an edge of type t. Its receiver-side terms are one typed map of h_j,
 computed once per (node, type) pair and permuted to the sender slots, so
 tau_ij = [h_i : 1] . (h_j trans.W[t] + trans.b[t]): no d x d outer product
 is formed and h_i is broadcast.
+
+The functions take a slot layout: GraphTensors, whose slots are every
+node's, or a Frontier, the slots of one step's reached sender rows (see
+graphnets). Outside the reach the focused attention is exactly zero, so
+the transition there only ever meets a factor 0.
 """
 from __future__ import annotations
 
@@ -22,52 +27,67 @@ from . import autodiff as ad
 NO_ACT, MUL, MUL_MLP = "noact", "mul", "mulmlp"
 
 
-def transition_logits(states, gt, w, b) -> ad.Tensor:
-    """Per-slot logits (B, n, n_types) from node states (B, n, d) and the
-    packed transition weights w (n_types, d, d+1), b (n_types, d+1). Pad
-    slots hold values that transition_matrix drops."""
-    ones = np.ones(states.data.shape[:-1] + (1,), dtype=states.data.dtype)
-    h_src = ad.concat([states, ones], axis=-1)
-    return ad.rowdot(ad.reshape(h_src, h_src.data.shape[:-1] + (1, -1)),
-                     ad.take(ad.typed_affine(states, w, b), gt.send))
+def transition_logits(states, slots, w, b) -> ad.Tensor:
+    """Per-slot logits at the sender slots of slots from node states
+    (B, n, d) and the packed transition weights w (n_types, d, d+1), b
+    (n_types, d+1): (B, n, n_types) for GraphTensors, or (1, k, n_types)
+    for a Frontier's k sender rows, whose receiver-side map runs on its
+    ring rows only. Pad slots hold values that transition_matrix drops."""
+    senders = slots.senders(states)
+    ones = np.ones(senders.shape[:-1] + (1,), dtype=senders.dtype)
+    h_src = ad.concat([senders, ones], axis=-1)
+    return ad.rowdot(ad.reshape(h_src, h_src.shape[:-1] + (1, -1)),
+                     ad.take(ad.typed_affine(slots.receivers(states), w, b),
+                             slots.send))
 
 
-def transition_matrix(logits: ad.Tensor, gt) -> ad.Tensor:
+def transition_matrix(logits: ad.Tensor, slots) -> ad.Tensor:
     """Row-stochastic transition: softmax over each sender's outgoing edges
     (selfloop included), kept in slot layout with zeros on the pads."""
-    return ad.segment_softmax(logits, gt.pad, axis=-1)
+    return ad.segment_softmax(logits, slots.pad, axis=-1)
 
 
-def flow_step(focused: ad.Tensor, transition: ad.Tensor, gt):
+def flow_step(focused: ad.Tensor, transition: ad.Tensor, slots):
     """One step of the flow dynamics; conservation is structural.
 
-    focused: (B, n); transition: per-slot (B, n, n_types), or (1, n, n_types)
-    for a transition shared by the whole batch.
-    Returns (flowing (B, n, n_types), next focused (B, n)).
+    focused: (B, n); transition: per-slot at the sender slots of slots, or
+    (1, n, n_types) for a transition shared by the whole batch.
+    Returns (flowing at the sender slots, next focused (B, n)).
     """
-    a_src = ad.reshape(focused, focused.data.shape + (1,))
-    flowing = ad.mul(transition, a_src)
-    return flowing, ad.segment_sum(flowing, gt.recv, gt.recv_pad,
-                                   gt.receiver, gt.pad)
+    a_src = slots.senders(focused)
+    flowing = ad.mul(transition, ad.reshape(a_src, a_src.shape + (1,)))
+    return flowing, ad.segment_sum(flowing, slots)
 
 
 def attend_message(acting: str, flowing: ad.Tensor, messages: ad.Tensor,
-                   mlp_w: ad.Tensor = None, mlp_b: ad.Tensor = None) -> ad.Tensor:
+                   mlp_w: ad.Tensor = None, mlp_b: ad.Tensor = None,
+                   weight: ad.Tensor = None):
     """Backward acting of flowing attention (B, n, n_types) on per-slot
-    messages (B, n, n_types, d).
+    messages (B, n, n_types, ..., d), which the receive op
+    (autodiff.segment_sum) weights by weight (B, n, n_types, ...), or not
+    at all for None. Returns the acted (messages, weight).
 
-    MulMlp acts as tanh((f m) mlp_w + mlp_b), computed as
-    tanh(f (m mlp_w) + mlp_b); pass mlp_w=None for messages that already
-    carry the projection by mlp_w.
+    Mul multiplies the flowing attention into the weight, so no product
+    with the messages is formed. MulMlp acts on the weighted messages as
+    tanh((f m) mlp_w + mlp_b), computed as tanh(f (m mlp_w) + mlp_b); pass
+    mlp_w=None for messages that already carry the projection by mlp_w.
     """
     if acting == NO_ACT:
-        return messages
+        return messages, weight
     if acting == MUL:
-        return ad.mul(messages, ad.reshape(flowing, flowing.data.shape + (1,)))
+        if weight is None:
+            return messages, flowing
+        extra = (1,) * (weight.data.ndim - flowing.data.ndim)
+        return messages, ad.mul(weight, ad.reshape(flowing,
+                                                   flowing.shape + extra))
     if acting == MUL_MLP:
+        if weight is not None:
+            messages = ad.reshape(
+                ad.mul(messages, ad.reshape(weight, weight.shape + (1,))),
+                messages.shape[:3] + (-1,))
         if mlp_w is not None:
             messages = ad.matmul(messages, mlp_w)
-        return ad.scale_affine_tanh(flowing, messages, mlp_b)
+        return ad.scale_affine_tanh(flowing, messages, mlp_b), None
     raise ValueError(f"unknown message-attending variant {acting!r}")
 
 

@@ -8,11 +8,14 @@ is provided.
 Per-edge values live in sender-major slots: axes (n, n_types) whose entry
 (i, t) holds node i's outgoing edge of type t, or padding where there is
 none. typed_affine produces that layout straight from one GEMM; take
-reorders the slots by a fixed permutation, such as moving a receiver's
-(node, type) map to its sender slots, and back-propagates by gathering
-with the inverse permutation. The segment ops reduce over each node's
-slots, dropping the pads: segment_softmax normalizes over the type axis,
-and segment_sum reaches the receivers through the slot permutation.
+picks slots by a fixed index, such as the permutation moving a
+receiver's (node, type) map to its sender slots, or a subset of rows, and
+back-propagates by gathering with the inverse index. The segment ops
+reduce over each node's slots, dropping the pads: segment_softmax
+normalizes over the type axis, and segment_sum reaches the receivers
+through the slot permutation. A slot layout may also be compact: the
+slots of some flat (example, node) rows of a batch, as (1, rows, n_types,
+...), which segment_sum receives into the batch's dense rows.
 
 Reductions over the length-9 type axis are unrolled or done by einsum,
 not by numpy's reduce, whose cost on a short strided axis is set by its
@@ -354,48 +357,88 @@ def typed_affine(x, w, b):
 # -- indexed / segment ops -----------------------------------------------
 
 
-def take(x, perm):
-    """x (B, n, n_types, ...) with its slots reordered by a flat slot
-    permutation perm (n * n_types,): slot s of the result is slot perm[s]
-    of x. Backward gathers by the inverse permutation."""
+def take(x, index):
+    """x (B, ...) with its slots picked by index: the index.ndim axes of x
+    after the batch axis are one flat slot axis, and slot s of the result,
+    whose slot axes have index's shape, is slot index[s] of x.
+
+    index picks each slot at most once: a permutation of the (node, type)
+    slots of x (B, n, n_types, ...) with index (n, n_types), or a subset,
+    such as some flat (example, node) rows of x (1, B * n, ...). Backward
+    gathers g by the inverse index, with zero at the slots not picked.
+    """
     x = _wrap(x)
     shape = x.data.shape
-    flat = shape[:1] + (-1,) + shape[3:]
+    flat = shape[:1] + (-1,) + shape[1 + index.ndim:]
+    picked = index.reshape(-1)
+    n_slots = int(np.prod(shape[1:1 + index.ndim]))
 
     def vjp(g):
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
-        return np.take(g.reshape(flat), inv, axis=1).reshape(shape)
+        inv = np.zeros(n_slots, dtype=np.intp)
+        inv[picked] = np.arange(picked.size)
+        dx = np.take(g.reshape(flat), inv, axis=1)
+        if picked.size < n_slots:
+            unpicked = np.ones(n_slots, dtype=bool)
+            unpicked[picked] = False
+            dx[:, unpicked] = 0
+        return dx.reshape(shape)
 
-    return _make(np.take(x.data.reshape(flat), perm, axis=1).reshape(shape),
-                 [(x, vjp)])
+    return _make(np.take(x.data.reshape(flat), index, axis=1), [(x, vjp)])
 
 
-def segment_sum(x, recv, recv_pad, receiver, pad):
-    """Per-receiver sums of sender-major slot values: x (B, n, n_types, ...)
-    to (B, n, ...).
+def segment_sum(x, slots, weight=None):
+    """Per-receiver sums of sender-major slot values x (B, k, n_types, ...),
+    each times its weight (B, k, n_types, ...) where one is given, which
+    broadcasts over x's last axis.
 
-    recv is a permutation of the flat slot index: receiver slot (j, t),
-    node j's incoming edge of type t, holds the edge in sender slot
-    recv[j * n_types + t]. receiver (n, n_types) is the receiving node of
-    each sender slot. pad and recv_pad (n, n_types) mark the sender and the
-    receiver slots with no edge, which recv pairs with each other. Pads add
-    nothing and get zero gradient.
+    slots is a slot layout (graphnets.GraphTensors or Frontier) with index
+    arrays of the sender slots (k, n_types) and the receiver slots
+    (r, n_types): recv, the flat sender slot of each receiver slot;
+    recv_pad, the receiver slots that take nothing; pad, the sender slots
+    with no edge; receiver, the output row that each sender slot sends to.
+    With slots.ring None, the receiver slots are the output's rows,
+    (B, r, ...). Otherwise x is compact (B = 1), the output is slots.shape
+    + x's trailing axes, and ring and receiver are flat rows of it: ring
+    holds each receiver row's, and the other rows are zero. Pads add
+    nothing and get zero gradient; they must hold finite values.
+
+    The weighted sum multiplies the weights into the gathered receiver
+    slots, so no product of x and the weights is formed in x's layout.
     """
     x = _wrap(x)
     xd = x.data
-    b, n, nt = xd.shape[:3]
-    y = np.take(xd.reshape((b, n * nt) + xd.shape[3:]), recv,
-                axis=1).reshape(xd.shape)
-    y[:, recv_pad] = 0
+    b, tail = xd.shape[0], xd.shape[3:]
+    y = np.take(xd.reshape((b, -1) + tail), slots.recv, axis=1)
+    if weight is None:
+        y[:, slots.recv_pad] = 0
+    else:
+        weight = _wrap(weight)
+        wd = weight.data
+        wy = np.take(wd.reshape((b, -1) + wd.shape[3:]), slots.recv, axis=1)
+        wy[:, slots.recv_pad] = 0
+        y *= wy[..., None]
     out = np.einsum("bnt...->bn...", y)
+    if slots.ring is not None:
+        dense = np.zeros((int(np.prod(slots.shape)),) + out.shape[2:],
+                         dtype=out.dtype)
+        dense[slots.ring] = out[0]
+        out = dense.reshape(slots.shape + out.shape[2:])
+    cache = {}
 
-    def vjp(g):
-        dx = np.take(g, receiver, axis=1)
-        dx[:, pad] = 0
-        return dx
+    def g_sent(g):
+        """g at the receiver of each sender slot, zero at the pads."""
+        if "g" not in cache:
+            gs = np.take(g.reshape((b, -1) + tail), slots.receiver, axis=1)
+            gs[:, slots.pad] = 0
+            cache["g"] = gs
+        return cache["g"]
 
-    return _make(out, [(x, vjp)])
+    if weight is None:
+        return _make(out, [(x, g_sent)])
+    return _make(out, [
+        (x, lambda g: g_sent(g) * wd[..., None]),
+        (weight, lambda g: np.einsum("...i,...i->...", g_sent(g), xd)),
+    ])
 
 
 def segment_softmax(x, pad, axis=-1):

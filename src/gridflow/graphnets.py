@@ -90,7 +90,7 @@ class GraphTensors:
     (i, t) holds node i's outgoing edge of type t and receiver slot (j, t)
     node j's incoming one. Each node has at most one edge of each type on
     each side, so the edges fill distinct slots and the rest are pads:
-    pad and recv_pad, (n, n_types). recv (n * n_types,) gives the flat
+    pad and recv_pad, (n, n_types). recv (n, n_types) gives the flat
     sender slot of each receiver slot and send is its inverse; they pair
     pads with pads. receiver (n, n_types) is the node whose receiver slot
     each sender slot maps to, and src_type is each edge's flat sender slot.
@@ -127,12 +127,35 @@ class GraphTensors:
         if self.pad.all(axis=1).any() or self.recv_pad.all(axis=1).any():
             raise ValueError("every node needs an outgoing and an incoming "
                              "edge (selfloop missing?)")
-        self.recv = np.empty(n * nt, dtype=np.int64)
-        self.recv[dst_type] = self.src_type
-        self.recv[self.recv_pad.reshape(-1)] = np.flatnonzero(self.pad)
-        self.send = np.empty_like(self.recv)
-        self.send[self.recv] = np.arange(n * nt)
-        self.receiver = (self.send // nt).reshape(n, nt)
+        recv = np.empty(n * nt, dtype=np.int64)
+        recv[dst_type] = self.src_type
+        recv[self.recv_pad.reshape(-1)] = np.flatnonzero(self.pad)
+        send = np.empty_like(recv)
+        send[recv] = np.arange(n * nt)
+        self.recv, self.send = recv.reshape(n, nt), send.reshape(n, nt)
+        self.receiver = self.send // nt
+
+    # As a slot layout (see Frontier), the whole graph: every node's slots,
+    # received in place.
+    ring = None
+
+    def senders(self, x):
+        return x
+
+    receivers = senders
+
+    def reach(self, src_indices, steps) -> np.ndarray:
+        """(steps + 1, B, n) bool: the nodes within t hops of each source,
+        for t = 0..steps, each hop taken through the slot permutation. The
+        selfloops keep every reached node reached."""
+        src = np.asarray(src_indices, dtype=np.int64)
+        masks = np.zeros((steps + 1, len(src), self.n), dtype=bool)
+        masks[0, np.arange(len(src)), src] = True
+        edges = ~self.pad
+        for t in range(steps):
+            sending = (masks[t][:, :, None] & edges).reshape(len(src), -1)
+            masks[t + 1] = np.take(sending, self.recv, axis=1).any(axis=2)
+        return masks
 
     def to_indices(self, node_ids) -> np.ndarray:
         """Compact indices of original node ids; ValueError names the ids
@@ -149,6 +172,69 @@ class GraphTensors:
     def edge_values(self, slots: np.ndarray) -> np.ndarray:
         """Per-slot values (..., n, n_types) as per-edge values (..., E)."""
         return slots.reshape(slots.shape[:-2] + (-1,))[..., self.src_type]
+
+
+class Frontier:
+    """The slot layout of one flow step, at the rows its focused attention
+    has reached.
+
+    The focused attention starts one-hot at the source and moves at most
+    one hop a step, so at step t it is exactly zero outside the nodes
+    within t hops (GraphTensors.reach). There the flowing attention
+    T_ij a_i is T_ij times 0, in forward and backward alike, so the
+    transition and the acted messages are computed at the reached rows
+    only. Rows are flat (example, node) indices into the batch (B, n):
+    rows are the reached sender rows, and ring the rows within one more
+    hop, the next step's reach, whose receiver-side maps the transition
+    reads. Per-slot tensors are compact, (1, len(rows), n_types, ...); see
+    autodiff.segment_sum for the index arrays. unreached_in (B, n) counts
+    each row's incoming edges from senders outside the reach.
+    """
+
+    def __init__(self, gt: GraphTensors, reached, ring):
+        nt = gt.n_types
+        b, n = self.shape = reached.shape
+        self.rows = rows = np.flatnonzero(reached)
+        self.ring = ring = np.flatnonzero(ring)
+        node = rows % n
+        self.pad = gt.pad[node]
+        # Flat row of each sender slot's receiver; a pad's is some row.
+        self.receiver = (rows - node)[:, None] + gt.receiver[node]
+        at_ring = np.full(b * n, -1)
+        at_ring[ring] = np.arange(len(ring))
+        send = at_ring[self.receiver] * nt + gt.send[node] % nt
+        # take needs each ring slot picked at most once: the pads take the
+        # ring slots that no edge takes, of which there are enough, since
+        # the ring holds the rows.
+        free = np.ones(len(ring) * nt, dtype=bool)
+        free[send[~self.pad]] = False
+        send[self.pad] = np.flatnonzero(free)[:np.count_nonzero(self.pad)]
+        self.send = send
+        at_rows = np.full(b * n, -1)
+        at_rows[rows] = np.arange(len(rows))
+        ring_node = ring % n
+        sender_slot = gt.recv[ring_node]
+        sender = at_rows[(ring - ring_node)[:, None] + sender_slot // nt]
+        self.recv_pad = gt.recv_pad[ring_node] | (sender < 0)
+        self.recv = np.where(self.recv_pad, 0, sender * nt + sender_slot % nt)
+        unreached = np.tile(np.count_nonzero(~gt.recv_pad, axis=1), b)
+        unreached[ring] -= np.count_nonzero(~self.recv_pad, axis=1)
+        self.unreached_in = unreached.reshape(b, n)
+
+    def senders(self, x):
+        """x (B, n, ...) at the sender rows: (1, len(rows), ...)."""
+        return ad.take(ad.reshape(x, (1, -1) + x.shape[2:]), self.rows)
+
+    def receivers(self, x):
+        """x (B, n, ...) at the ring rows: (1, len(ring), ...)."""
+        return ad.take(ad.reshape(x, (1, -1) + x.shape[2:]), self.ring)
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """Compact per-slot values as (B, n, n_types), zero off the rows."""
+        out = np.zeros((self.shape[0] * self.shape[1],) + values.shape[2:],
+                       dtype=values.dtype)
+        out[self.rows] = values[0]
+        return out.reshape(self.shape + values.shape[2:])
 
 
 def expand(x, size, axis):
@@ -297,9 +383,10 @@ class Model:
 
     # -- propagation steps -------------------------------------------------
     # A step maps node and global states (h, g), this step's flowing
-    # attention (None in regular variants) and focused attention to the
-    # next (h, g). Per-edge messages are built in functions that return
-    # before the node update, so they are freed before it runs.
+    # attention (None in regular variants), focused attention and slot
+    # layout (GraphTensors, or the flow step's Frontier) to the next
+    # (h, g). Per-edge messages are built in functions that return before
+    # the node update, so they are freed before it runs.
 
     def _pick_step(self, b):
         """The core's step, bound to its input from the node embeddings for
@@ -322,31 +409,44 @@ class Model:
             return partial(self._ggnn_step, u_pre, *self._ggnn_weights())
         return partial(self._gat_step, u_pre, self._gat_score_maps())
 
-    def _receive(self, messages, flowing, folded=False):
-        """Per-slot messages, acted on by the flowing attention in flow
-        variants, summed into their receivers. folded: the messages already
-        carry MulMlp's projection by act.W."""
-        p = self.params
-        if flowing is not None:
-            messages = attnflow.attend_message(
-                self.cfg.acting, flowing, messages,
-                None if folded else p.get("act.W"), p.get("act.b"))
-        gt = self.gt
-        return ad.segment_sum(messages, gt.recv, gt.recv_pad, gt.receiver,
-                              gt.pad)
+    def _message_slots(self, slots):
+        """Where messages are sent from: Mul and MulMlp act with the flowing
+        attention, which is zero outside the step's reached rows, so they
+        send from those rows only; other variants send from every node."""
+        return slots if self.cfg.acting in ("mul", "mulmlp") else self.gt
 
-    def _fullgn_messages(self, h, g):
-        """tanh([h_i : h_j : g] W_t + b_t), split into a sender-side map of
-        [h_i : g] and a receiver-side map of h_j."""
+    def _receive(self, messages, weight, flowing, slots, folded=False):
+        """Per-slot messages, weighted by weight (or None) and acted on by
+        the flowing attention in flow variants, summed into their receivers
+        (B, n, ...). folded: the messages already carry MulMlp's
+        projection by act.W."""
+        p, cfg = self.params, self.cfg
+        if flowing is not None:
+            messages, weight = attnflow.attend_message(
+                cfg.acting, flowing, messages,
+                None if folded else p.get("act.W"), p.get("act.b"), weight)
+        m_bar = ad.segment_sum(messages, slots, weight)
+        if cfg.acting == "mulmlp":
+            # A MulMlp message from an unreached sender is
+            # tanh(0 * q + act.b), whatever its q.
+            count = slots.unreached_in.astype(cfg.np_dtype)[..., None]
+            m_bar = ad.add(m_bar, ad.mul(count, ad.tanh(p["act.b"])))
+        return m_bar
+
+    def _fullgn_messages(self, h, g, slots):
+        """tanh([h_i : h_j : g] W_t + b_t) at the sender slots of slots,
+        split into a sender-side map of [h_i : g] and a receiver-side map
+        of h_j."""
         gt, p, d = self.gt, self.params, self.cfg.dims
         w = p["msg.W"]
         w_sender = ad.concat([ad.slice_axis(w, 1, 0, d),
                               ad.slice_axis(w, 1, 2 * d, 3 * d)], axis=1)
         sender = ad.concat([h, expand(g, gt.n, axis=1)], axis=-1)
         return ad.tanh(ad.add(
-            ad.typed_affine(sender, w_sender, p["msg.b"]),
-            ad.take(ad.typed_affine(h, ad.slice_axis(w, 1, d, 2 * d), None),
-                    gt.send)))
+            ad.typed_affine(slots.senders(sender), w_sender, p["msg.b"]),
+            ad.take(ad.typed_affine(slots.receivers(h),
+                                    ad.slice_axis(w, 1, d, 2 * d), None),
+                    slots.send)))
 
     def _ggnn_weights(self):
         """The typed message map (W_t, b_t); in MulMlp variants, with act.W
@@ -374,7 +474,8 @@ class Model:
                 for name in ("gat.a1", "gat.a2")]
 
     def _gat_messages(self, h, score_maps):
-        """Per-slot messages z_i alpha_ij, with the attention alpha
+        """Per-slot, per-head messages z_i (B, n, n_types, heads, d / heads)
+        and their weights alpha_ij (B, n, n_types, heads), the attention
         normalized over each receiver's incoming edges in receiver slots."""
         gt, p, cfg = self.gt, self.params, self.cfg
         k, hw = cfg.heads, cfg.dims // cfg.heads
@@ -386,12 +487,12 @@ class Model:
         alpha = ad.take(ad.segment_softmax(
             ad.leaky_relu(ad.add(ad.take(s_i, gt.recv), s_j)),
             gt.recv_pad, axis=2), gt.send)
-        weighted = ad.mul(z, ad.reshape(alpha, alpha.data.shape + (1,)))
-        return ad.reshape(weighted, (-1, gt.n, gt.n_types, cfg.dims))
+        return z, alpha
 
-    def _fullgn_step(self, u, h, g, flowing, focused):
-        p = self.params
-        m_bar = self._receive(self._fullgn_messages(h, g), flowing)
+    def _fullgn_step(self, u, h, g, flowing, focused, slots):
+        p, slots = self.params, self._message_slots(slots)
+        m_bar = self._receive(self._fullgn_messages(h, g, slots), None,
+                              flowing, slots)
         feats = ad.concat([h, m_bar, u, expand(g, self.gt.n, axis=1)], axis=-1)
         h_next = ad.tanh(ad.add(ad.matmul(feats, p["node.W"]), p["node.b"]))
         gfeat = ad.concat([g, ad.tmean(h, axis=1), ad.tmean(m_bar, axis=1)],
@@ -399,15 +500,23 @@ class Model:
         g_next = ad.tanh(ad.add(ad.matmul(gfeat, p["global.W"]), p["global.b"]))
         return h_next, g_next
 
-    def _ggnn_step(self, u_pre, w, b, h, g, flowing, focused):
-        m_bar = self._receive(ad.typed_affine(h, w, b), flowing, folded=True)
+    def _ggnn_step(self, u_pre, w, b, h, g, flowing, focused, slots):
+        slots = self._message_slots(slots)
+        m_bar = self._receive(ad.typed_affine(slots.senders(h), w, b), None,
+                              flowing, slots, folded=True)
         return gru(h, m_bar, u_pre, self.params, self.cfg.dims), g
 
-    def _gat_step(self, u_pre, score_maps, h, g, flowing, focused):
-        m_bar = self._receive(self._gat_messages(h, score_maps), flowing)
-        return gru(h, m_bar, u_pre, self.params, self.cfg.dims), g
+    def _gat_step(self, u_pre, score_maps, h, g, flowing, focused, slots):
+        # The attention of an edge is normalized over all the receiver's
+        # senders, reached or not, so z and alpha are computed at every node.
+        slots = self._message_slots(slots)
+        z, alpha = self._gat_messages(h, score_maps)
+        m_bar = self._receive(slots.senders(z), slots.senders(alpha), flowing,
+                              slots)
+        return gru(h, ad.reshape(m_bar, h.shape), u_pre, self.params,
+                   self.cfg.dims), g
 
-    def _rw_dynamic_step(self, u, h, g, flowing, focused):
+    def _rw_dynamic_step(self, u, h, g, flowing, focused, slots):
         p = self.params
         feats = ad.concat([h, u, expand(g, self.gt.n, axis=1)], axis=-1)
         h_next = ad.tanh(ad.add(ad.matmul(feats, p["node.W"]), p["node.b"]))
@@ -432,10 +541,16 @@ class Model:
             g = ad.Tensor(np.zeros((len(src), cfg.dims), dtype=dtype))
 
         focused = focused_next = flowing = transition = None
+        slots = gt
         if cfg.explicit_flow:
             focused = attnflow.onehot_focus(gt.n, src, dtype)
             if trace:
                 result.focused.append(focused.data.copy())
+            # States that change need a new transition every step, at the
+            # rows the focused attention has reached; the fixed
+            # rw-stationary states need one for the whole forward, shared
+            # by the batch.
+            reach = None if step is None else gt.reach(src, cfg.steps)
 
         # A flow variant's prediction reads its states only through the
         # transitions, so its last step makes none; a regular variant reads
@@ -443,18 +558,22 @@ class Model:
         updates = cfg.steps - 1 if cfg.explicit_flow else cfg.steps
         for t in range(cfg.steps):
             if cfg.explicit_flow:
-                # States that change need a new transition every step; the
-                # fixed rw-stationary states need one for the whole forward.
-                if step is not None or transition is None:
+                if reach is not None:
+                    slots = Frontier(gt, reach[t], reach[t + 1])
+                if reach is not None or transition is None:
                     transition = attnflow.transition_matrix(
-                        attnflow.transition_logits(h, gt, p["trans.W"],
-                                                   p["trans.b"]), gt)
-                flowing, focused_next = attnflow.flow_step(focused, transition, gt)
+                        attnflow.transition_logits(h, slots, p["trans.W"],
+                                                   p["trans.b"]), slots)
+                flowing, focused_next = attnflow.flow_step(focused, transition,
+                                                           slots)
                 if trace:
-                    result.flowing.append(gt.edge_values(flowing.data))
+                    values = flowing.data
+                    if slots is not gt:
+                        values = slots.dense(values)
+                    result.flowing.append(gt.edge_values(values))
                     result.focused.append(focused_next.data.copy())
             if step is not None and t < updates:
-                h, g = step(h, g, flowing, focused)
+                h, g = step(h, g, flowing, focused, slots)
                 self._check_finite(h)
             focused = focused_next
 

@@ -6,7 +6,7 @@ import pytest
 
 from gridflow import autodiff as ad, grid
 from gridflow.autodiff import Tensor
-from gridflow.graphnets import GraphTensors
+from gridflow.graphnets import Frontier, GraphTensors
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -191,18 +191,81 @@ def test_take_permutes_slots():
     any trailing axes, and its gradient is the inverse reordering."""
     rng = np.random.default_rng(11)
     gt = slot_graph(11)
+    send = gt.send.reshape(-1)
     for trail in ((), (2,)):
         x = Tensor(rng.standard_normal((3, gt.n, gt.n_types) + trail),
                    requires_grad=True)
         out = ad.take(x, gt.send)
         flat = x.data.reshape((3, -1) + trail)
-        assert np.array_equal(out.data.reshape(flat.shape), flat[:, gt.send])
+        assert out.data.shape == x.data.shape
+        assert np.array_equal(out.data.reshape(flat.shape), flat[:, send])
         weights = rng.standard_normal(out.data.shape)
         x.zero_grad()
         ad.tsum(ad.mul(out, Tensor(weights))).backward()
         expect = np.zeros_like(flat)
-        expect[:, gt.send] = weights.reshape(flat.shape)
+        expect[:, send] = weights.reshape(flat.shape)
         assert np.array_equal(x.grad, expect.reshape(x.data.shape))
+
+
+def frontier(gt, src, t):
+    """The compact slots of step t of a flow from src."""
+    reach = gt.reach(src, t + 1)
+    return Frontier(gt, reach[t], reach[t + 1])
+
+
+def check_op(op, inputs, tol=1e-6):
+    """op's finite-difference grads at float64; at float32, float32 output
+    and grads; and no write into an input or the incoming grad."""
+    rng = np.random.default_rng(0)
+    ts = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+    out = op(*ts)
+    weights = rng.standard_normal(out.data.shape)
+    ad.tsum(ad.mul(out, Tensor(weights))).backward()
+    for t in ts:
+        def scalar():
+            with ad.no_grad():
+                o = op(*[Tensor(u.data) for u in ts])
+                return float(ad.tsum(ad.mul(o, Tensor(weights))).data)
+
+        assert t.grad.shape == t.data.shape
+        assert np.abs(t.grad - fd_grad(scalar, t.data)).max() < tol
+    xs = [x.astype(np.float32) for x in inputs]
+    before = [x.copy() for x in xs]
+    out = op(*[Tensor(x, requires_grad=True) for x in xs])
+    g = weights.astype(np.float32)
+    g_before = g.copy()
+    assert out.data.dtype == np.float32
+    for _, vjp in out._vjps:
+        assert vjp(g).dtype == np.float32
+    assert np.array_equal(g, g_before)
+    for x, x0 in zip(xs, before):
+        assert np.array_equal(x, x0)
+
+
+def test_take_picks_rows_and_compact_slots():
+    """take by a subset index: flat (example, node) rows of a batch, and a
+    Frontier's injective pick of its ring slots for the sender slots, whose
+    unpicked slots get zero gradient."""
+    rng = np.random.default_rng(13)
+    gt = slot_graph(13)
+    fr = frontier(gt, [0, gt.n - 1], 1)
+    assert len(fr.rows) < 2 * gt.n
+    assert len(np.unique(fr.send)) == fr.send.size  # picks each slot once
+    rows = rng.standard_normal((1, 2 * gt.n, 3))
+    ring_slots = rng.standard_normal((1, len(fr.ring), gt.n_types, 2))
+    for x, index in ((rows, fr.rows), (ring_slots, fr.send)):
+        out = ad.take(Tensor(x), index)
+        flat = x.reshape((1, -1) + x.shape[1 + index.ndim:])
+        assert out.data.shape == (1,) + index.shape + flat.shape[2:]
+        assert np.array_equal(out.data, flat[:, index])
+        check_op(lambda t, index=index: ad.take(t, index), [x])
+    # the ring map's value at each real sender slot is its receiver's
+    node = fr.rows % gt.n
+    real = ~fr.pad
+    ring_at = np.searchsorted(fr.ring, fr.receiver)
+    assert np.array_equal((fr.send // gt.n_types)[real], ring_at[real])
+    assert np.array_equal(fr.send[real] % gt.n_types,
+                          (gt.send[node] % gt.n_types)[real])
 
 
 def test_segment_sum_matches_add_at():
@@ -213,7 +276,7 @@ def test_segment_sum_matches_add_at():
     for trail in ((), (2,)):
         x = Tensor(rng.standard_normal((3, gt.n, gt.n_types) + trail),
                    requires_grad=True)
-        out = ad.segment_sum(x, gt.recv, gt.recv_pad, gt.receiver, gt.pad)
+        out = ad.segment_sum(x, gt)
         edges = x.data.reshape((3, -1) + trail)[:, gt.src_type]
         expect = np.zeros((3, gt.n) + trail)
         np.add.at(np.moveaxis(expect, 1, 0), gt.dst, np.moveaxis(edges, 1, 0))
@@ -224,6 +287,78 @@ def test_segment_sum_matches_add_at():
         assert np.array_equal(grad[:, gt.pad.reshape(-1)], np.zeros_like(
             grad[:, gt.pad.reshape(-1)]))
         assert np.array_equal(grad[:, gt.src_type], weights[:, gt.dst])
+
+
+def test_segment_sum_receives_compact_rows_with_weights():
+    """From a Frontier's compact sender rows, with and without a per-slot
+    weight, segment_sum equals np.add.at of the reached senders' edge
+    values into the batch's dense rows, with finite-difference grads,
+    float32 kept, no input written, and pad junk in x and the weight
+    ignored."""
+    rng = np.random.default_rng(14)
+    gt = slot_graph(14)
+    src = [3, 0]
+    fr = frontier(gt, src, 2)
+    k, nt = len(fr.rows), gt.n_types
+    assert 0 < k < 2 * gt.n
+    x = rng.standard_normal((1, k, nt, 3))
+    wt = rng.random((1, k, nt))
+    # oracle: the compact values at their dense sender slots, zero elsewhere
+    dense_x = np.zeros((2 * gt.n, nt, 3))
+    dense_x[fr.rows] = x[0]
+    dense_w = np.zeros((2 * gt.n, nt))
+    dense_w[fr.rows] = wt[0]
+    dense_x, dense_w = (v.reshape((2, gt.n * nt) + v.shape[2:])
+                        for v in (dense_x, dense_w))
+    for weight in (None, wt):
+        edges = dense_x[:, gt.src_type]
+        if weight is not None:
+            edges = edges * dense_w[:, gt.src_type, None]
+        expect = np.zeros((gt.n, 2, 3))
+        np.add.at(expect, gt.dst, np.moveaxis(edges, 1, 0))
+        inputs = [x] if weight is None else [x, weight]
+        out = ad.segment_sum(*[Tensor(v) for v in inputs[:1]], fr,
+                             *[Tensor(v) for v in inputs[1:]])
+        assert out.data.shape == (2, gt.n, 3)
+        assert np.allclose(out.data, np.moveaxis(expect, 0, 1),
+                           rtol=1e-12, atol=1e-12)
+        check_op(lambda *t: ad.segment_sum(t[0], fr, *t[1:]), inputs)
+        # pad junk changes neither the output nor a grad
+        results = []
+        for junk in (0.0, 1e30):
+            vs = [v.copy() for v in inputs]
+            for v in vs:
+                v[:, fr.pad] += junk
+            ts = [Tensor(v, requires_grad=True) for v in vs]
+            o = ad.segment_sum(ts[0], fr, *ts[1:])
+            g = rng.standard_normal(o.data.shape) if not results else results[0][2]
+            results.append((o.data, [f(g) for _, f in o._vjps], g))
+        assert np.array_equal(results[0][0], results[1][0])
+        for a, b in zip(results[0][1], results[1][1]):
+            assert np.array_equal(a, b)
+
+
+def test_weighted_segment_sum_matches_materialized_product():
+    """segment_sum of x weighted per slot (and per head, as GAT's attention)
+    equals segment_sum of the materialized product x * weight, in output
+    and in both grads; float32 stays float32 and nothing is written."""
+    rng = np.random.default_rng(15)
+    gt = slot_graph(15)
+    shape = (2, gt.n, gt.n_types, 3)
+    x = rng.standard_normal(shape + (4,))
+    wt = rng.standard_normal(shape)
+    g = rng.standard_normal((2, gt.n, 3, 4))
+
+    def run(weighted):
+        xt, wtt = Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True)
+        out = (ad.segment_sum(xt, gt, wtt) if weighted else ad.segment_sum(
+            ad.mul(xt, ad.reshape(wtt, shape + (1,))), gt))
+        ad.tsum(ad.mul(out, Tensor(g))).backward()
+        return out.data, xt.grad, wtt.grad
+
+    for got, want in zip(run(True), run(False)):
+        assert np.abs(got - want).max() < 1e-12
+    check_op(lambda a, b: ad.segment_sum(a, gt, b), [x, wt])
 
 
 def test_segment_softmax_matches_dense_oracle():

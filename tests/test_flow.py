@@ -15,7 +15,7 @@ from gridflow.attnflow import (
     transition_logits,
     transition_matrix,
 )
-from gridflow.graphnets import GraphTensors, Model, ModelConfig
+from gridflow.graphnets import MODEL_NAMES, GraphTensors, Model, ModelConfig
 
 
 def random_graph(seed, n_side=5):
@@ -146,17 +146,27 @@ def test_rw_stationary_transition_is_step_and_example_invariant():
 
 
 def test_attend_message_variants():
+    """Acting returns the (messages, weight) pair that the receive op sums:
+    Mul folds the flowing attention into the weight, and MulMlp acts on
+    the weighted messages. The weight carries a per-head axis, as GAT's."""
     rng = np.random.default_rng(5)
-    flowing = ad.Tensor(rng.random((2, 7)))
-    messages = ad.Tensor(rng.standard_normal((2, 7, 3)))
-    assert attend_message(NO_ACT, flowing, messages) is messages
-    mul = attend_message(MUL, flowing, messages)
-    assert np.allclose(mul.data, messages.data * flowing.data[..., None])
-    w = ad.Tensor(rng.standard_normal((3, 3)))
-    b = ad.Tensor(rng.standard_normal(3))
-    mlp = attend_message(MUL_MLP, flowing, messages, w, b)
-    expect = np.tanh(messages.data * flowing.data[..., None] @ w.data + b.data)
-    assert np.allclose(mlp.data, expect)
+    flowing = ad.Tensor(rng.random((2, 7, 9)))
+    messages = ad.Tensor(rng.standard_normal((2, 7, 9, 2, 3)))
+    weight = ad.Tensor(rng.random((2, 7, 9, 2)))
+    for wt in (None, weight):
+        assert attend_message(NO_ACT, flowing, messages, weight=wt) == (
+            messages, wt)
+    m, wt = attend_message(MUL, flowing, messages)
+    assert m is messages and wt is flowing
+    m, wt = attend_message(MUL, flowing, messages, weight=weight)
+    assert m is messages
+    assert np.allclose(wt.data, weight.data * flowing.data[..., None])
+    w = ad.Tensor(rng.standard_normal((6, 6)))
+    b = ad.Tensor(rng.standard_normal(6))
+    weighted = (messages.data * weight.data[..., None]).reshape(2, 7, 9, 6)
+    mlp, wt = attend_message(MUL_MLP, flowing, messages, w, b, weight)
+    expect = np.tanh(weighted * flowing.data[..., None] @ w.data + b.data)
+    assert wt is None and np.allclose(mlp.data, expect)
     with pytest.raises(ValueError):
         attend_message("gate", flowing, messages)
 
@@ -224,7 +234,7 @@ def test_mulmlp_fold_matches_unfused_acting():
 
     fused = acted_and_grads(attend_message(
         MUL_MLP, flowing, ad.typed_affine(h, *model._ggnn_weights()), None,
-        p["act.b"]))
+        p["act.b"])[0])
 
     m = []
     for t in range(gt.n_types):
@@ -238,3 +248,51 @@ def test_mulmlp_fold_matches_unfused_acting():
     assert np.abs(fused[0] - plain[0]).max() < 1e-10
     for got, want in zip(fused[1], plain[1]):
         assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
+
+
+def hop_distances(gt, source):
+    """Breadth-first hop distance of every node from source over the edge
+    list (src, dst); unreachable nodes get n."""
+    dist = np.full(gt.n, gt.n)
+    dist[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = set()
+        for i in frontier:
+            for j in gt.dst[gt.src == i]:
+                if dist[j] > dist[i] + 1:
+                    dist[j] = dist[i] + 1
+                    nxt.add(j)
+        frontier = sorted(nxt)
+    return dist
+
+
+def test_focused_attention_is_zero_outside_the_reach():
+    """GraphTensors.reach equals the nodes within t hops by breadth-first
+    search of the edge list, and at every step of every flow variant the
+    focused attention, and the flowing attention of every edge out of an
+    unreached sender, is exactly zero outside it."""
+    g = grid.add_selfloops(
+        grid.corrupt(grid.build_grid(5), grid.CorruptionParams(0.1, 0.1, seed=5)))
+    n = GraphTensors(g).n
+    src = np.array([0, n // 2, n - 1])
+    steps = 5
+    for name in MODEL_NAMES:
+        cfg = ModelConfig.from_name(name, dims=8, attn_dims=2, heads=4,
+                                    steps=steps, dtype="float64")
+        if not cfg.explicit_flow:
+            continue
+        model = Model(cfg, g, seed=1)
+        gt = model.gt
+        reach = gt.reach(src, steps)
+        dist = np.stack([hop_distances(gt, s) for s in src])
+        oracle = np.stack([dist <= t for t in range(steps + 1)])
+        assert np.array_equal(reach, oracle), name
+        assert not reach[steps - 1].all(), name  # the reach is not trivial
+        r = model.forward(src, trace=True)
+        for t in range(steps + 1):
+            assert np.all(r.focused[t][~reach[t]] == 0.0), (name, t)
+            assert r.focused[t][reach[t]].any(), (name, t)
+        for t in range(steps):
+            unreached_sender = ~reach[t][:, gt.src]
+            assert np.all(r.flowing[t][unreached_sender] == 0.0), (name, t)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridflow import autodiff as ad, grid
+from gridflow import attnflow, autodiff as ad, grid
 from gridflow.graphnets import (
     MICROBATCH_SIZE,
     MODEL_NAMES,
@@ -15,6 +15,13 @@ from gridflow.graphnets import (
 def small_graph(seed=0):
     g = grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=seed))
     return grid.add_selfloops(g)
+
+
+# Flow variants with a step: their transitions, and their acted messages,
+# are computed at the rows the focused attention has reached.
+STEPPED_FLOW = [name for name in MODEL_NAMES
+                if ModelConfig.from_name(name).explicit_flow
+                and name != "rw-stationary"]
 
 
 def small_cfg(name, **kw):
@@ -190,12 +197,15 @@ def test_predict_chunks_unless_transition_shared(monkeypatch):
 
 
 def test_gradient_check_per_variant():
-    """End-to-end reverse-mode gradients vs finite differences, all variants."""
+    """End-to-end reverse-mode gradients vs finite differences, all variants.
+    At 3 steps, a flow variant's global.W and global.b (read by the second
+    node update) get a gradient, and the reach of the third step's
+    transition is 2 hops, not the whole grid."""
     g = small_graph(seed=5)
     src = np.array([0, 1])
     dst = np.array([3, 2])
     for name in MODEL_NAMES:
-        model = Model(small_cfg(name, dims=6, attn_dims=2, heads=3, steps=2),
+        model = Model(small_cfg(name, dims=6, attn_dims=2, heads=3, steps=3),
                       g, seed=2)
 
         def f():
@@ -232,8 +242,10 @@ def test_gat_score_fold_matches_unfused():
 
     def folded():
         maps = model._gat_score_maps()
+        z, alpha = model._gat_messages(h, maps)
+        weighted = ad.mul(z, ad.reshape(alpha, alpha.data.shape + (1,)))
         return ([ad.typed_affine(h, w, b) for w, b in maps]
-                + [model._gat_messages(h, maps)])
+                + [ad.reshape(weighted, (-1, gt.n, gt.n_types, cfg.dims))])
 
     weights = [rng.standard_normal(out.shape) for out in unfused()]
 
@@ -357,7 +369,9 @@ def test_traced_flowing_sums_to_focused_attention():
 
 def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
     """Finite non-zero junk added to the pad slots of every segment op's
-    input leaves predictions, loss and parameter grads bit-identical."""
+    input and weight, in the whole graph's slots and in a flow step's
+    compact ones, leaves predictions, loss and parameter grads
+    bit-identical."""
     g = small_graph(seed=4)
     src, dst = np.array([0, 3]), np.array([2, 5])
     segment_sum, segment_softmax = ad.segment_sum, ad.segment_softmax
@@ -371,8 +385,10 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
         calls.append(int(pad.sum()))
         return ad.add(x, np.where(pad, junk, 0.0))
 
-    def junk_sum(x, recv, recv_pad, receiver, pad):
-        return segment_sum(with_junk(x, pad, 1), recv, recv_pad, receiver, pad)
+    def junk_sum(x, slots, weight=None):
+        if weight is not None:
+            weight = with_junk(weight, slots.pad, 1)
+        return segment_sum(with_junk(x, slots.pad, 1), slots, weight)
 
     def junk_softmax(x, pad, axis=-1):
         node_axis = axis % x.data.ndim - 1
@@ -388,7 +404,7 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
         return probs, float(loss.data), grads
 
     for name in MODEL_NAMES:
-        model = Model(small_cfg(name, dims=6, attn_dims=2, heads=3, steps=2),
+        model = Model(small_cfg(name, dims=6, attn_dims=2, heads=3, steps=3),
                       g, seed=2)
         clean = run(model)
         with monkeypatch.context() as m:
@@ -401,3 +417,52 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
         assert clean[1] == dirty[1], name
         for k, grad in clean[2].items():
             assert np.array_equal(grad, dirty[2][k]), (name, k)
+
+
+def test_frontier_sparse_flow_matches_full_reach(monkeypatch):
+    """Each stepped flow variant, as shipped, gives the loss, predictions
+    and parameter grads of a run whose reach is forced to every node, so
+    that every row is computed: the rows it skips meet a structural zero
+    (and MulMlp's count of tanh(act.b) terms stands in for them). The
+    biases are drawn non-zero, so that tanh(act.b) is. The shipped run
+    skips rows at some step; the forced one skips none."""
+    g = small_graph(seed=6)
+    src, dst = np.array([0, 5]), np.array([3, 9])
+    rng = np.random.default_rng(4)
+    rows = []
+    transition_matrix = attnflow.transition_matrix
+
+    def recording(logits, slots):
+        rows.append(logits.data.shape[:2])
+        return transition_matrix(logits, slots)
+
+    def run(model):
+        rows.clear()
+        probs = model.predict(src)
+        loss = model.loss(src, dst)
+        loss.backward()
+        grads = {k: p.grad for k, p in model.params.items()}
+        for p in model.params.values():
+            p.zero_grad()
+        return probs, float(loss.data), grads, list(rows)
+
+    monkeypatch.setattr(attnflow, "transition_matrix", recording)
+    for name in STEPPED_FLOW:
+        model = Model(small_cfg(name, steps=4), g, seed=3)
+        for k, p in model.params.items():
+            if k.endswith(".b"):
+                p.data = rng.standard_normal(p.data.shape)
+        shipped = run(model)
+        with monkeypatch.context() as m:
+            m.setattr(GraphTensors, "reach", lambda self, s, steps: np.ones(
+                (steps + 1, len(s), self.n), dtype=bool))
+            full = run(model)
+        every = (1, len(src) * model.gt.n)
+        assert full[3] and set(full[3]) == {every}, name
+        assert min(r[1] for r in shipped[3]) < every[1], name
+        assert np.abs(shipped[0] - full[0]).max() < 1e-10, name
+        assert abs(shipped[1] - full[1]) < 1e-10, name
+        for k, want in full[2].items():
+            got = shipped[2][k]
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() < 1e-10 * scale, (name, k)
