@@ -15,7 +15,8 @@ reduce over each node's slots, dropping the pads: segment_softmax
 normalizes over the type axis, and segment_sum reaches the receivers
 through the slot permutation. A slot layout may also be compact: the
 slots of some flat (example, node) rows of a batch, as (1, rows, n_types,
-...), which segment_sum receives into the batch's dense rows.
+...), which segment_sum receives into the rows that the states are kept
+at, all of the batch's or a compact subset.
 
 Reductions over the length-9 type axis are unrolled or done by einsum,
 not by numpy's reduce, whose cost on a short strided axis is set by its
@@ -364,18 +365,25 @@ def take(x, index):
 
     index picks each slot at most once: a permutation of the (node, type)
     slots of x (B, n, n_types, ...) with index (n, n_types), or a subset,
-    such as some flat (example, node) rows of x (1, B * n, ...). Backward
-    gathers g by the inverse index, with zero at the slots not picked.
+    such as some flat (example, node) rows of x (1, B * n, ...). A negative
+    index picks nothing: that slot of the result is zero, as where compact
+    rows are laid out in the batch's dense rows. Backward gathers g by the
+    inverse index, with zero at the slots not picked.
     """
     x = _wrap(x)
     shape = x.data.shape
     flat = shape[:1] + (-1,) + shape[1 + index.ndim:]
     picked = index.reshape(-1)
     n_slots = int(np.prod(shape[1:1 + index.ndim]))
+    out = np.take(x.data.reshape(flat), index, axis=1)
+    source = np.flatnonzero(picked >= 0)  # the result slots that pick one
+    if source.size < picked.size:
+        out.reshape(flat[:1] + (-1,) + flat[2:])[:, picked < 0] = 0
+        picked = picked[source]
 
     def vjp(g):
         inv = np.zeros(n_slots, dtype=np.intp)
-        inv[picked] = np.arange(picked.size)
+        inv[picked] = source
         dx = np.take(g.reshape(flat), inv, axis=1)
         if picked.size < n_slots:
             unpicked = np.ones(n_slots, dtype=bool)
@@ -383,7 +391,7 @@ def take(x, index):
             dx[:, unpicked] = 0
         return dx.reshape(shape)
 
-    return _make(np.take(x.data.reshape(flat), index, axis=1), [(x, vjp)])
+    return _make(out, [(x, vjp)])
 
 
 def segment_sum(x, slots, weight=None):
@@ -397,10 +405,12 @@ def segment_sum(x, slots, weight=None):
     recv_pad, the receiver slots that take nothing; pad, the sender slots
     with no edge; receiver, the output row that each sender slot sends to.
     With slots.ring None, the receiver slots are the output's rows,
-    (B, r, ...). Otherwise x is compact (B = 1), the output is slots.shape
-    + x's trailing axes, and ring and receiver are flat rows of it: ring
-    holds each receiver row's, and the other rows are zero. Pads add
-    nothing and get zero gradient; they must hold finite values.
+    (B, r, ...). Otherwise x is compact (B = 1) and the output is
+    slots.shape + x's trailing axes: the rows that the forward keeps its
+    states at, the batch's (B, n) or a compact (1, m) subset of them.
+    ring and receiver are flat rows of the output: ring holds each
+    receiver row's, and the other rows are zero. Pads add nothing and get
+    zero gradient; they must hold finite values.
 
     The weighted sum multiplies the weights into the gathered receiver
     slots, so no product of x and the weights is formed in x's layout.

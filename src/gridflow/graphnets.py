@@ -174,6 +174,42 @@ class GraphTensors:
         return slots.reshape(slots.shape[:-2] + (-1,))[..., self.src_type]
 
 
+def take_rows(x, rows):
+    """x (B, n, ...) or (1, m, ...) at some of its flat rows:
+    (1, len(rows), ...)."""
+    return ad.take(ad.reshape(x, (1, -1) + x.shape[2:]), rows)
+
+
+class StateRows:
+    """The rows of a batch (B, n) at which a forward keeps its per-row
+    tensors: node states, the GRU's embedding term, received messages and
+    focused attention.
+
+    Every row keeps the batch's layout, (B, n, ...). A subset of the flat
+    (example, node) rows is compact, (1, len(rows), ...), in ascending
+    order of flat row. at maps each flat row of the batch to its row in
+    the layout, or to -1 for a row left out.
+    """
+
+    def __init__(self, kept: np.ndarray):
+        self.batch = kept.shape
+        self.rows = np.flatnonzero(kept)
+        self.every = self.rows.size == kept.size
+        self.shape = self.batch if self.every else (1, self.rows.size)
+        self.at = np.full(kept.size, -1)
+        self.at[self.rows] = np.arange(self.rows.size)
+
+    def pick(self, x):
+        """x (B, n, ...) at these rows."""
+        return x if self.every else take_rows(x, self.rows)
+
+    def dense(self, x):
+        """x at these rows as (B, n, ...), zero at the rows left out."""
+        if self.every:
+            return x
+        return ad.reshape(ad.take(x, self.at), self.batch + x.shape[2:])
+
+
 class Frontier:
     """The slot layout of one flow step, at the rows its focused attention
     has reached.
@@ -183,26 +219,33 @@ class Frontier:
     within t hops (GraphTensors.reach). There the flowing attention
     T_ij a_i is T_ij times 0, in forward and backward alike, so the
     transition and the acted messages are computed at the reached rows
-    only. Rows are flat (example, node) indices into the batch (B, n):
-    rows are the reached sender rows, and ring the rows within one more
-    hop, the next step's reach, whose receiver-side maps the transition
-    reads. Per-slot tensors are compact, (1, len(rows), n_types, ...); see
-    autodiff.segment_sum for the index arrays. unreached_in (B, n) counts
-    each row's incoming edges from senders outside the reach.
+    only. reached and ring are (B, n) masks: the reached sender rows, and
+    the rows within one more hop, the next step's reach, whose
+    receiver-side maps the transition reads. Both lie within the rows of
+    states (every row by default), and the index arrays point into
+    those: rows and ring are the rows of the states' layout, and so is
+    receiver, which segment_sum receives into. Per-slot tensors are
+    compact, (1, len(rows), n_types, ...); see autodiff.segment_sum for
+    the index arrays. unreached_in, of the states' shape, counts each
+    row's incoming edges from senders outside the reach.
     """
 
-    def __init__(self, gt: GraphTensors, reached, ring):
+    def __init__(self, gt: GraphTensors, reached, ring, states=None):
         nt = gt.n_types
-        b, n = self.shape = reached.shape
-        self.rows = rows = np.flatnonzero(reached)
-        self.ring = ring = np.flatnonzero(ring)
+        b, n = reached.shape
+        if states is None:
+            states = StateRows(np.ones((b, n), dtype=bool))
+        self.states, self.shape = states, states.shape
+        # Flat rows of the batch, until the end, where they become rows of
+        # the states' layout.
+        rows = np.flatnonzero(reached)
+        ring = np.flatnonzero(ring)
         node = rows % n
         self.pad = gt.pad[node]
-        # Flat row of each sender slot's receiver; a pad's is some row.
-        self.receiver = (rows - node)[:, None] + gt.receiver[node]
+        receiver = (rows - node)[:, None] + gt.receiver[node]
         at_ring = np.full(b * n, -1)
         at_ring[ring] = np.arange(len(ring))
-        send = at_ring[self.receiver] * nt + gt.send[node] % nt
+        send = at_ring[receiver] * nt + gt.send[node] % nt
         # take needs each ring slot picked at most once: the pads take the
         # ring slots that no edge takes, of which there are enough, since
         # the ring holds the rows.
@@ -219,22 +262,31 @@ class Frontier:
         self.recv = np.where(self.recv_pad, 0, sender * nt + sender_slot % nt)
         unreached = np.tile(np.count_nonzero(~gt.recv_pad, axis=1), b)
         unreached[ring] -= np.count_nonzero(~self.recv_pad, axis=1)
-        self.unreached_in = unreached.reshape(b, n)
+        self.unreached_in = unreached[states.rows].reshape(self.shape)
+        self.rows, self.ring = states.at[rows], states.at[ring]
+        # A pad's receiver slot in gt may be any node's, one that the
+        # states leave out among them; it sends nothing, so it is given
+        # its own sender's row.
+        self.receiver = np.where(self.pad, self.rows[:, None],
+                                 states.at[receiver])
 
     def senders(self, x):
-        """x (B, n, ...) at the sender rows: (1, len(rows), ...)."""
-        return ad.take(ad.reshape(x, (1, -1) + x.shape[2:]), self.rows)
+        """Per-row x, in the states' layout, at the sender rows:
+        (1, len(rows), ...)."""
+        return take_rows(x, self.rows)
 
     def receivers(self, x):
-        """x (B, n, ...) at the ring rows: (1, len(ring), ...)."""
-        return ad.take(ad.reshape(x, (1, -1) + x.shape[2:]), self.ring)
+        """Per-row x, in the states' layout, at the ring rows:
+        (1, len(ring), ...)."""
+        return take_rows(x, self.ring)
 
     def dense(self, values: np.ndarray) -> np.ndarray:
         """Compact per-slot values as (B, n, n_types), zero off the rows."""
-        out = np.zeros((self.shape[0] * self.shape[1],) + values.shape[2:],
+        batch = self.states.batch
+        out = np.zeros((batch[0] * batch[1],) + values.shape[2:],
                        dtype=values.dtype)
-        out[self.rows] = values[0]
-        return out.reshape(self.shape + values.shape[2:])
+        out[self.states.rows[self.rows]] = values[0]
+        return out.reshape(batch + values.shape[2:])
 
 
 def expand(x, size, axis):
@@ -388,9 +440,9 @@ class Model:
     # (h, g). Per-edge messages are built in functions that return before
     # the node update, so they are freed before it runs.
 
-    def _pick_step(self, b):
-        """The core's step, bound to its input from the node embeddings for
-        a batch of b.
+    def _pick_step(self, states: StateRows):
+        """The core's step, bound to its input from the node embeddings at
+        the rows of states.
 
         rw-stationary has no step: its states are the embeddings, fixed
         for the whole forward and shared by the batch (a batch axis of 1).
@@ -398,7 +450,7 @@ class Model:
         cfg, p = self.cfg, self.params
         if cfg.core == "rw-stationary":
             return None
-        u = expand(p["embed"], b, axis=0)
+        u = states.pick(expand(p["embed"], states.batch[0], axis=0))
         if cfg.core == "fullgn":
             return partial(self._fullgn_step, u)
         if cfg.core == "rw-dynamic":
@@ -528,29 +580,52 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
+    def _kept_rows(self, b, reach):
+        """(b, n) bool: the rows at which the forward keeps its per-row
+        tensors (StateRows).
+
+        In GGNN-Mul and GGNN-MulMlp a node's state is read only by its own
+        GRU, and by the transitions and acted messages at rows the focused
+        attention has reached: the update of step k is read at step k + 1
+        at reach[k + 1] and reach[k + 2], and through the GRU by its own
+        row's later updates, all within the last step's reach. The states
+        elsewhere are never read, so they are never computed. The other
+        variants read states at every node: FullGN's global state
+        averages them, a GAT receiver's softmax reads unreached senders'
+        scores, and regular and noact messages leave every node.
+        rw-dynamic's per-node update could take the last reach too, but
+        its global state sums over the batch layout's node axis, and the
+        gain is unmeasured, so it keeps every row.
+        """
+        if self.cfg.core == "ggnn" and self.cfg.acting in ("mul", "mulmlp"):
+            return reach[-1]
+        return np.ones((b, self.gt.n), dtype=bool)
+
     def forward(self, src_indices, trace: bool = False) -> ForwardResult:
         cfg, gt, p = self.cfg, self.gt, self.params
         src = np.asarray(src_indices, dtype=np.int64)
         dtype = cfg.np_dtype
         result = ForwardResult(probs=None)
-        step = self._pick_step(len(src))
+        # States that change need a new transition every step, at the rows
+        # the focused attention has reached; the fixed rw-stationary states
+        # need one for the whole forward, shared by the batch.
+        reach = None
+        if cfg.explicit_flow and cfg.core != "rw-stationary":
+            reach = gt.reach(src, cfg.steps)
+        states = StateRows(self._kept_rows(len(src), reach))
+        step = self._pick_step(states)
         if step is None:
             h, g = ad.reshape(p["embed"], (1, gt.n, cfg.dims)), None
         else:
-            h = init_node_states(gt, p, src, cfg.attn_dims, dtype)
+            h = states.pick(init_node_states(gt, p, src, cfg.attn_dims, dtype))
             g = ad.Tensor(np.zeros((len(src), cfg.dims), dtype=dtype))
 
         focused = focused_next = flowing = transition = None
         slots = gt
         if cfg.explicit_flow:
-            focused = attnflow.onehot_focus(gt.n, src, dtype)
+            focused = states.pick(attnflow.onehot_focus(gt.n, src, dtype))
             if trace:
-                result.focused.append(focused.data.copy())
-            # States that change need a new transition every step, at the
-            # rows the focused attention has reached; the fixed
-            # rw-stationary states need one for the whole forward, shared
-            # by the batch.
-            reach = None if step is None else gt.reach(src, cfg.steps)
+                result.focused.append(states.dense(focused).data.copy())
 
         # A flow variant's prediction reads its states only through the
         # transitions, so its last step makes none; a regular variant reads
@@ -559,7 +634,7 @@ class Model:
         for t in range(cfg.steps):
             if cfg.explicit_flow:
                 if reach is not None:
-                    slots = Frontier(gt, reach[t], reach[t + 1])
+                    slots = Frontier(gt, reach[t], reach[t + 1], states)
                 if reach is not None or transition is None:
                     transition = attnflow.transition_matrix(
                         attnflow.transition_logits(h, slots, p["trans.W"],
@@ -571,14 +646,15 @@ class Model:
                     if slots is not gt:
                         values = slots.dense(values)
                     result.flowing.append(gt.edge_values(values))
-                    result.focused.append(focused_next.data.copy())
+                    result.focused.append(
+                        states.dense(focused_next).data.copy())
             if step is not None and t < updates:
                 h, g = step(h, g, flowing, focused, slots)
                 self._check_finite(h)
             focused = focused_next
 
-        result.probs = focused if cfg.explicit_flow else implicit_readout(
-            h, cfg.attn_dims)
+        result.probs = (states.dense(focused) if cfg.explicit_flow
+                        else implicit_readout(h, cfg.attn_dims))
         return result
 
     def _check_finite(self, h):

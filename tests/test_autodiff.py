@@ -6,7 +6,7 @@ import pytest
 
 from gridflow import autodiff as ad, grid
 from gridflow.autodiff import Tensor
-from gridflow.graphnets import Frontier, GraphTensors
+from gridflow.graphnets import Frontier, GraphTensors, StateRows
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -268,6 +268,19 @@ def test_take_picks_rows_and_compact_slots():
                           (gt.send[node] % gt.n_types)[real])
 
 
+def test_take_negative_index_picks_nothing():
+    """A negative index gives a zero slot, which takes no gradient back; the
+    dense (B, n) rows of a compact (1, m) layout are made this way."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((1, 5, 3))
+    index = np.array([-1, 2, -1, 0, 4, -1])
+    out = ad.take(Tensor(x), index)
+    assert out.data.shape == (1, 6, 3)
+    expect = np.where((index < 0)[None, :, None], 0.0, x[:, index.clip(0)])
+    assert np.array_equal(out.data, expect)
+    check_op(lambda t: ad.take(t, index), [x])
+
+
 def test_segment_sum_matches_add_at():
     """Receiver sums over slots equal np.add.at of the edge values into
     their receivers; pads add nothing and get zero gradient."""
@@ -484,3 +497,44 @@ def test_grad_check_catches_wrong_gradient():
         return out
 
     assert ad.grad_check(f, [w], seed=0) > 0.1
+
+
+def test_segment_sum_receives_into_compact_state_rows():
+    """A Frontier over compact state rows (a subset R of the batch's flat
+    rows) points every index at R's rows, pads' receivers included, and
+    segment_sum into it gives the whole-batch result at R, which is zero
+    outside R; grads match finite differences and float32 is kept."""
+    rng = np.random.default_rng(15)
+    gt = slot_graph(15)
+    src, steps = [3, 0], 2
+    reach = gt.reach(src, steps)
+    states = StateRows(reach[steps])
+    m = len(states.rows)
+    assert 0 < m < 2 * gt.n and states.shape == (1, m)
+    full, compact = (Frontier(gt, reach[1], reach[2], s)
+                     for s in (None, states))
+    assert np.array_equal(compact.unreached_in[0],
+                          full.unreached_in.reshape(-1)[states.rows])
+    for index in (compact.rows, compact.ring, compact.receiver):
+        assert index.min() >= 0 and index.max() < m
+    x = rng.standard_normal((1, len(full.rows), gt.n_types, 3))
+    wt = rng.random((1, len(full.rows), gt.n_types))
+    for inputs in ([x], [x, wt]):
+        dense = ad.segment_sum(*[Tensor(v) for v in inputs[:1]], full,
+                               *[Tensor(v) for v in inputs[1:]]).data
+        out = ad.segment_sum(*[Tensor(v) for v in inputs[:1]], compact,
+                             *[Tensor(v) for v in inputs[1:]]).data
+        flat = dense.reshape((-1, 3))
+        assert out.shape == (1, m, 3)
+        assert np.array_equal(out[0], flat[states.rows])
+        left_out = np.ones(len(flat), dtype=bool)
+        left_out[states.rows] = False
+        assert not flat[left_out].any()
+        check_op(lambda *t: ad.segment_sum(t[0], compact, *t[1:]), inputs)
+    # per-row values pass to and from the compact rows unchanged
+    rows = rng.standard_normal((2, gt.n, 4))
+    picked = states.pick(Tensor(rows))
+    assert np.array_equal(picked.data[0], rows.reshape(-1, 4)[states.rows])
+    back = states.dense(picked).data.reshape(-1, 4)
+    assert np.array_equal(back[states.rows], picked.data[0])
+    assert not back[np.setdiff1d(np.arange(2 * gt.n), states.rows)].any()

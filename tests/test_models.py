@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridflow import attnflow, autodiff as ad, grid
+from gridflow import attnflow, autodiff as ad, graphnets, grid
 from gridflow.graphnets import (
     MICROBATCH_SIZE,
     MODEL_NAMES,
@@ -371,12 +371,15 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
     """Finite non-zero junk added to the pad slots of every segment op's
     input and weight, in the whole graph's slots and in a flow step's
     compact ones, leaves predictions, loss and parameter grads
-    bit-identical."""
+    bit-identical. Every variant runs at 3 steps, whose reach here covers
+    every row; GGNN-Mul and GGNN-MulMlp also run at 2, where their states
+    are kept at the 21 of 30 rows of the last reach, and every index of a
+    step's slots, a pad's receiver included, points at one of them."""
     g = small_graph(seed=4)
     src, dst = np.array([0, 3]), np.array([2, 5])
     segment_sum, segment_softmax = ad.segment_sum, ad.segment_softmax
     rng = np.random.default_rng(0)
-    calls = []
+    calls, layouts = [], []
 
     def with_junk(x, pad, node_axis):
         shape = x.data.shape
@@ -386,6 +389,11 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
         return ad.add(x, np.where(pad, junk, 0.0))
 
     def junk_sum(x, slots, weight=None):
+        if slots.ring is not None:
+            layouts.append(slots.shape)
+            rows = slots.shape[0] * slots.shape[1]
+            for index in (slots.ring, slots.receiver):
+                assert 0 <= index.min() and index.max() < rows
         if weight is not None:
             weight = with_junk(weight, slots.pad, 1)
         return segment_sum(with_junk(x, slots.pad, 1), slots, weight)
@@ -403,16 +411,21 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
             p.zero_grad()
         return probs, float(loss.data), grads
 
-    for name in MODEL_NAMES:
-        model = Model(small_cfg(name, dims=6, attn_dims=2, heads=3, steps=3),
-                      g, seed=2)
+    cases = [(name, 3) for name in MODEL_NAMES]
+    cases += [("ggnn-mul", 2), ("ggnn-mulmlp", 2)]
+    for name, steps in cases:
+        model = Model(small_cfg(name, dims=6, attn_dims=2, heads=3,
+                                steps=steps), g, seed=2)
         clean = run(model)
         with monkeypatch.context() as m:
             m.setattr(ad, "segment_sum", junk_sum)
             m.setattr(ad, "segment_softmax", junk_softmax)
             calls.clear()
+            layouts.clear()
             dirty = run(model)
         assert calls and min(calls) > 0, name
+        if steps == 2:
+            assert set(layouts) == {(1, 21)}, (name, set(layouts))
         assert np.array_equal(clean[0], dirty[0]), name
         assert clean[1] == dirty[1], name
         for k, grad in clean[2].items():
@@ -464,5 +477,55 @@ def test_frontier_sparse_flow_matches_full_reach(monkeypatch):
         assert abs(shipped[1] - full[1]) < 1e-10, name
         for k, want in full[2].items():
             got = shipped[2][k]
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() < 1e-10 * scale, (name, k)
+
+
+def test_state_rows_skip_rows_the_last_reach_misses(monkeypatch):
+    """GGNN-Mul and GGNN-MulMlp keep their node states, and run their GRU,
+    only at the rows of the last step's reach, as their other per-row
+    tensors. At 2 steps from sources 0 and 5 that is 21 of the 28 rows;
+    loss, predictions and every grad equal those of a run whose reach is
+    forced to every node, in float64 with non-zero biases."""
+    g = small_graph(seed=6)
+    src, dst = np.array([0, 5]), np.array([3, 9])
+    rng = np.random.default_rng(5)
+    rows = []
+    gru = graphnets.gru
+
+    def recording(h, *args):
+        rows.append(h.data.shape[:2])
+        return gru(h, *args)
+
+    def run(model):
+        rows.clear()
+        probs = model.predict(src)
+        loss = model.loss(src, dst)
+        loss.backward()
+        grads = {k: p.grad for k, p in model.params.items()}
+        for p in model.params.values():
+            p.zero_grad()
+        return probs, float(loss.data), grads, list(rows)
+
+    monkeypatch.setattr(graphnets, "gru", recording)
+    for name in ("ggnn-mul", "ggnn-mulmlp"):
+        model = Model(small_cfg(name, steps=2), g, seed=3)
+        for k, p in model.params.items():
+            if k.endswith(".b"):
+                p.data = rng.standard_normal(p.data.shape)
+        kept = int(model.gt.reach(src, 2)[2].sum())
+        assert kept == 21 < len(src) * model.gt.n
+        shipped = run(model)
+        with monkeypatch.context() as m:
+            m.setattr(GraphTensors, "reach", lambda self, s, steps: np.ones(
+                (steps + 1, len(s), self.n), dtype=bool))
+            full = run(model)
+        assert shipped[3] and set(shipped[3]) == {(1, kept)}, name
+        assert set(full[3]) == {(len(src), model.gt.n)}, name
+        assert np.abs(shipped[0] - full[0]).max() < 1e-10, name
+        assert abs(shipped[1] - full[1]) < 1e-10, name
+        for k, want in full[2].items():
+            got = shipped[2][k]
+            assert got is not None and got.dtype == want.dtype, (name, k)
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() < 1e-10 * scale, (name, k)
