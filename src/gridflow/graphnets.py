@@ -14,7 +14,7 @@ graph and shared parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -23,9 +23,11 @@ from . import autodiff as ad
 from .grid import GridGraph, N_EDGE_TYPES
 
 # Examples per forward: per training microbatch (gradients accumulate
-# across them) and per chunk of Model.predict. On the 32-grid presets, peak
-# RSS grows by about 165 MB per example in a training microbatch. perfbench's
-# reference losses are recorded per microbatch of this size.
+# across them) and per chunk of Model.predict. On the LINE 32-grid preset,
+# peak RSS grows by about 58 MB per example in a GGNN-MulMlp training
+# microbatch, 50 MB in GGNN-Mul and 95 MB in GAT (from 1 to 4 examples,
+# glibc's default malloc, one BLAS thread). perfbench's reference losses
+# are recorded per microbatch of this size.
 MICROBATCH_SIZE = 4
 
 MODEL_NAMES = [
@@ -188,16 +190,27 @@ class StateRows:
     Every row keeps the batch's layout, (B, n, ...). A subset of the flat
     (example, node) rows is compact, (1, len(rows), ...), in ascending
     order of flat row. at maps each flat row of the batch to its row in
-    the layout, or to -1 for a row left out.
+    the layout, or to -1 for a row left out. Both index arrays are built
+    on first use: a forward that builds no Frontier and keeps every row
+    never reads them, and making them anyway for each of its forwards
+    raised train-rw's peak RSS by about 4 MB.
     """
 
     def __init__(self, kept: np.ndarray):
+        self.kept = kept
         self.batch = kept.shape
-        self.rows = np.flatnonzero(kept)
-        self.every = self.rows.size == kept.size
-        self.shape = self.batch if self.every else (1, self.rows.size)
-        self.at = np.full(kept.size, -1)
-        self.at[self.rows] = np.arange(self.rows.size)
+        self.every = bool(kept.all())
+        self.shape = self.batch if self.every else (1, int(kept.sum()))
+
+    @cached_property
+    def rows(self):
+        return np.flatnonzero(self.kept)
+
+    @cached_property
+    def at(self):
+        at = np.full(self.kept.size, -1)
+        at[self.rows] = np.arange(self.rows.size)
+        return at
 
     def pick(self, x):
         """x (B, n, ...) at these rows."""
@@ -582,20 +595,13 @@ class Model:
 
     def _kept_rows(self, b, reach):
         """(b, n) bool: the rows at which the forward keeps its per-row
-        tensors (StateRows).
-
-        In GGNN-Mul and GGNN-MulMlp a node's state is read only by its own
-        GRU, and by the transitions and acted messages at rows the focused
-        attention has reached: the update of step k is read at step k + 1
-        at reach[k + 1] and reach[k + 2], and through the GRU by its own
-        row's later updates, all within the last step's reach. The states
-        elsewhere are never read, so they are never computed. The other
-        variants read states at every node: FullGN's global state
-        averages them, a GAT receiver's softmax reads unreached senders'
-        scores, and regular and noact messages leave every node.
-        rw-dynamic's per-node update could take the last reach too, but
-        its global state sums over the batch layout's node axis, and the
-        gain is unmeasured, so it keeps every row.
+        tensors (StateRows). A GGNN-Mul or GGNN-MulMlp state is read only by
+        its own row's GRU and by transitions and acted messages at reached
+        rows, all within the last step's reach, so the other rows' states
+        are never computed (README, "Numerics notes"). The other variants
+        read states at every node: FullGN's global state averages them, a
+        GAT receiver's softmax reads unreached senders' scores, regular and
+        noact messages leave every node, and rw-dynamic is unmeasured.
         """
         if self.cfg.core == "ggnn" and self.cfg.acting in ("mul", "mulmlp"):
             return reach[-1]
@@ -669,14 +675,17 @@ class Model:
         """Prediction distributions (B, n) under no_grad.
 
         Forward runs on chunks of at most MICROBATCH_SIZE examples. The
-        per-slot tensors (B, n, 9, d) of the message cores, and rw-dynamic's
-        per-batch transition maps (B, n, 9, d+1), grow with the batch: at
-        64 examples on the 32-grid presets one is about 85-97 MB at
-        float32, above glibc's 32 MiB mmap threshold, so every op output
-        would be a fresh mapping whose pages the kernel faults in and
-        zeroes, and a bigger chunk is slower per example. rw-stationary
-        shares one transition across the batch and holds nothing per slot
-        wider than (B, n, 9), so it runs one forward per call.
+        per-slot tensors grow with the batch: at 64 examples on the
+        32-grid presets, the message cores' (B, n, 9, d) and rw-dynamic's
+        per-batch transition maps (B, n, 9, d+1) are about 85-97 MB at
+        float32. A flow step's transition and Mul/MulMlp messages are
+        per-slot at its reached rows only, but on LINE its last steps
+        reach 40-46% of the rows of 64 valid pairs, about 34-39 MB. Both
+        are above glibc's 32 MiB mmap threshold, so every op output would
+        be a fresh mapping whose pages the kernel faults in and zeroes,
+        and a bigger chunk is slower per example. rw-stationary shares one
+        transition across the batch and holds nothing per slot wider than
+        (B, n, 9), so it runs one forward per call.
         """
         src = np.asarray(src_indices, dtype=np.int64)
         stop = max(len(src), 1)  # an empty batch still runs one forward
