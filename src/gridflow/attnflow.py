@@ -29,10 +29,11 @@ NO_ACT, MUL, MUL_MLP = "noact", "mul", "mulmlp"
 
 def transition_logits(states, slots, w, b) -> ad.Tensor:
     """Per-slot logits at the sender slots of slots from node states
-    (B, n, d) and the packed transition weights w (n_types, d, d+1), b
-    (n_types, d+1): (B, n, n_types) for GraphTensors, or (1, k, n_types)
-    for a Frontier's k sender rows, whose receiver-side map runs on its
-    ring rows only. Pad slots hold values that transition_matrix drops."""
+    (B, n, d), or (1, m, d) at a Frontier's compact state rows, and the
+    packed transition weights w (n_types, d, d+1), b (n_types, d+1):
+    (B, n, n_types) for GraphTensors, or (1, k, n_types) for a Frontier's
+    k sender rows, whose receiver-side map runs on its ring rows only.
+    Pad slots hold values that transition_matrix drops."""
     senders = slots.senders(states)
     ones = np.ones(senders.shape[:-1] + (1,), dtype=senders.dtype)
     h_src = ad.concat([senders, ones], axis=-1)
@@ -50,9 +51,10 @@ def transition_matrix(logits: ad.Tensor, slots) -> ad.Tensor:
 def flow_step(focused: ad.Tensor, transition: ad.Tensor, slots):
     """One step of the flow dynamics; conservation is structural.
 
-    focused: (B, n); transition: per-slot at the sender slots of slots, or
-    (1, n, n_types) for a transition shared by the whole batch.
-    Returns (flowing at the sender slots, next focused (B, n)).
+    focused: (B, n), or (1, m) at a Frontier's compact state rows;
+    transition: per-slot at the sender slots of slots, or (1, n, n_types)
+    for a transition shared by the whole batch. Returns (flowing at the
+    sender slots, next focused in focused's layout).
     """
     a_src = slots.senders(focused)
     flowing = ad.mul(transition, ad.reshape(a_src, a_src.shape + (1,)))

@@ -374,9 +374,20 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
     bit-identical. Every variant runs at 3 steps, whose reach here covers
     every row; GGNN-Mul and GGNN-MulMlp also run at 2, where their states
     are kept at the 21 of 30 rows of the last reach, and every index of a
-    step's slots, a pad's receiver included, points at one of them."""
+    step's slots, a pad's receiver included, points at one of them. They
+    run there on the graph with one edge made one-way too, where a pad
+    slot's receiver slot in GraphTensors is another node's, outside the
+    kept rows."""
     g = small_graph(seed=4)
     src, dst = np.array([0, 3]), np.array([2, 5])
+    one_way = grid.GridGraph(g.n_side, g.nodes,
+                             g.edges[~(g.edges == [8, 4, 6]).all(axis=1)])
+    gt = GraphTensors(one_way)
+    reach = gt.reach(src, 2)
+    senders = np.flatnonzero(reach[1])
+    node = senders % gt.n
+    receivers = (senders - node)[:, None] + gt.receiver[node]
+    assert not reach[2].reshape(-1)[receivers[gt.pad[node]]].all()
     segment_sum, segment_softmax = ad.segment_sum, ad.segment_softmax
     rng = np.random.default_rng(0)
     calls, layouts = [], []
@@ -411,11 +422,12 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
             p.zero_grad()
         return probs, float(loss.data), grads
 
-    cases = [(name, 3) for name in MODEL_NAMES]
-    cases += [("ggnn-mul", 2), ("ggnn-mulmlp", 2)]
-    for name, steps in cases:
+    cases = [(name, 3, g) for name in MODEL_NAMES]
+    cases += [(name, 2, graph) for name in ("ggnn-mul", "ggnn-mulmlp")
+              for graph in (g, one_way)]
+    for name, steps, graph in cases:
         model = Model(small_cfg(name, dims=6, attn_dims=2, heads=3,
-                                steps=steps), g, seed=2)
+                                steps=steps), graph, seed=2)
         clean = run(model)
         with monkeypatch.context() as m:
             m.setattr(ad, "segment_sum", junk_sum)
