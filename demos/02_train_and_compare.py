@@ -38,9 +38,10 @@ for name in variants:
                                 steps=params.max_steps)
     model = Model(cfg, gt, seed=0)
     start = time.time()
-    result = train(model, train_cfg, examples)
-    selected = select_snapshots(result, train_cfg.snapshot_top_k)
-    reports = evaluate_snapshots(model, selected, *examples["test"])
+    snapshots = train(model, train_cfg, examples)
+    selected = select_snapshots(snapshots, train_cfg.snapshot_top_k)
+    reports = evaluate_snapshots(model, selected, *examples["test"],
+                                 train_cfg.eval_batch_size)
     hits1 = sum(r.hits1 for r in reports) / len(reports)
     hits5 = sum(r.hits5 for r in reports) / len(reports)
     mrr = sum(r.mrr for r in reports) / len(reports)

@@ -40,7 +40,6 @@ from .data import (
 from .graphnets import GraphTensors, Model, ModelConfig, MODEL_NAMES
 from .metrics import MetricsReport, metrics, ranks_of
 from .training import (
-    RunResult,
     TrainConfig,
     aggregate_runs,
     evaluate,
@@ -60,6 +59,6 @@ __all__ = [
     "preset_names", "preset_params", "save_dataset",
     "GraphTensors", "Model", "ModelConfig", "MODEL_NAMES",
     "MetricsReport", "metrics", "ranks_of",
-    "RunResult", "TrainConfig", "aggregate_runs", "evaluate", "lr_schedule",
+    "TrainConfig", "aggregate_runs", "evaluate", "lr_schedule",
     "prepare_examples", "run_experiment", "select_snapshots", "train",
 ]

@@ -62,17 +62,17 @@ def flow_step(focused: ad.Tensor, transition: ad.Tensor, slots):
 
 
 def attend_message(acting: str, flowing: ad.Tensor, messages: ad.Tensor,
-                   mlp_w: ad.Tensor = None, mlp_b: ad.Tensor = None,
-                   weight: ad.Tensor = None):
+                   mlp_b: ad.Tensor = None, weight: ad.Tensor = None):
     """Backward acting of flowing attention (B, n, n_types) on per-slot
     messages (B, n, n_types, ..., d), which the receive op
     (autodiff.segment_sum) weights by weight (B, n, n_types, ...), or not
     at all for None. Returns the acted (messages, weight).
 
     Mul multiplies the flowing attention into the weight, so no product
-    with the messages is formed. MulMlp acts on the weighted messages as
-    tanh((f m) mlp_w + mlp_b), computed as tanh(f (m mlp_w) + mlp_b); pass
-    mlp_w=None for messages that already carry the projection by mlp_w.
+    with the messages is formed. MulMlp acts on weighted messages m as
+    tanh((f m) W + mlp_b), computed as tanh(f (m W) + mlp_b): its messages
+    come already weighted and projected by W (act.W), each core where it
+    builds them, and its weight is None.
     """
     if acting == NO_ACT:
         return messages, weight
@@ -83,12 +83,6 @@ def attend_message(acting: str, flowing: ad.Tensor, messages: ad.Tensor,
         return messages, ad.mul(weight, ad.reshape(flowing,
                                                    flowing.shape + extra))
     if acting == MUL_MLP:
-        if weight is not None:
-            messages = ad.reshape(
-                ad.mul(messages, ad.reshape(weight, weight.shape + (1,))),
-                messages.shape[:3] + (-1,))
-        if mlp_w is not None:
-            messages = ad.matmul(messages, mlp_w)
         return ad.scale_affine_tanh(flowing, messages, mlp_b), None
     raise ValueError(f"unknown message-attending variant {acting!r}")
 

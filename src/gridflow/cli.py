@@ -10,7 +10,12 @@ import json
 import os
 import sys
 
-from . import _apply_thread_cap
+import numpy as np
+
+from . import _apply_thread_cap, data, graphnets, training, viz
+from .dynamics import DIRECTION_PRESETS, DirectionFunction
+from .graphnets import ModelConfig
+from .training import TrainConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", dest="run_dir", required=True, help="run directory")
     t.add_argument("--epochs", type=int)
     t.add_argument("--batch", type=int,
-                   help="default 16, or 4 when the grid side is 64")
+                   help=f"default {TrainConfig.batch_size}, or 4 when the "
+                   "grid side is 64")
     t.add_argument("--dims", type=int)
     t.add_argument("--attn-dims", type=int)
     t.add_argument("--steps", type=int,
@@ -82,9 +88,6 @@ def _unknown(kind, name, valid) -> int:
 
 def generate(out, preset=None, seeds=1, n=None, t=None, sigma=None,
              direction="line") -> int:
-    from . import data
-    from .dynamics import DIRECTION_PRESETS, DirectionFunction
-
     if preset:
         try:
             data.preset_params(preset, seed=0)
@@ -128,8 +131,6 @@ def generate(out, preset=None, seeds=1, n=None, t=None, sigma=None,
 def _load_run(run_dir):
     """A trained run directory's selection manifest, model, GraphTensors
     and examples; None after printing why there is no manifest."""
-    from . import data, graphnets, training
-
     manifest_path = os.path.join(run_dir, "selection.json")
     if not os.path.exists(manifest_path):
         print("no selection manifest in run directory; snapshots are only "
@@ -143,7 +144,7 @@ def _load_run(run_dir):
     # A relative data path is relative to the run directory; older configs
     # hold an absolute one, which join leaves as it is.
     dataset = data.load_dataset(os.path.join(run_dir, cfg_doc["data"]))
-    model_cfg = graphnets.ModelConfig.from_name(
+    model_cfg = ModelConfig.from_name(
         cfg_doc["model"], dims=cfg_doc["dims"], attn_dims=cfg_doc["attn_dims"],
         steps=cfg_doc["steps"],
     )
@@ -153,25 +154,25 @@ def _load_run(run_dir):
     return manifest, model, gt, examples
 
 
-def train(model, data_dir, run_dir, epochs=50, batch=None, dims=40,
-          attn_dims=8, steps=None, seed=0, shuffle_seed=0) -> int:
-    from . import data, graphnets, training
-
+def train(model, data_dir, run_dir, epochs=TrainConfig.epochs, batch=None,
+          dims=ModelConfig.dims, attn_dims=ModelConfig.attn_dims, steps=None,
+          seed=0, shuffle_seed=0) -> int:
     if not os.path.isdir(data_dir):
         print(f"dataset directory {data_dir!r} does not exist; run "
               "`gridflow generate` first", file=sys.stderr)
         return 2
     params = data.load_params(data_dir)
-    batch = batch or (4 if params.n_side == 64 else 16)
+    batch = batch or (4 if params.n_side == 64 else TrainConfig.batch_size)
     steps = steps or params.max_steps
     # Everything that can refuse the run does so before the run directory
     # is made.
     try:
-        model_cfg = graphnets.ModelConfig.from_name(
+        model_cfg = ModelConfig.from_name(
             model, dims=dims, attn_dims=attn_dims, steps=steps)
-        train_cfg = training.TrainConfig(
+        top_k = TrainConfig.snapshot_top_k
+        train_cfg = TrainConfig(
             batch_size=batch, epochs=epochs, shuffle_seed=shuffle_seed,
-            snapshot_top_k=min(3, epochs) if epochs else 3)
+            snapshot_top_k=min(top_k, epochs) if epochs else top_k)
         dataset = data.load_dataset(data_dir)
         training.check_dataset(dataset)
     except ValueError as err:
@@ -206,7 +207,6 @@ def train(model, data_dir, run_dir, epochs=50, batch=None, dims=40,
         print("no snapshots (0 epochs)")
         return 0
     for snap in selected:
-        import numpy as np
         np.savez(os.path.join(run_dir, f"epoch{snap.epoch}.npz"),
                  **snap.state)
     summary = training.aggregate_runs([tests])
@@ -233,8 +233,6 @@ def _load_checkpoint(model, run_dir, epoch) -> int:
 
 
 def evaluate(run, split="test", out=None) -> int:
-    from . import training
-
     loaded = _load_run(run)
     if loaded is None:
         return 2
@@ -258,8 +256,6 @@ def evaluate(run, split="test", out=None) -> int:
 
 
 def visualize(run, src, dst, out) -> int:
-    from . import viz
-
     loaded = _load_run(run)
     if loaded is None:
         return 2
@@ -290,7 +286,7 @@ def visualize(run, src, dst, out) -> int:
     return 0
 
 
-def reproduce(preset, model, out, seeds=1, epochs=50) -> int:
+def reproduce(preset, model, out, seeds=1, epochs=TrainConfig.epochs) -> int:
     data_dir = os.path.join(out, "data")
     rc = generate(data_dir, preset=preset, seeds=seeds)
     if rc:

@@ -235,19 +235,17 @@ class Frontier:
     only. reached and ring are (B, n) masks: the reached sender rows, and
     the rows within one more hop, the next step's reach, whose
     receiver-side maps the transition reads. Both lie within the rows of
-    states (every row by default), and the index arrays point into
-    those: rows and ring are the rows of the states' layout, and so is
-    receiver, which segment_sum receives into. Per-slot tensors are
-    compact, (1, len(rows), n_types, ...); see autodiff.segment_sum for
-    the index arrays. unreached_in, of the states' shape, counts each
-    row's incoming edges from senders outside the reach.
+    states, and the index arrays point into those: rows and ring are the
+    rows of the states' layout, and so is receiver, which segment_sum
+    receives into. Per-slot tensors are compact, (1, len(rows), n_types,
+    ...); see autodiff.segment_sum for the index arrays. unreached_in, of
+    the states' shape, counts each row's incoming edges from senders
+    outside the reach.
     """
 
-    def __init__(self, gt: GraphTensors, reached, ring, states=None):
+    def __init__(self, gt: GraphTensors, reached, ring, states: StateRows):
         nt = gt.n_types
         b, n = reached.shape
-        if states is None:
-            states = StateRows(np.ones((b, n), dtype=bool))
         self.states, self.shape = states, states.shape
         # Flat rows of the batch, until the end, where they become rows of
         # the states' layout.
@@ -336,7 +334,7 @@ def implicit_readout(h: ad.Tensor, attn_dims: int) -> ad.Tensor:
         ad.tsum(ad.slice_axis(h, -1, 0, attn_dims), axis=-1),
         1.0 / np.sqrt(attn_dims),
     )
-    return ad.softmax(scores, axis=-1)
+    return ad.softmax(scores)
 
 
 def init_node_states(gt: GraphTensors, params, src_indices, attn_dims, dtype):
@@ -357,10 +355,8 @@ class ForwardResult:
 
 
 class Model:
-    def __init__(self, config: ModelConfig, graph_or_tensors, seed: int = 0):
-        self.cfg = config
-        self.gt = (graph_or_tensors if isinstance(graph_or_tensors, GraphTensors)
-                   else GraphTensors(graph_or_tensors))
+    def __init__(self, config: ModelConfig, gt: GraphTensors, seed: int = 0):
+        self.cfg, self.gt = config, gt
         self.params: dict[str, ad.Tensor] = {}
         self._build_params(np.random.default_rng(seed))
 
@@ -480,16 +476,15 @@ class Model:
         send from those rows only; other variants send from every node."""
         return slots if self.cfg.acting in ("mul", "mulmlp") else self.gt
 
-    def _receive(self, messages, weight, flowing, slots, folded=False):
+    def _receive(self, messages, weight, flowing, slots):
         """Per-slot messages, weighted by weight (or None) and acted on by
         the flowing attention in flow variants, summed into their receivers
-        (B, n, ...). folded: the messages already carry MulMlp's
-        projection by act.W."""
+        (B, n, ...). MulMlp messages come weighted and projected by act.W
+        (see attnflow.attend_message), so their weight is None."""
         p, cfg = self.params, self.cfg
         if flowing is not None:
             messages, weight = attnflow.attend_message(
-                cfg.acting, flowing, messages,
-                None if folded else p.get("act.W"), p.get("act.b"), weight)
+                cfg.acting, flowing, messages, p.get("act.b"), weight)
         m_bar = ad.segment_sum(messages, slots, weight)
         if cfg.acting == "mulmlp":
             # A MulMlp message from an unreached sender is
@@ -501,17 +496,20 @@ class Model:
     def _fullgn_messages(self, h, g, slots):
         """tanh([h_i : h_j : g] W_t + b_t) at the sender slots of slots,
         split into a sender-side map of [h_i : g] and a receiver-side map
-        of h_j."""
+        of h_j; in MulMlp variants, projected by act.W."""
         gt, p, d = self.gt, self.params, self.cfg.dims
         w = p["msg.W"]
         w_sender = ad.concat([ad.slice_axis(w, 1, 0, d),
                               ad.slice_axis(w, 1, 2 * d, 3 * d)], axis=1)
         sender = ad.concat([h, expand(g, gt.n, axis=1)], axis=-1)
-        return ad.tanh(ad.add(
+        messages = ad.tanh(ad.add(
             ad.typed_affine(slots.senders(sender), w_sender, p["msg.b"]),
             ad.take(ad.typed_affine(slots.receivers(h),
                                     ad.slice_axis(w, 1, d, 2 * d), None),
                     slots.send)))
+        if self.cfg.acting == "mulmlp":
+            messages = ad.matmul(messages, p["act.W"])
+        return messages
 
     def _ggnn_weights(self):
         """The typed message map (W_t, b_t); in MulMlp variants, with act.W
@@ -568,7 +566,7 @@ class Model:
     def _ggnn_step(self, u_pre, w, b, h, g, flowing, focused, slots):
         slots = self._message_slots(slots)
         m_bar = self._receive(ad.typed_affine(slots.senders(h), w, b), None,
-                              flowing, slots, folded=True)
+                              flowing, slots)
         return gru(h, m_bar, u_pre, self.params, self.cfg.dims), g
 
     def _gat_step(self, u_pre, score_maps, h, g, flowing, focused, slots):
@@ -576,8 +574,14 @@ class Model:
         # senders, reached or not, so z and alpha are computed at every node.
         slots = self._message_slots(slots)
         z, alpha = self._gat_messages(h, score_maps)
-        m_bar = self._receive(slots.senders(z), slots.senders(alpha), flowing,
-                              slots)
+        z, alpha = slots.senders(z), slots.senders(alpha)
+        if self.cfg.acting == "mulmlp":
+            # MulMlp acts on the alpha-weighted messages, projected by act.W.
+            weighted = ad.mul(z, ad.reshape(alpha, alpha.shape + (1,)))
+            z = ad.matmul(ad.reshape(weighted, z.shape[:3] + (-1,)),
+                          self.params["act.W"])
+            alpha = None
+        m_bar = self._receive(z, alpha, flowing, slots)
         return gru(h, ad.reshape(m_bar, h.shape), u_pre, self.params,
                    self.cfg.dims), g
 
@@ -607,9 +611,20 @@ class Model:
             return reach[-1]
         return np.ones((b, self.gt.n), dtype=bool)
 
+    def _sources(self, src_indices) -> np.ndarray:
+        """The source indices as an int64 array; ValueError unless they
+        are a non-empty 1-D array of node indices 0..n-1."""
+        src = np.asarray(src_indices, dtype=np.int64)
+        if src.ndim != 1 or len(src) == 0:
+            raise ValueError("source indices must be a non-empty 1-D array, "
+                             f"got shape {src.shape}")
+        if src.min() < 0 or src.max() >= self.gt.n:
+            raise ValueError("source index outside the node set")
+        return src
+
     def forward(self, src_indices, trace: bool = False) -> ForwardResult:
         cfg, gt, p = self.cfg, self.gt, self.params
-        src = np.asarray(src_indices, dtype=np.int64)
+        src = self._sources(src_indices)
         dtype = cfg.np_dtype
         result = ForwardResult(probs=None)
         # States that change need a new transition every step, at the rows
@@ -672,7 +687,8 @@ class Model:
         return attnflow.flow_loss(self.forward(src_indices).probs, dst_indices)
 
     def predict(self, src_indices) -> np.ndarray:
-        """Prediction distributions (B, n) under no_grad.
+        """Prediction distributions (B, n) under no_grad; FloatingPointError
+        if any is not finite (rw-stationary has no node state to check).
 
         Forward runs on chunks of at most MICROBATCH_SIZE examples. The
         per-slot tensors grow with the batch: at 64 examples on the
@@ -687,12 +703,18 @@ class Model:
         transition across the batch and holds nothing per slot wider than
         (B, n, 9), so it runs one forward per call.
         """
-        src = np.asarray(src_indices, dtype=np.int64)
-        stop = max(len(src), 1)  # an empty batch still runs one forward
-        chunk = stop if self.cfg.core == "rw-stationary" else MICROBATCH_SIZE
+        src = self._sources(src_indices)
+        shared = self.cfg.core == "rw-stationary"
+        chunk = len(src) if shared else MICROBATCH_SIZE
         with ad.no_grad():
-            return np.concatenate([self.forward(src[lo:lo + chunk]).probs.data
-                                   for lo in range(0, stop, chunk)])
+            probs = np.concatenate([self.forward(src[lo:lo + chunk]).probs.data
+                                    for lo in range(0, len(src), chunk)])
+        # The sum of probabilities is finite exactly when each of them is,
+        # and it makes no (B, n) temporary: one made here raised eval-gat's
+        # peak RSS by 3.6 MB, allocated among the freed chunk outputs.
+        if not np.isfinite(probs.sum()):
+            raise FloatingPointError("non-finite predictions")
+        return probs
 
     # -- checkpoints -------------------------------------------------------
 

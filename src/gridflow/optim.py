@@ -14,10 +14,8 @@ class Adam:
     in this project only node embeddings carry it).
     """
 
-    def __init__(self, params: dict, lr=0.0005, weight_decay=0.0,
-                 decay_names=()):
+    def __init__(self, params: dict, weight_decay=0.0, decay_names=()):
         self.params = params
-        self.lr = lr
         self.weight_decay = weight_decay
         self.decay_names = frozenset(decay_names)
         self.step_count = 0
@@ -28,8 +26,7 @@ class Adam:
         for p in self.params.values():
             p.grad = None
 
-    def step(self, lr=None):
-        lr = self.lr if lr is None else lr
+    def step(self, lr):
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count

@@ -10,7 +10,7 @@ state dicts; callers persist the selected ones.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
@@ -21,6 +21,9 @@ from .metrics import MetricsReport, metrics as compute_metrics, ranks_of
 from .graphnets import MICROBATCH_SIZE, GraphTensors, Model, ModelConfig
 from .optim import Adam
 
+# Decoupled weight decay on the node embeddings.
+WEIGHT_DECAY = 1e-5
+
 
 @dataclass
 class TrainConfig:
@@ -30,7 +33,6 @@ class TrainConfig:
     lr_end: float = 0.0001
     lr_step: float = 0.0001
     lr_step_epochs: int = 10
-    weight_decay: float = 1e-5
     snapshot_top_k: int = 3
     shuffle_seed: int = 0
     eval_batch_size: int = 64
@@ -42,9 +44,7 @@ class TrainConfig:
             raise ValueError("snapshot_top_k cannot exceed epochs")
 
 
-def lr_schedule(epoch: int, cfg: TrainConfig = None) -> float:
-    if cfg is None:
-        cfg = TrainConfig()
+def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
     # Decimal arithmetic on the configured values, so that two drops of
@@ -76,12 +76,6 @@ class Snapshot:
         )
 
 
-@dataclass
-class RunResult:
-    model_name: str
-    snapshots: list = field(default_factory=list)
-
-
 def prepare_examples(dataset: Dataset, gt: GraphTensors) -> dict:
     """Map (src, dst) node-id pairs to compact index arrays per split."""
     src = gt.to_indices(dataset.pairs[:, 0])
@@ -103,7 +97,8 @@ def check_dataset(dataset: Dataset) -> None:
                          "valid pairs; training needs at least one of each")
 
 
-def evaluate(model: Model, src, dst, batch_size: int = 64) -> MetricsReport:
+def evaluate(model: Model, src, dst,
+             batch_size: int = TrainConfig.eval_batch_size) -> MetricsReport:
     """Ranking metrics of the model's predictions over (src, dst) pairs."""
     ranks = []
     for lo in range(0, len(src), batch_size):
@@ -119,8 +114,8 @@ def _param_norms(model: Model) -> str:
 
 
 def train(model: Model, cfg: TrainConfig, examples: dict,
-          log=None) -> RunResult:
-    """Run the full epoch loop; returns one snapshot per epoch.
+          log=None) -> list:
+    """Run the full epoch loop; returns the Snapshot of each epoch.
 
     examples: {"train": (src, dst), "valid": (src, dst), ...} compact indices.
     log: optional callable receiving one tab-separated line per epoch.
@@ -130,10 +125,9 @@ def train(model: Model, cfg: TrainConfig, examples: dict,
     if len(tr_src) == 0 or len(va_src) == 0:
         raise ValueError("train and valid splits must be non-empty")
 
-    opt = Adam(model.params, weight_decay=cfg.weight_decay,
-               decay_names=("embed",))
+    opt = Adam(model.params, weight_decay=WEIGHT_DECAY, decay_names=("embed",))
     rng = np.random.default_rng(cfg.shuffle_seed)
-    result = RunResult(model_name=model.cfg.name)
+    snapshots = []
 
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
@@ -163,16 +157,15 @@ def train(model: Model, cfg: TrainConfig, examples: dict,
         valid = evaluate(model, va_src, va_dst, cfg.eval_batch_size)
         snap = Snapshot(epoch=epoch, lr=lr, train_loss=train_loss,
                         valid=valid, state=model.state_dict())
-        result.snapshots.append(snap)
+        snapshots.append(snap)
         if log is not None:
             log(snap.log_line())
-    return result
+    return snapshots
 
 
-def select_snapshots(run: RunResult, k: int = 3) -> list:
+def select_snapshots(snaps: list, k: int) -> list:
     """Top-k snapshots by validation MRR; ties favor higher Hits@1, then
     the earlier epoch."""
-    snaps = run.snapshots
     if len(snaps) < k:
         warnings.warn(
             f"only {len(snaps)} snapshots available, selecting all", stacklevel=2
@@ -183,7 +176,7 @@ def select_snapshots(run: RunResult, k: int = 3) -> list:
 
 
 def evaluate_snapshots(model: Model, snapshots, src, dst,
-                       batch_size: int = 64) -> list:
+                       batch_size: int) -> list:
     """MetricsReport per snapshot on the given pairs (restores each state)."""
     reports = []
     for snap in snapshots:
@@ -211,16 +204,17 @@ def aggregate_runs(reports_per_run) -> dict:
 
 def run_experiment(model_cfg: ModelConfig, train_cfg: TrainConfig,
                    dataset: Dataset, model_seed: int = 0, log=None):
-    """Train one model on one dataset; returns (model, RunResult,
-    selected snapshots, test MetricsReports for the selection)."""
+    """Train one model on one dataset; returns (model, the Snapshot of
+    each epoch, selected snapshots, test MetricsReports for the
+    selection)."""
     gt = GraphTensors(dataset.graph)
     model = Model(model_cfg, gt, seed=model_seed)
     examples = prepare_examples(dataset, gt)
-    result = train(model, train_cfg, examples, log=log)
-    if not result.snapshots:
-        return model, result, [], []
-    selected = select_snapshots(result, train_cfg.snapshot_top_k)
+    snapshots = train(model, train_cfg, examples, log=log)
+    if not snapshots:
+        return model, snapshots, [], []
+    selected = select_snapshots(snapshots, train_cfg.snapshot_top_k)
     te_src, te_dst = examples["test"]
     tests = evaluate_snapshots(model, selected, te_src, te_dst,
                                train_cfg.eval_batch_size)
-    return model, result, selected, tests
+    return model, snapshots, selected, tests

@@ -12,6 +12,8 @@ import numpy as np
 
 from .grid import SELFLOOP, GridGraph
 
+CELL, GAP = 18, 6  # heatmap cell side and the gap between cells, in pixels
+
 
 def _as_float64(model):
     """Clone the model in double precision for publication-grade traces."""
@@ -84,14 +86,14 @@ def _color(v: float) -> str:
 
 
 def render_svg(graph: GridGraph, values_by_id: dict, src_id: int,
-               dst_id: int, cell: int = 18, gap: int = 6) -> str:
+               dst_id: int) -> str:
     """SVG heatmap of an N-by-N grid; y grows upward (row 0 at the bottom).
 
     values_by_id maps surviving node id to a value in [0, 1]. Surviving
     grid links are drawn as connectors, so corrupted nodes and edges show
     up as gaps.
     """
-    n = graph.n_side
+    n, cell, gap = graph.n_side, CELL, GAP
     pitch = cell + gap
     size = n * pitch + gap
 

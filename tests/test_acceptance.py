@@ -79,7 +79,7 @@ def test_gradient_correctness_all_variants():
     for name in MODEL_NAMES:
         model = Model(
             ModelConfig.from_name(name, dims=6, attn_dims=2, heads=3, steps=3,
-                                  dtype="float64"), g, seed=2)
+                                  dtype="float64"), GraphTensors(g), seed=2)
 
         def f():
             return model.loss(src, dst)
@@ -132,7 +132,7 @@ def test_stationary_transition_is_constant():
     g = grid.add_selfloops(
         grid.corrupt(grid.build_grid(5), grid.CorruptionParams(0.1, 0.0, seed=3)))
     model = Model(ModelConfig("rw-stationary", dims=8, attn_dims=2, steps=4,
-                              dtype="float64"), g, seed=0)
+                              dtype="float64"), GraphTensors(g), seed=0)
     p = model.params
     with ad.no_grad():
         transition = attnflow.transition_matrix(attnflow.transition_logits(
@@ -194,7 +194,7 @@ def test_memorization_of_ten_pairs():
                       lr_end=0.0005, snapshot_top_k=1)
     examples = {"train": (src, dst), "valid": (src, dst)}
     result = train(model, cfg, examples)
-    best = max(s.valid.hits1 for s in result.snapshots)
+    best = max(s.valid.hits1 for s in result)
     assert best == 1.0
     assert time.time() - start < 120
 
@@ -239,7 +239,7 @@ def test_mulmlp_orders_above_mul():
 def test_lr_schedule_acceptance_points():
     for epoch, lr in ((0, 0.0005), (10, 0.0004), (20, 0.0003),
                       (30, 0.0002), (40, 0.0001)):
-        assert lr_schedule(epoch) == lr
+        assert lr_schedule(epoch, TrainConfig()) == lr
 
 
 # -- 10. visualization contract ---------------------------------------------

@@ -76,9 +76,9 @@ def test_elementwise_ops_against_finite_differences():
     x = rng.standard_normal((3, 5))
     check_unary(ad.tanh, x)
     check_unary(ad.sigmoid, x)
-    check_unary(lambda t: ad.leaky_relu(t, 0.2), x + 0.05)
+    check_unary(ad.leaky_relu, x + 0.05)
     check_unary(lambda t: ad.log(t), np.abs(x) + 0.5)
-    check_unary(lambda t: ad.softmax(t, axis=-1), x)
+    check_unary(ad.softmax, x)
 
 
 def test_log_floor_clamps_and_zeroes_gradient():
@@ -210,7 +210,8 @@ def test_take_permutes_slots():
 def frontier(gt, src, t):
     """The compact slots of step t of a flow from src."""
     reach = gt.reach(src, t + 1)
-    return Frontier(gt, reach[t], reach[t + 1])
+    every = StateRows(np.ones((len(src), gt.n), dtype=bool))
+    return Frontier(gt, reach[t], reach[t + 1], every)
 
 
 def check_op(op, inputs, tol=1e-6):
@@ -511,8 +512,9 @@ def test_segment_sum_receives_into_compact_state_rows():
     states = StateRows(reach[steps])
     m = len(states.rows)
     assert 0 < m < 2 * gt.n and states.shape == (1, m)
+    every = StateRows(np.ones((len(src), gt.n), dtype=bool))
     full, compact = (Frontier(gt, reach[1], reach[2], s)
-                     for s in (None, states))
+                     for s in (every, states))
     assert np.array_equal(compact.unreached_in[0],
                           full.unreached_in.reshape(-1)[states.rows])
     for index in (compact.rows, compact.ring, compact.receiver):

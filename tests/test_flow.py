@@ -15,7 +15,14 @@ from gridflow.attnflow import (
     transition_logits,
     transition_matrix,
 )
-from gridflow.graphnets import MODEL_NAMES, GraphTensors, Model, ModelConfig
+from gridflow.graphnets import (
+    MODEL_NAMES,
+    Frontier,
+    GraphTensors,
+    Model,
+    ModelConfig,
+    StateRows,
+)
 
 
 def random_graph(seed, n_side=5):
@@ -124,7 +131,8 @@ def test_rw_stationary_transition_is_step_and_example_invariant():
     g = grid.add_selfloops(
         grid.corrupt(grid.build_grid(5), grid.CorruptionParams(0.1, 0.0, seed=2)))
     model = Model(ModelConfig("rw-stationary", dims=10,
-                              attn_dims=4, steps=5, dtype="float64"), g, seed=0)
+                              attn_dims=4, steps=5, dtype="float64"),
+                  GraphTensors(g), seed=0)
     r1 = model.forward([0, 1], trace=True)
     r2 = model.forward([1], trace=True)
     # per-step flowing attention divided by the sender mass recovers the
@@ -148,7 +156,8 @@ def test_rw_stationary_transition_is_step_and_example_invariant():
 def test_attend_message_variants():
     """Acting returns the (messages, weight) pair that the receive op sums:
     Mul folds the flowing attention into the weight, and MulMlp acts on
-    the weighted messages. The weight carries a per-head axis, as GAT's."""
+    messages that come weighted and projected. The weight carries a
+    per-head axis, as GAT's."""
     rng = np.random.default_rng(5)
     flowing = ad.Tensor(rng.random((2, 7, 9)))
     messages = ad.Tensor(rng.standard_normal((2, 7, 9, 2, 3)))
@@ -161,11 +170,10 @@ def test_attend_message_variants():
     m, wt = attend_message(MUL, flowing, messages, weight=weight)
     assert m is messages
     assert np.allclose(wt.data, weight.data * flowing.data[..., None])
-    w = ad.Tensor(rng.standard_normal((6, 6)))
+    projected = ad.Tensor(rng.standard_normal((2, 7, 9, 6)))
     b = ad.Tensor(rng.standard_normal(6))
-    weighted = (messages.data * weight.data[..., None]).reshape(2, 7, 9, 6)
-    mlp, wt = attend_message(MUL_MLP, flowing, messages, w, b, weight)
-    expect = np.tanh(weighted * flowing.data[..., None] @ w.data + b.data)
+    mlp, wt = attend_message(MUL_MLP, flowing, projected, b)
+    expect = np.tanh(flowing.data[..., None] * projected.data + b.data)
     assert wt is None and np.allclose(mlp.data, expect)
     with pytest.raises(ValueError):
         attend_message("gate", flowing, messages)
@@ -197,9 +205,9 @@ def test_noact_messages_equal_regular_messages():
     g = grid.add_selfloops(
         grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=3)))
     reg = Model(ModelConfig("ggnn", dims=12, attn_dims=4,
-                            steps=3, dtype="float64"), g, seed=7)
+                            steps=3, dtype="float64"), GraphTensors(g), seed=7)
     noa = Model(ModelConfig("ggnn-noact", dims=12, attn_dims=4,
-                            steps=3, dtype="float64"), g, seed=7)
+                            steps=3, dtype="float64"), GraphTensors(g), seed=7)
     # shared-core parameters are drawn identically from the same seed
     for name in ("embed", "msg.W", "gru.Wm", "gru.Whh"):
         assert np.array_equal(reg.params[name].data, noa.params[name].data)
@@ -215,7 +223,8 @@ def test_mulmlp_fold_matches_unfused_acting():
         grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=3)))
     d = 6
     model = Model(ModelConfig("ggnn-mulmlp", dims=d, attn_dims=2,
-                              steps=2, dtype="float64"), g, seed=5)
+                              steps=2, dtype="float64"),
+                  GraphTensors(g), seed=5)
     gt, p = model.gt, model.params
     rng = np.random.default_rng(1)
     for name in ("msg.b", "act.b"):  # nonzero, so their folds are exercised
@@ -233,7 +242,7 @@ def test_mulmlp_fold_matches_unfused_acting():
         return acted.data, [t.grad.copy() for t in leaves]
 
     fused = acted_and_grads(attend_message(
-        MUL_MLP, flowing, ad.typed_affine(h, *model._ggnn_weights()), None,
+        MUL_MLP, flowing, ad.typed_affine(h, *model._ggnn_weights()),
         p["act.b"])[0])
 
     m = []
@@ -242,6 +251,62 @@ def test_mulmlp_fold_matches_unfused_acting():
         b_t = ad.reshape(ad.slice_axis(p["msg.b"], 0, t, t + 1), (d,))
         m.append(ad.reshape(ad.add(ad.matmul(h, w_t), b_t), (2, gt.n, 1, d)))
     scaled = ad.mul(ad.concat(m, axis=2), ad.reshape(flowing, slots + (1,)))
+    plain = acted_and_grads(
+        ad.tanh(ad.add(ad.matmul(scaled, p["act.W"]), p["act.b"])))
+
+    assert np.abs(fused[0] - plain[0]).max() < 1e-10
+    for got, want in zip(fused[1], plain[1]):
+        assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
+
+
+def test_gat_mulmlp_acting_matches_unfused(monkeypatch):
+    """GAT-MulMlp weights its messages z by alpha and projects them by
+    act.W in its step, before the acting; its acted messages and their
+    grads equal tanh(f (alpha z) act.W + act.b) built from plain ops."""
+    g = grid.add_selfloops(
+        grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=3)))
+    d = 6
+    model = Model(ModelConfig("gat-mulmlp", dims=d, attn_dims=2, heads=3,
+                              steps=2, dtype="float64"),
+                  GraphTensors(g), seed=5)
+    gt, p = model.gt, model.params
+    rng = np.random.default_rng(1)
+    for name in ("msg.b", "act.b"):  # nonzero, so their terms are exercised
+        p[name].data = rng.standard_normal(p[name].data.shape)
+    h = ad.Tensor(rng.standard_normal((2, gt.n, d)))
+    # Every row reached: the step's compact slots hold the batch's rows in
+    # order, (1, 2 n, n_types).
+    every = np.ones((2, gt.n), dtype=bool)
+    slots = (1, 2 * gt.n, gt.n_types)
+    flowing = ad.Tensor(rng.random(slots), requires_grad=True)
+    weights = ad.Tensor(rng.standard_normal(slots + (d,)))
+    leaves = [p[k] for k in ("msg.W", "msg.b", "gat.a1", "gat.a2", "act.W",
+                             "act.b")] + [flowing]
+
+    def acted_and_grads(acted):
+        for t in leaves:
+            t.zero_grad()
+        ad.tsum(ad.mul(acted, weights)).backward()
+        return acted.data, [t.grad.copy() for t in leaves]
+
+    acted, attend = [], attnflow.attend_message
+
+    def recording(*args):
+        out = attend(*args)
+        acted.append(out[0])
+        return out
+
+    monkeypatch.setattr(attnflow, "attend_message", recording)
+    states = StateRows(every)
+    step = model._pick_step(states)
+    step(h, ad.Tensor(np.zeros((2, d))), flowing, None,
+         Frontier(gt, every, every, states))
+    fused = acted_and_grads(acted[0])
+
+    z, alpha = model._gat_messages(h, model._gat_score_maps())
+    weighted = ad.reshape(ad.mul(z, ad.reshape(alpha, alpha.shape + (1,))),
+                          slots + (d,))
+    scaled = ad.mul(weighted, ad.reshape(flowing, slots + (1,)))
     plain = acted_and_grads(
         ad.tanh(ad.add(ad.matmul(scaled, p["act.W"]), p["act.b"])))
 
@@ -282,7 +347,7 @@ def test_focused_attention_is_zero_outside_the_reach():
                                     steps=steps, dtype="float64")
         if not cfg.explicit_flow:
             continue
-        model = Model(cfg, g, seed=1)
+        model = Model(cfg, GraphTensors(g), seed=1)
         gt = model.gt
         reach = gt.reach(src, steps)
         dist = np.stack([hop_distances(gt, s) for s in src])

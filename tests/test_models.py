@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridflow import attnflow, autodiff as ad, graphnets, grid
+from gridflow import attnflow, autodiff as ad, graphnets, grid, training
 from gridflow.graphnets import (
     MICROBATCH_SIZE,
     MODEL_NAMES,
@@ -121,7 +121,8 @@ def test_all_variants_forward_and_backward():
     dst = np.array([1, 3])
     for dtype, atol in (("float32", 1e-5), ("float64", 1e-9)):
         for name in MODEL_NAMES:
-            model = Model(small_cfg(name, dtype=dtype), g, seed=1)
+            model = Model(small_cfg(name, dtype=dtype), GraphTensors(g),
+                          seed=1)
             probs = model.predict(src)
             assert probs.shape == (2, model.gt.n)
             assert np.abs(probs.sum(axis=1) - 1.0).max() < atol
@@ -152,7 +153,7 @@ def test_flow_variants_skip_the_last_node_update(monkeypatch):
     for name in MODEL_NAMES:
         cfg = small_cfg(name)
         updates.clear()
-        Model(cfg, g, seed=1).forward([0, 2])
+        Model(cfg, GraphTensors(g), seed=1).forward([0, 2])
         if name == "rw-stationary":
             expected = 0
         else:
@@ -166,7 +167,7 @@ def test_predict_equals_one_forward():
     g = small_graph()
     src = np.array([0, 2, 5, 1, 7, 3, 0, 9, 4])
     for name in MODEL_NAMES:
-        model = Model(small_cfg(name), g, seed=1)
+        model = Model(small_cfg(name), GraphTensors(g), seed=1)
         with ad.no_grad():
             whole = model.forward(src).probs.data
         np.testing.assert_allclose(model.predict(src), whole, rtol=0,
@@ -180,7 +181,7 @@ def test_predict_chunks_unless_transition_shared(monkeypatch):
     g = small_graph()
     src = np.arange(9)
     for name in ("ggnn-mulmlp", "gat", "rw-dynamic", "rw-stationary"):
-        model = Model(small_cfg(name), g, seed=1)
+        model = Model(small_cfg(name), GraphTensors(g), seed=1)
         sizes, forward = [], model.forward
 
         def recording(s, **kw):
@@ -196,6 +197,48 @@ def test_predict_chunks_unless_transition_shared(monkeypatch):
             assert max(sizes) <= MICROBATCH_SIZE, (name, sizes)
 
 
+def test_predict_raises_on_non_finite_predictions():
+    """rw-stationary has no node update, so no state check sees a NaN
+    embedding. Its predictions are NaN, which ranks_of would rank first
+    (Hits@1 = MRR = 1); predict, and so evaluate, raise instead."""
+    model = Model(small_cfg("rw-stationary"), GraphTensors(small_graph()),
+                  seed=1)
+    model.params["embed"].data[3] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite predictions"):
+        model.predict([0, 2])
+    with pytest.raises(FloatingPointError, match="non-finite predictions"):
+        training.evaluate(model, np.array([0, 2]), np.array([1, 3]))
+
+
+def test_forward_raises_on_non_finite_node_states():
+    """A NaN GRU weight makes the first node update's states NaN; forward
+    stops there, in loss and predict alike."""
+    model = Model(small_cfg("ggnn"), GraphTensors(small_graph()), seed=1)
+    model.params["gru.Wm"].data[0, 0] = np.nan
+    for run in (lambda: model.forward([0, 2]), lambda: model.predict([0, 2]),
+                lambda: model.loss([0, 2], [1, 3])):
+        with pytest.raises(FloatingPointError, match="non-finite node states"):
+            run()
+
+
+def test_forward_validates_source_indices():
+    """forward, loss and predict take a non-empty 1-D array of node indices
+    0..n-1: a negative index does not wrap around to the last node, an
+    index of n is not a bare IndexError, and an empty batch is refused
+    before any reshape, for every variant."""
+    gt = GraphTensors(small_graph())
+    cases = [([-1], "outside the node set"), ([gt.n], "outside the node set"),
+             ([], "non-empty 1-D"), ([[0, 2]], "non-empty 1-D")]
+    for name in MODEL_NAMES:
+        model = Model(small_cfg(name), gt, seed=1)
+        for src, message in cases:
+            for run in (lambda: model.forward(src),
+                        lambda: model.loss(src, [1] * len(src)),
+                        lambda: model.predict(src)):
+                with pytest.raises(ValueError, match=message):
+                    run()
+
+
 def test_gradient_check_per_variant():
     """End-to-end reverse-mode gradients vs finite differences, all variants.
     At 3 steps, a flow variant's global.W and global.b (read by the second
@@ -206,7 +249,7 @@ def test_gradient_check_per_variant():
     dst = np.array([3, 2])
     for name in MODEL_NAMES:
         model = Model(small_cfg(name, dims=6, attn_dims=2, heads=3, steps=3),
-                      g, seed=2)
+                      GraphTensors(g), seed=2)
 
         def f():
             return model.loss(src, dst)
@@ -221,7 +264,7 @@ def test_gat_score_fold_matches_unfused():
     grads of msg.W, msg.b, gat.a1 and gat.a2. msg.b is drawn non-zero, so
     a fold that drops the bias term b_t . a fails."""
     rng = np.random.default_rng(5)
-    model = Model(small_cfg("gat"), small_graph(), seed=1)
+    model = Model(small_cfg("gat"), GraphTensors(small_graph()), seed=1)
     gt, p, cfg = model.gt, model.params, model.cfg
     k, hw = cfg.heads, cfg.dims // cfg.heads
     p["msg.b"].data = rng.standard_normal(p["msg.b"].shape)
@@ -266,7 +309,7 @@ def test_gat_score_fold_matches_unfused():
 
 
 def test_trace_shapes():
-    model = Model(small_cfg("ggnn-mul"), small_graph(), seed=0)
+    model = Model(small_cfg("ggnn-mul"), GraphTensors(small_graph()), seed=0)
     r = model.forward([1], trace=True)
     assert len(r.focused) == model.cfg.steps + 1
     assert len(r.flowing) == model.cfg.steps
@@ -285,19 +328,19 @@ def test_implicit_readout_definition():
 
 def test_seed_determinism():
     g = small_graph()
-    a = Model(small_cfg("gat-mul"), g, seed=3)
-    b = Model(small_cfg("gat-mul"), g, seed=3)
-    c = Model(small_cfg("gat-mul"), g, seed=4)
+    a = Model(small_cfg("gat-mul"), GraphTensors(g), seed=3)
+    b = Model(small_cfg("gat-mul"), GraphTensors(g), seed=3)
+    c = Model(small_cfg("gat-mul"), GraphTensors(g), seed=4)
     assert np.array_equal(a.predict([0]), b.predict([0]))
     assert not np.array_equal(a.predict([0]), c.predict([0]))
 
 
 def test_checkpoint_round_trip(tmp_path):
     g = small_graph()
-    a = Model(small_cfg("fullgn-mulmlp"), g, seed=0)
+    a = Model(small_cfg("fullgn-mulmlp"), GraphTensors(g), seed=0)
     path = tmp_path / "model.npz"
     a.save(path)
-    b = Model(small_cfg("fullgn-mulmlp"), g, seed=9)
+    b = Model(small_cfg("fullgn-mulmlp"), GraphTensors(g), seed=9)
     assert not np.array_equal(a.predict([2]), b.predict([2]))
     b.load(path)
     assert np.array_equal(a.predict([2]), b.predict([2]))
@@ -305,7 +348,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_shape_mismatch():
     g = small_graph()
-    a = Model(small_cfg("ggnn"), g, seed=0)
+    a = Model(small_cfg("ggnn"), GraphTensors(g), seed=0)
     state = a.state_dict()
     state["embed"] = state["embed"][:, :2]
     with pytest.raises(ValueError):
@@ -316,8 +359,8 @@ def test_checkpoint_of_another_variant_is_rejected():
     """A flow variant's checkpoint carries trans.* parameters that the
     regular variant lacks; loading either into the other names them."""
     g = small_graph()
-    flow = Model(small_cfg("ggnn-mul"), g, seed=0)
-    regular = Model(small_cfg("ggnn"), g, seed=0)
+    flow = Model(small_cfg("ggnn-mul"), GraphTensors(g), seed=0)
+    regular = Model(small_cfg("ggnn"), GraphTensors(g), seed=0)
     with pytest.raises(ValueError, match="unexpected.*'trans.W'"):
         regular.load_state_dict(flow.state_dict())
     with pytest.raises(ValueError, match="missing.*'trans.W'"):
@@ -335,7 +378,8 @@ def test_float32_default_dtype():
     g = small_graph()
     for name in MODEL_NAMES:
         model = Model(ModelConfig.from_name(name, dims=10, attn_dims=4,
-                                            heads=5, steps=2), g, seed=0)
+                                            heads=5, steps=2),
+                      GraphTensors(g), seed=0)
         assert model.params["embed"].data.dtype == np.float32
         for pname, p in model.params.items():
             assert p.data.flags.c_contiguous, f"{name} {pname}"
@@ -352,7 +396,7 @@ def test_traced_flowing_sums_to_focused_attention():
     step's focused attention, and summed per receiver, the next step's."""
     g = small_graph(seed=2)
     for name in ("ggnn-mul", "gat-noact", "fullgn-mulmlp"):
-        model = Model(small_cfg(name, steps=4), g, seed=3)
+        model = Model(small_cfg(name, steps=4), GraphTensors(g), seed=3)
         gt = model.gt
         r = model.forward(np.array([0, 5, gt.n - 1]), trace=True)
         for step, flowing in enumerate(r.flowing):
@@ -427,7 +471,7 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
               for graph in (g, one_way)]
     for name, steps, graph in cases:
         model = Model(small_cfg(name, dims=6, attn_dims=2, heads=3,
-                                steps=steps), graph, seed=2)
+                                steps=steps), GraphTensors(graph), seed=2)
         clean = run(model)
         with monkeypatch.context() as m:
             m.setattr(ad, "segment_sum", junk_sum)
@@ -473,7 +517,7 @@ def test_frontier_sparse_flow_matches_full_reach(monkeypatch):
 
     monkeypatch.setattr(attnflow, "transition_matrix", recording)
     for name in STEPPED_FLOW:
-        model = Model(small_cfg(name, steps=4), g, seed=3)
+        model = Model(small_cfg(name, steps=4), GraphTensors(g), seed=3)
         for k, p in model.params.items():
             if k.endswith(".b"):
                 p.data = rng.standard_normal(p.data.shape)
@@ -521,7 +565,7 @@ def test_state_rows_skip_rows_the_last_reach_misses(monkeypatch):
 
     monkeypatch.setattr(graphnets, "gru", recording)
     for name in ("ggnn-mul", "ggnn-mulmlp"):
-        model = Model(small_cfg(name, steps=2), g, seed=3)
+        model = Model(small_cfg(name, steps=2), GraphTensors(g), seed=3)
         for k, p in model.params.items():
             if k.endswith(".b"):
                 p.data = rng.standard_normal(p.data.shape)

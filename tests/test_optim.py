@@ -20,8 +20,8 @@ def test_single_step_matches_oracle():
     g0 = rng.standard_normal(5)
     w = Tensor(p0.copy(), requires_grad=True)
     w.grad = g0.copy()
-    opt = Adam({"w": w}, lr=0.01)
-    opt.step()
+    opt = Adam({"w": w})
+    opt.step(0.01)
     expect, _, _ = adam_oracle(p0, g0, np.zeros(5), np.zeros(5), 1, 0.01)
     assert np.allclose(w.data, expect, atol=1e-12)
 
@@ -30,13 +30,13 @@ def test_multi_step_moments_track_oracle():
     rng = np.random.default_rng(1)
     p = rng.standard_normal((3, 2))
     w = Tensor(p.copy(), requires_grad=True)
-    opt = Adam({"w": w}, lr=0.02)
+    opt = Adam({"w": w})
     m = np.zeros_like(p)
     v = np.zeros_like(p)
     for t in range(1, 6):
         g = rng.standard_normal((3, 2))
         w.grad = g.copy()
-        opt.step()
+        opt.step(0.02)
         p, m, v = adam_oracle(p, g, m, v, t, 0.02)
         assert np.allclose(w.data, p, atol=1e-12)
         assert np.allclose(opt.m["w"], m)
@@ -52,9 +52,9 @@ def test_decoupled_decay_only_on_named_params():
     b = Tensor(b0.copy(), requires_grad=True)
     a.grad = g.copy()
     b.grad = g.copy()
-    opt = Adam({"embed": a, "core.W": b}, lr=0.01, weight_decay=0.1,
+    opt = Adam({"embed": a, "core.W": b}, weight_decay=0.1,
                decay_names=("embed",))
-    opt.step()
+    opt.step(0.01)
     # decay shrinks the parameter before the Adam update is applied
     expect_a, _, _ = adam_oracle(a0 - 0.01 * 0.1 * a0, g,
                                  np.zeros(4), np.zeros(4), 1, 0.01)
@@ -66,7 +66,7 @@ def test_decoupled_decay_only_on_named_params():
 def test_lr_override_per_step():
     w = Tensor(np.zeros(2), requires_grad=True)
     w.grad = np.ones(2)
-    opt = Adam({"w": w}, lr=0.5)
+    opt = Adam({"w": w})
     opt.step(lr=0.001)
     # with constant gradient, the bias-corrected update is exactly -lr
     assert np.allclose(w.data, -0.001, atol=1e-9)
@@ -74,8 +74,8 @@ def test_lr_override_per_step():
 
 def test_missing_gradient_treated_as_zero():
     w = Tensor(np.ones(3), requires_grad=True)
-    opt = Adam({"w": w}, lr=0.1)
-    opt.step()
+    opt = Adam({"w": w})
+    opt.step(0.1)
     assert np.allclose(w.data, 1.0)
 
 
@@ -84,7 +84,7 @@ def test_shape_mismatch_raises():
     w.grad = np.ones(4)
     opt = Adam({"w": w})
     with pytest.raises(ValueError):
-        opt.step()
+        opt.step(0.0005)
 
 
 def test_zero_grad_clears():

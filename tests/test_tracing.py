@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from gridflow import grid
-from gridflow.graphnets import Model, ModelConfig
+from gridflow.graphnets import GraphTensors, Model, ModelConfig
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,8 +39,9 @@ def test_layer_patches_resolve_and_every_op_is_called(monkeypatch):
     g = grid.add_selfloops(
         grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=0)))
     cfg = dict(dims=10, attn_dims=4, heads=5, steps=2, dtype="float64")
-    mulmlp = Model(ModelConfig.from_name("ggnn-mulmlp", **cfg), g, seed=0)
-    gat = Model(ModelConfig.from_name("gat", **cfg), g, seed=0)
+    gt = GraphTensors(g)
+    mulmlp = Model(ModelConfig.from_name("ggnn-mulmlp", **cfg), gt, seed=0)
+    gat = Model(ModelConfig.from_name("gat", **cfg), gt, seed=0)
     # Building the patch lists looks up every name they replace; the probes
     # are not installed, so they need no checker.
     layer = tracing.layer_patches(tracer)

@@ -7,7 +7,6 @@ from gridflow.dynamics import DirectionFunction
 from gridflow.graphnets import GraphTensors, Model, ModelConfig
 from gridflow.metrics import MetricsReport
 from gridflow.training import (
-    RunResult,
     Snapshot,
     TrainConfig,
     aggregate_runs,
@@ -26,11 +25,11 @@ def report(mrr, hits1=0.0):
 
 
 def run_with(mrrs, hits1=None):
-    run = RunResult(model_name="x")
+    run = []
     for i, m in enumerate(mrrs):
         h = 0.0 if hits1 is None else hits1[i]
-        run.snapshots.append(Snapshot(epoch=i, lr=0.0, train_loss=0.0,
-                                      valid=report(m, h), state={}))
+        run.append(Snapshot(epoch=i, lr=0.0, train_loss=0.0,
+                            valid=report(m, h), state={}))
     return run
 
 
@@ -38,9 +37,9 @@ def test_lr_schedule_values():
     expect = {0: 0.0005, 9: 0.0005, 10: 0.0004, 19: 0.0004, 20: 0.0003,
               30: 0.0002, 39: 0.0002, 40: 0.0001, 49: 0.0001, 100: 0.0001}
     for epoch, lr in expect.items():
-        assert lr_schedule(epoch) == pytest.approx(lr)
+        assert lr_schedule(epoch, TrainConfig()) == pytest.approx(lr)
     with pytest.raises(ValueError):
-        lr_schedule(-1)
+        lr_schedule(-1, TrainConfig())
 
 
 def test_lr_schedule_floor():
@@ -124,9 +123,9 @@ def test_train_loss_decreases():
                       lr_start=0.01, lr_end=0.01)
     lines = []
     result = train(model, cfg, prepare_examples(ds, gt), log=lines.append)
-    assert len(result.snapshots) == 4
+    assert len(result) == 4
     assert len(lines) == 4
-    assert result.snapshots[-1].train_loss < result.snapshots[0].train_loss
+    assert result[-1].train_loss < result[0].train_loss
     # each log line carries epoch, lr, loss, and five validation metrics
     assert all(len(line.split("\t")) == 8 for line in lines)
 
@@ -143,9 +142,9 @@ def test_train_is_deterministic():
         return train(model, cfg, prepare_examples(ds, gt))
 
     a, b = go(), go()
-    assert a.snapshots[-1].train_loss == b.snapshots[-1].train_loss
-    for k in a.snapshots[-1].state:
-        assert np.array_equal(a.snapshots[-1].state[k], b.snapshots[-1].state[k])
+    assert a[-1].train_loss == b[-1].train_loss
+    for k in a[-1].state:
+        assert np.array_equal(a[-1].state[k], b[-1].state[k])
 
 
 def test_train_rejects_empty_split():
@@ -156,6 +155,21 @@ def test_train_rejects_empty_split():
     ex["valid"] = (np.array([], dtype=int), np.array([], dtype=int))
     with pytest.raises(ValueError):
         train(model, TrainConfig(epochs=1, snapshot_top_k=1), ex)
+
+
+def test_train_names_the_non_finite_loss():
+    """rw-stationary with a NaN transition weight has no node state to
+    check, so its first loss is NaN; train stops there and names the
+    epoch, the batch and the parameter."""
+    ds = tiny_dataset()
+    gt = GraphTensors(ds.graph)
+    model = Model(ModelConfig("rw-stationary", dims=8, attn_dims=2, steps=2),
+                  gt, seed=0)
+    model.params["trans.W"].data[0, 0, 0] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match=r"epoch 0, batch 0;.*trans\.W=nan"):
+        train(model, TrainConfig(epochs=1, snapshot_top_k=1),
+              prepare_examples(ds, gt))
 
 
 def test_evaluate_batches_consistently():
@@ -174,7 +188,7 @@ def test_run_experiment_zero_epochs():
     model, result, selected, tests = run_experiment(
         ModelConfig(dims=8, attn_dims=2, steps=2),
         TrainConfig(epochs=0, snapshot_top_k=3), ds, model_seed=0)
-    assert result.snapshots == [] and selected == [] and tests == []
+    assert result == [] and selected == [] and tests == []
 
 
 def test_run_experiment_end_to_end():
@@ -183,7 +197,7 @@ def test_run_experiment_end_to_end():
         ModelConfig("rw-stationary", dims=8, attn_dims=2,
                     steps=3, dtype="float64"),
         TrainConfig(batch_size=8, epochs=3, snapshot_top_k=2), ds, model_seed=0)
-    assert len(result.snapshots) == 3
+    assert len(result) == 3
     assert len(selected) == 2 and len(tests) == 2
     mrrs = [s.valid.mrr for s in selected]
     assert mrrs == sorted(mrrs, reverse=True)
