@@ -27,12 +27,41 @@ type rows 0.21 ms; x.sum(axis=2) takes 0.65 ms and einsum("bntk->bnk")
 0.13 ms. np.where's data-dependent selection is as slow, so leaky_relu
 is np.maximum(x, LEAKY_SLOPE * x), 0.09 ms, where
 np.where(x > 0, x, LEAKY_SLOPE * x) takes 1.23 ms.
+
+Backward seeds the loss's gradient with GRAD_SCALE = 2^64, not 1, and
+divides each contribution to a leaf by it, so leaf grads are in true
+units: static loss scaling (Micikevicius et al., arXiv 1710.03740),
+here against float32's lower end. The flow loss -log a_dst gives rows
+that the attention barely reached gradients in proportion to that
+attention. Over perfbench's train-mulmlp epoch (ggnn-mulmlp, 32 LINE
+pairs, seed 0) run at float64, the VJP outputs span 2^31 down to 2^-247,
+and 4.6% of their non-zero entries lie below float32's smallest normal
+number, 2^-126. x86 arithmetic on such subnormal operands takes microcode
+assists: a (2562, 120) @ (120, 40) float32 GEMM with 3% subnormal
+entries in its left operand takes 3.3 ms against 0.32 ms without them
+(best of 5 timeit repeats, one BLAS thread). Scaled, 0.2% lie below
+2^-126 (0.16% in a float32 run), and the largest entry is below 2^96,
+2^32 under float32's largest. The log's VJP is at most 1/LOG_FLOOR,
+about 2^40, so 2^104 scaled; a float32 ggnn-mulmlp loss whose
+destination probability sits there back-propagates finite grads, with
+interior ones up to 2^103.
+
+The scaling is exact: every VJP is linear in g, and multiplying by a
+power of two commutes with float rounding unless a value overflows or
+leaves the normal range. So float64 grads are bit for bit those of a
+seed of 1, and float32 grads too wherever those stayed normal; where
+they did not, the scaled ones are the more accurate. Subnormals are not
+flushed: zeroing them in each VJP's output with np.where took the
+float32 backward of two such epochs from 3.7-3.9 s to 4.7-5.5 s
+(scaled: 2.4 s), and the CPU's flush-to-zero mode needs native code, is
+set per thread and holds for the whole process.
 """
 from __future__ import annotations
 
 import numpy as np
 
 LOG_FLOOR = 1e-12
+GRAD_SCALE = 2.0 ** 64  # backward's seed; see the module docstring
 LEAKY_SLOPE = 0.2  # GAT's attention scores
 
 _grad_enabled = True
@@ -77,8 +106,12 @@ class Tensor:
     def backward(self) -> None:
         """Fill grad on every reachable requires_grad tensor.
 
-        Gradients and recorded closures of interior nodes are dropped as
-        soon as they are consumed, so only leaves keep a grad.
+        The seed is GRAD_SCALE, and each contribution to a leaf (a tensor
+        with no recorded VJPs) is divided by it, so leaf grads, summed
+        over several backward calls too, are in true units; on a leaf
+        itself, backward gives 1. Gradients and recorded closures of
+        interior nodes are dropped as soon as they are consumed, so only
+        leaves keep a grad.
         """
         if self.data.ndim != 0:
             raise ValueError(f"backward needs a scalar loss, got shape {self.shape}")
@@ -95,7 +128,7 @@ class Tensor:
             for parent, _ in node._vjps:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = np.full_like(self.data, GRAD_SCALE if self._vjps else 1.0)
         for node in reversed(topo):
             g = node.grad
             if g is None:
@@ -104,6 +137,8 @@ class Tensor:
                 if not parent.requires_grad:
                     continue
                 contrib = vjp(g)
+                if not parent._vjps:  # a leaf: back to true units
+                    contrib = contrib * (1.0 / GRAD_SCALE)
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
             if node._vjps:
                 node.grad = None

@@ -454,6 +454,71 @@ def test_gradients_accumulate_across_paths():
     assert x.grad == pytest.approx(7.0)
 
 
+def test_backward_on_a_leaf_gives_one():
+    x = Tensor(np.array(3.0), requires_grad=True)
+    x.backward()
+    assert x.grad == 1.0
+
+
+def test_leaf_read_by_the_loss_gets_an_unscaled_grad():
+    w = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    ad.tsum(w).backward()
+    assert np.array_equal(w.grad, [1.0, 1.0])
+    s = Tensor(np.array(2.0), requires_grad=True)
+    ad.mul(s, 3.0).backward()
+    assert s.grad == 3.0
+
+
+def test_two_backwards_accumulate_as_the_unscaled_engine(monkeypatch):
+    """Microbatch accumulation: leaf grads are summed in true units, bit for
+    bit as by an engine that seeds backward with 1."""
+    rng = np.random.default_rng(20)
+    w0, b0 = rng.standard_normal((4, 3)), rng.standard_normal(3)
+    xs = [rng.standard_normal((2, 4)) for _ in range(2)]
+
+    def grads():
+        w = Tensor(w0.copy(), requires_grad=True)
+        b = Tensor(b0.copy(), requires_grad=True)
+        for x in xs:
+            h = ad.tanh(ad.add(ad.matmul(Tensor(x), w), b))
+            ad.mul(ad.tsum(ad.mul(h, h)), 0.5).backward()
+        return w.grad, b.grad
+
+    scaled = grads()
+    monkeypatch.setattr(ad, "GRAD_SCALE", 1.0)
+    for got, want in zip(scaled, grads()):
+        assert np.array_equal(got, want)
+
+
+def test_float32_grads_stay_float32():
+    w = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
+    s = Tensor(np.array(0.5, dtype=np.float32), requires_grad=True)
+    x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
+    ad.tsum(ad.mul(ad.tanh(ad.matmul(x, w)), s)).backward()
+    assert w.grad.dtype == np.float32 and s.grad.dtype == np.float32
+
+
+def test_float32_grad_below_the_normal_range_keeps_its_precision(monkeypatch):
+    """The gradient at u = x * a is c2 * c1, about 2^-140: subnormal in
+    float32 (the smallest normal is 2^-126), with only about 9 significant
+    bits left. Seeded with GRAD_SCALE it stays normal, so x's grad matches
+    the float64 result to float32 rounding; seeded with 1 it does not."""
+    a, c1, c2 = 1.1 * 2.0 ** 100, 1.2345 * 2.0 ** -70, 1.7 * 2.0 ** -70
+    x0 = np.linspace(0.5, 1.5, 5)
+
+    def grad(dtype):
+        x = Tensor(x0.astype(dtype), requires_grad=True)
+        v = ad.mul(ad.mul(x, dtype(a)), dtype(c1))
+        ad.tsum(ad.mul(v, dtype(c2))).backward()
+        assert x.grad.dtype == dtype
+        return x.grad
+
+    want = grad(np.float64)
+    assert np.allclose(grad(np.float32), want, rtol=4 * 2.0 ** -24, atol=0)
+    monkeypatch.setattr(ad, "GRAD_SCALE", 1.0)
+    assert not np.allclose(grad(np.float32), want, rtol=1e-4, atol=0)
+
+
 def test_no_grad_disables_recording():
     x = Tensor(np.ones(2), requires_grad=True)
     with ad.no_grad():

@@ -258,6 +258,65 @@ def test_gradient_check_per_variant():
         assert err < 1e-4, f"{name}: {err:.3g}"
 
 
+def test_grad_scale_leaves_float64_loss_and_grads_bit_identical(monkeypatch):
+    """Every VJP is linear in g and a power-of-two scale commutes with float
+    rounding, so backward seeded with GRAD_SCALE gives every variant the
+    float64 grads of an engine seeded with 1, bit for bit."""
+    g = small_graph(seed=5)
+    src, dst = np.array([0, 1]), np.array([3, 2])
+
+    def run(name):
+        model = Model(small_cfg(name, dims=6, attn_dims=2, heads=3, steps=3),
+                      GraphTensors(g), seed=2)
+        loss = model.loss(src, dst)
+        loss.backward()
+        return loss.data, {k: p.grad for k, p in model.params.items()}
+
+    scaled = {name: run(name) for name in MODEL_NAMES}
+    monkeypatch.setattr(ad, "GRAD_SCALE", 1.0)
+    for name in MODEL_NAMES:
+        loss, grads = run(name)
+        assert np.array_equal(scaled[name][0], loss), name
+        for k, grad in grads.items():
+            assert np.array_equal(scaled[name][1][k], grad), (name, k)
+
+
+def test_float32_grads_stay_finite_at_the_log_floor():
+    """The largest gradient comes from a destination probability just above
+    LOG_FLOOR: -log's VJP is 1e12, about 2^40, times GRAD_SCALE. The
+    transition parameters are scaled until a reached destination's
+    probability lies within 10x of LOG_FLOOR; every float32 grad of
+    ggnn-mulmlp stays finite."""
+    src = np.array([0])
+    model = Model(small_cfg("ggnn-mulmlp", dtype="float32", steps=3),
+                  GraphTensors(small_graph()), seed=1)
+    trans = {k: p.data.copy() for k, p in model.params.items()
+             if k.startswith("trans.")}
+    probs = model.predict(src)[0]
+    dst = int(np.argmin(np.where(probs > 0, probs, np.inf)))
+
+    def p_dst(scale):
+        for k, data in trans.items():
+            model.params[k].data[...] = data * scale
+        return model.predict(src)[0, dst]
+
+    lo, hi = 1.0, 2.0
+    while p_dst(hi) > ad.LOG_FLOOR:
+        lo, hi = hi, 2 * hi
+    for _ in range(60):
+        mid = np.sqrt(lo * hi)
+        p = p_dst(mid)
+        if ad.LOG_FLOOR < p < 10 * ad.LOG_FLOOR:
+            break
+        lo, hi = (mid, hi) if p > ad.LOG_FLOOR else (lo, mid)
+    assert ad.LOG_FLOOR < p < 10 * ad.LOG_FLOOR
+    model.loss(src, [dst]).backward()
+    for k, p in model.params.items():
+        assert p.grad.dtype == np.float32, k
+        assert np.all(np.isfinite(p.grad)), k
+    assert np.abs(model.params["trans.W"].grad).max() > 0
+
+
 def test_gat_score_fold_matches_unfused():
     """GAT's scores from the folded maps (W_t a, b_t . a) equal a . z of the
     per-slot z = h W_t + b_t, as do the messages built from them and the
