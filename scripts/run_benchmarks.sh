@@ -21,10 +21,10 @@
 # Wall time on a shared 2-core host with numpy 2.4: sine-ggnn alone took
 # 3 h 14 min at GRIDFLOW_THREADS=2. From per-batch times measured at one
 # thread, two processes side by side (the command is in README
-# "Benchmarks"), line-ggnn-mul takes about 3-3.7 h and line-ggnn-mulmlp
-# about 3.5-4.7 h, so all three runs take about 6.6 h. Per-batch times
+# "Benchmarks"), line-ggnn-mul takes about 2.1-2.5 h and line-ggnn-mulmlp
+# about 2.6-2.9 h, so all three runs take about 5.7 h. Per-batch times
 # drift by 1.3-1.45x from one day to another on the same host; plan for
-# 6.6-9.6 h.
+# 5.7-8.3 h.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"

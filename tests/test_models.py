@@ -311,9 +311,9 @@ def test_float32_grads_stay_finite_at_the_log_floor():
         lo, hi = (mid, hi) if p > ad.LOG_FLOOR else (lo, mid)
     assert ad.LOG_FLOOR < p < 10 * ad.LOG_FLOOR
     model.loss(src, [dst]).backward()
-    for k, p in model.params.items():
-        assert p.grad.dtype == np.float32, k
-        assert np.all(np.isfinite(p.grad)), k
+    for k, param in model.params.items():
+        assert param.grad.dtype == np.float32, k
+        assert np.all(np.isfinite(param.grad)), k
     assert np.abs(model.params["trans.W"].grad).max() > 0
 
 
