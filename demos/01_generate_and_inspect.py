@@ -1,7 +1,7 @@
 """Generate a small corrupted grid-world dataset and look at what is in it.
 
 Walks through the data pipeline: build the full grid, corrupt it, roll out
-trajectories under a latent direction function, and keep the deduplicated
+trajectories under a latent direction preset, and keep the deduplicated
 (source, destination) pairs. Writes the corrupted grid as an SVG so the
 gaps are visible.
 """
@@ -10,8 +10,7 @@ import os
 import numpy as np
 
 from gridflow.data import GenParams, build_dataset, dataset_stats
-from gridflow.dynamics import DirectionFunction, edge_distribution
-from gridflow.grid import CorruptionParams
+from gridflow.dynamics import edge_distribution
 from gridflow.viz import render_svg
 
 out_dir = os.path.join(os.path.dirname(__file__), "output")
@@ -21,17 +20,18 @@ params = GenParams(
     n_side=16,
     max_steps=12,
     sigma=0.2,
-    corruption=CorruptionParams(p_node_drop=0.1, p_edge_drop=0.0, seed=0),
+    p_node_drop=0.1,
+    p_edge_drop=0.0,
     n_rollout=10,
-    direction=DirectionFunction.preset("line"),
-    seed=0,
+    direction="line",
+    seed=0,  # drives the corruption, the rollouts and the split
 )
 
 dataset, trajectories = build_dataset(params, return_trajectories=True)
 stats = dataset_stats(dataset, trajectories)
 
 print(f"grid {params.n_side}x{params.n_side}, node drop "
-      f"{params.corruption.p_node_drop}")
+      f"{params.p_node_drop}")
 print(f"  surviving nodes: {stats.n_nodes}")
 print(f"  directional edges: {stats.n_edges}")
 print(f"  distinct (src, dst) pairs: {stats.n_pairs} "

@@ -7,9 +7,7 @@ variants against the regular readout and the random-walk baselines.
 import time
 
 from gridflow.data import GenParams, build_dataset
-from gridflow.dynamics import DirectionFunction
 from gridflow.graphnets import GraphTensors, Model, ModelConfig
-from gridflow.grid import CorruptionParams
 from gridflow.training import (
     TrainConfig,
     evaluate_snapshots,
@@ -19,9 +17,8 @@ from gridflow.training import (
 )
 
 params = GenParams(
-    n_side=10, max_steps=8, sigma=0.2,
-    corruption=CorruptionParams(0.1, 0.0, seed=0),
-    n_rollout=10, direction=DirectionFunction.preset("line"), seed=0,
+    n_side=10, max_steps=8, sigma=0.2, p_node_drop=0.1,
+    n_rollout=10, direction="line", seed=0,
 )
 dataset = build_dataset(params)
 gt = GraphTensors(dataset.graph)

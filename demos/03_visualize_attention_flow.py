@@ -10,9 +10,7 @@ import os
 import numpy as np
 
 from gridflow.data import GenParams, build_dataset
-from gridflow.dynamics import DirectionFunction
 from gridflow.graphnets import GraphTensors, Model, ModelConfig
-from gridflow.grid import CorruptionParams
 from gridflow.training import TrainConfig, prepare_examples, train
 from gridflow.viz import flow_heatmap, write_edge_trace, write_node_trace
 
@@ -20,9 +18,8 @@ out_dir = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(out_dir, exist_ok=True)
 
 params = GenParams(
-    n_side=12, max_steps=10, sigma=0.2,
-    corruption=CorruptionParams(0.1, 0.0, seed=3),
-    n_rollout=10, direction=DirectionFunction.preset("line"), seed=3,
+    n_side=12, max_steps=10, sigma=0.2, p_node_drop=0.1,
+    n_rollout=10, direction="line", seed=3,
 )
 dataset = build_dataset(params)
 gt = GraphTensors(dataset.graph)

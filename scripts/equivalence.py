@@ -10,6 +10,9 @@ parameter gradient of all 14 variants at float32 and float64. The inputs
 are fixed: LINE-SZ32-STP16-NDRP-STD0.2 at seed 0, its first 4 train pairs,
 16 propagation steps, model seed 0, and every bias drawn non-zero, so that
 terms that read a bias, such as MulMlp's tanh(act.b), are not zero.
+It also saves the nodes, edges, pairs and splits of DATA_PRESETS at seed
+0, one SZ32 preset per direction and drop kind, so that the data layer is
+compared too.
 
 compare prints the number of arrays, how many of them are not
 bit-identical, and the largest relative difference,
@@ -25,6 +28,9 @@ from pathlib import Path
 import numpy as np
 
 PRESET = "LINE-SZ32-STP16-NDRP-STD0.2"
+DATA_PRESETS = tuple(f"{d}-SZ32-STP16-{drp}-STD0.2"
+                     for d in ("LINE", "SINE", "LOCATION", "HISTORY")
+                     for drp in ("NDRP", "EDRP"))
 PAIRS = 4
 STEPS = 16
 
@@ -55,6 +61,15 @@ def dump(src_dir: Path, out: Path) -> int:
             for key, p in model.params.items():
                 arrays[prefix + "grad/" + key] = p.grad
             print(f"{dtype} {name}: loss {float(loss.data):.8g}", flush=True)
+    for preset in DATA_PRESETS:
+        ds = data.build_dataset(data.preset_params(preset, seed=0))
+        prefix = f"data/{preset}/"
+        arrays[prefix + "nodes"] = ds.graph.nodes
+        arrays[prefix + "edges"] = ds.graph.edges
+        arrays[prefix + "pairs"] = ds.pairs
+        arrays[prefix + "splits"] = ds.splits
+        print(f"{preset}: {len(ds.graph.nodes)} nodes, {len(ds.pairs)} pairs",
+              flush=True)
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays written to {out}")
     return 0

@@ -26,7 +26,7 @@ from .grid import (
     build_grid,
     corrupt,
 )
-from .dynamics import DirectionFunction, Trajectory, edge_distribution, rollout
+from .dynamics import Trajectory, edge_distribution, rollout
 from .data import (
     Dataset,
     GenParams,
@@ -54,7 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorruptionParams", "GridGraph", "add_selfloops", "build_grid", "corrupt",
-    "DirectionFunction", "Trajectory", "edge_distribution", "rollout",
+    "Trajectory", "edge_distribution", "rollout",
     "Dataset", "GenParams", "build_dataset", "dataset_stats", "load_dataset",
     "preset_names", "preset_params", "save_dataset",
     "GraphTensors", "Model", "ModelConfig", "MODEL_NAMES",

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import _apply_thread_cap, data, graphnets, training, viz
-from .dynamics import DIRECTION_PRESETS, DirectionFunction
+from .dynamics import DIRECTION_PRESETS
 from .graphnets import ModelConfig
 from .training import TrainConfig
 
@@ -106,10 +106,8 @@ def generate(out, preset=None, seeds=1, n=None, t=None, sigma=None,
             params = data.preset_params(preset, seed=seed)
         else:
             params = data.GenParams(
-                n_side=n, max_steps=t, sigma=sigma,
-                corruption=data.CorruptionParams(0.1, 0.0, seed),
-                direction=DirectionFunction.preset(direction.lower()),
-                seed=seed,
+                n_side=n, max_steps=t, sigma=sigma, p_node_drop=0.1,
+                direction=direction.lower(), seed=seed,
             )
         try:
             dataset, trajectories = data.build_dataset(
@@ -209,7 +207,7 @@ def train(model, data_dir, run_dir, epochs=TrainConfig.epochs, batch=None,
     for snap in selected:
         np.savez(os.path.join(run_dir, f"epoch{snap.epoch}.npz"),
                  **snap.state)
-    summary = training.aggregate_runs([tests])
+    summary = training.aggregate_runs(tests)
     with open(os.path.join(run_dir, "selection.json"), "w") as f:
         json.dump({
             "model": model_cfg.name,
@@ -245,7 +243,7 @@ def evaluate(run, split="test", out=None) -> int:
         if rc:
             return rc
         reports.append(training.evaluate(model, src, dst))
-    summary = training.aggregate_runs([reports])
+    summary = training.aggregate_runs(reports)
     summary["split"] = split
     text = json.dumps(summary, indent=1)
     print(text)

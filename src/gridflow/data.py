@@ -4,7 +4,8 @@ pairs with an 8:1:1 split on source nodes, plus the named generation presets.
 On-disk layout (one directory per dataset):
     graph.json   selfloop-augmented graph
     pairs.tsv    src \t dst \t split  with split in {train, valid, test}
-    params.json  generation parameters
+    params.json  generation parameters: GenParams' fields, which regenerate
+                 graph.json and pairs.tsv
     stats.json   dataset statistics
 """
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DirectionFunction, rollout
+from .dynamics import DIRECTION_PRESETS, rollout
 from .grid import CorruptionParams, GridGraph, SELFLOOP, add_selfloops, build_grid, corrupt
 
 TRAIN, VALID, TEST = 0, 1, 2
@@ -25,60 +26,40 @@ SPLIT_NAMES = ("train", "valid", "test")
 
 @dataclass
 class GenParams:
+    """Everything that determines a dataset. seed drives the corruption,
+    the rollouts and the split alike."""
+
     n_side: int = 32
     max_steps: int = 16
     sigma: float = 0.2
-    corruption: CorruptionParams = field(default_factory=CorruptionParams)
+    p_node_drop: float = 0.0
+    p_edge_drop: float = 0.0
     n_rollout: int = 10
-    direction: DirectionFunction = field(default_factory=DirectionFunction)
+    direction: str = "line"  # a name in DIRECTION_PRESETS
     seed: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_side": self.n_side,
-            "max_steps": self.max_steps,
-            "sigma": self.sigma,
-            "p_node_drop": self.corruption.p_node_drop,
-            "p_edge_drop": self.corruption.p_edge_drop,
-            "n_rollout": self.n_rollout,
-            "direction": dataclasses.asdict(self.direction),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GenParams":
-        return cls(
-            n_side=doc["n_side"],
-            max_steps=doc["max_steps"],
-            sigma=doc["sigma"],
-            corruption=CorruptionParams(
-                doc["p_node_drop"], doc["p_edge_drop"], doc["seed"]
-            ),
-            n_rollout=doc["n_rollout"],
-            direction=DirectionFunction(**doc["direction"]),
-            seed=doc["seed"],
-        )
+    def __post_init__(self):
+        if self.direction not in DIRECTION_PRESETS:
+            raise ValueError(f"unknown direction preset {self.direction!r}; "
+                             f"expected one of {DIRECTION_PRESETS}")
 
 
 def preset_params(name: str, seed: int = 0) -> GenParams:
     """Resolve a dataset-group name like LINE-SZ32-STP16-NDRP-STD0.2."""
     try:
         dname, sz, stp, drp, std = name.upper().split("-")
-        direction = DirectionFunction.preset(dname.lower())
-        n_side = int(sz.removeprefix("SZ"))
-        max_steps = int(stp.removeprefix("STP"))
-        sigma = float(std.removeprefix("STD"))
-        if drp == "NDRP":
-            corr = CorruptionParams(0.1, 0.0, seed)
-        elif drp == "EDRP":
-            corr = CorruptionParams(0.0, 0.2, seed)
-        else:
-            raise ValueError(drp)
-    except (ValueError, AttributeError) as err:
+        p_node_drop, p_edge_drop = {"NDRP": (0.1, 0.0), "EDRP": (0.0, 0.2)}[drp]
+        return GenParams(
+            n_side=int(sz.removeprefix("SZ")),
+            max_steps=int(stp.removeprefix("STP")),
+            sigma=float(std.removeprefix("STD")),
+            p_node_drop=p_node_drop, p_edge_drop=p_edge_drop,
+            direction=dname.lower(), seed=seed,
+        )
+    except (ValueError, KeyError, AttributeError) as err:
         raise ValueError(
             f"unknown preset {name!r}; expected e.g. LINE-SZ32-STP16-NDRP-STD0.2"
         ) from err
-    return GenParams(n_side, max_steps, sigma, corr, 10, direction, seed)
 
 
 def preset_names() -> list:
@@ -131,7 +112,10 @@ def generate_trajectories(graph: GridGraph, params: GenParams) -> list:
 
 def build_dataset(params: GenParams, return_trajectories: bool = False):
     """Build grid, corrupt, roll out, deduplicate pairs, split by source."""
-    corrupted = corrupt(build_grid(params.n_side), params.corruption)
+    corrupted = corrupt(
+        build_grid(params.n_side),
+        CorruptionParams(params.p_node_drop, params.p_edge_drop, params.seed),
+    )
     trajectories = generate_trajectories(corrupted, params)
     seen = set()
     pairs = []
@@ -191,7 +175,7 @@ def save_dataset(dirpath, dataset: Dataset, params: GenParams,
         for (src, dst), sp in zip(dataset.pairs.tolist(), dataset.splits.tolist()):
             f.write(f"{src}\t{dst}\t{SPLIT_NAMES[sp]}\n")
     with open(os.path.join(dirpath, "params.json"), "w") as f:
-        json.dump(params.to_json_dict(), f, indent=2)
+        json.dump(dataclasses.asdict(params), f, indent=2)
     if stats is not None:
         with open(os.path.join(dirpath, "stats.json"), "w") as f:
             json.dump(stats.to_json_dict(), f, indent=2)
@@ -211,4 +195,7 @@ def load_dataset(dirpath) -> Dataset:
 
 def load_params(dirpath) -> GenParams:
     with open(os.path.join(dirpath, "params.json")) as f:
-        return GenParams.from_json_dict(json.load(f))
+        doc = json.load(f)
+    if isinstance(doc["direction"], dict):  # older files nest the direction
+        doc["direction"] = doc["direction"]["variant"]
+    return GenParams(**doc)

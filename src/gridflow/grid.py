@@ -7,7 +7,8 @@ in the order E, NE, N, NW, W, SW, S, SE, SELFLOOP.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +23,6 @@ OFFSETS = np.array(
 )
 
 _UNIT_VECTORS = OFFSETS / np.linalg.norm(OFFSETS, axis=1, keepdims=True)
-
-
-def edge_unit_vector(edge_type: int) -> np.ndarray:
-    """Unit vector of a directional edge type. Selfloops have no direction."""
-    if not 0 <= edge_type < N_DIRECTIONS:
-        raise ValueError(f"edge type {edge_type} is not directional")
-    return _UNIT_VECTORS[edge_type].copy()
 
 
 def reverse_edge_type(edge_type: int) -> int:
@@ -62,8 +56,6 @@ class GridGraph:
     n_side: int
     nodes: np.ndarray
     edges: np.ndarray
-    _node_set: frozenset = field(default=None, repr=False, compare=False)
-    _edge_lookup: set = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -84,26 +76,14 @@ class GridGraph:
         ids = np.asarray(ids)
         return np.stack([ids % self.n_side, ids // self.n_side], axis=-1)
 
-    def node_set(self) -> frozenset:
-        if self._node_set is None:
-            self._node_set = frozenset(int(v) for v in self.nodes)
-        return self._node_set
-
-    def edge_lookup(self) -> set:
-        """Set of (src, type) keys for existence checks during rollouts."""
-        if self._edge_lookup is None:
-            self._edge_lookup = set(
-                zip(self.edges[:, 0].tolist(), self.edges[:, 2].tolist())
-            )
-        return self._edge_lookup
-
-    def neighbor(self, src: int, edge_type: int) -> int:
-        """Target node id of following edge_type from src (may not exist)."""
-        if edge_type == SELFLOOP:
-            return src
-        x = src % self.n_side + OFFSETS[edge_type, 0]
-        y = src // self.n_side + OFFSETS[edge_type, 1]
-        return int(y * self.n_side + x)
+    @cached_property
+    def moves(self) -> dict:
+        """{node: {edge type: destination}}, with an entry for every node;
+        rollouts check their source and take each step here."""
+        moves = {v: {} for v in self.nodes.tolist()}
+        for src, dst, t in self.edges.tolist():
+            moves[src][t] = dst
+        return moves
 
     def to_json_dict(self) -> dict:
         xs = self.nodes % self.n_side

@@ -188,17 +188,16 @@ def evaluate_snapshots(model: Model, snapshots, src, dst,
 METRIC_FIELDS = ("hits1", "hits5", "hits10", "mr", "mrr")
 
 
-def aggregate_runs(reports_per_run) -> dict:
-    """Pool per-snapshot metric reports across runs; mean and population
-    std per metric."""
-    pooled = [r for reports in reports_per_run for r in reports]
-    if not pooled:
+def aggregate_runs(reports) -> dict:
+    """Mean and population std per metric over per-snapshot metric
+    reports."""
+    if not reports:
         raise ValueError("nothing to aggregate")
     out = {}
     for name in METRIC_FIELDS:
-        values = np.array([getattr(r, name) for r in pooled], dtype=np.float64)
+        values = np.array([getattr(r, name) for r in reports], dtype=np.float64)
         out[name] = {"mean": float(values.mean()), "std": float(values.std())}
-    out["n_snapshots"] = len(pooled)
+    out["n_snapshots"] = len(reports)
     return out
 
 

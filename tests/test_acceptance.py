@@ -16,7 +16,7 @@ import pytest
 
 from gridflow import attnflow, autodiff as ad, grid, viz
 from gridflow.data import build_dataset, dataset_stats, preset_params
-from gridflow.dynamics import DirectionFunction, edge_distribution
+from gridflow.dynamics import edge_distribution
 from gridflow.graphnets import MODEL_NAMES, GraphTensors, Model, ModelConfig
 from gridflow.metrics import metrics, ranks_of
 from gridflow.training import (
@@ -175,7 +175,9 @@ def test_metrics_match_sort_oracle():
 # -- 7. memorization oracle -------------------------------------------------
 
 def test_memorization_of_ten_pairs():
-    start = time.time()
+    # CPU time of this process, so that other load on the host does not
+    # count against the bound.
+    start = time.process_time()
     g = grid.add_selfloops(
         grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=0)))
     gt = GraphTensors(g)
@@ -196,7 +198,7 @@ def test_memorization_of_ten_pairs():
     result = train(model, cfg, examples)
     best = max(s.valid.hits1 for s in result)
     assert best == 1.0
-    assert time.time() - start < 120
+    assert time.process_time() - start < 120
 
 
 # -- 8. desk-scale result bands ---------------------------------------------
@@ -246,12 +248,9 @@ def test_lr_schedule_acceptance_points():
 
 def test_visualization_contract_on_trained_model():
     from gridflow.data import GenParams
-    from gridflow.grid import CorruptionParams
 
-    params = GenParams(n_side=8, max_steps=6, sigma=0.2,
-                       corruption=CorruptionParams(0.1, 0.0, 0),
-                       n_rollout=4, direction=DirectionFunction.preset("line"),
-                       seed=0)
+    params = GenParams(n_side=8, max_steps=6, sigma=0.2, p_node_drop=0.1,
+                       n_rollout=4, direction="line", seed=0)
     ds = build_dataset(params)
     gt = GraphTensors(ds.graph)
     model = Model(ModelConfig("ggnn-mulmlp", dims=12,

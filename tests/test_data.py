@@ -16,27 +16,25 @@ from gridflow.data import (
     save_dataset,
     split_sources,
 )
-from gridflow.dynamics import DirectionFunction
-from gridflow.grid import CorruptionParams, SELFLOOP
+from gridflow.grid import SELFLOOP
 
 
 def small_params(seed=0):
     return GenParams(
-        n_side=6, max_steps=5, sigma=0.3,
-        corruption=CorruptionParams(0.1, 0.0, seed),
-        n_rollout=4, direction=DirectionFunction.preset("line"), seed=seed,
+        n_side=6, max_steps=5, sigma=0.3, p_node_drop=0.1,
+        n_rollout=4, direction="line", seed=seed,
     )
 
 
 def test_preset_parsing():
     p = preset_params("LINE-SZ32-STP16-NDRP-STD0.2", seed=3)
     assert p.n_side == 32 and p.max_steps == 16 and p.sigma == 0.2
-    assert p.corruption.p_node_drop == 0.1 and p.corruption.p_edge_drop == 0.0
-    assert p.direction.variant == "line"
-    assert p.seed == 3 and p.corruption.seed == 3
+    assert p.p_node_drop == 0.1 and p.p_edge_drop == 0.0
+    assert p.direction == "line"
+    assert p.seed == 3
     q = preset_params("sine-sz64-stp32-edrp-std0.5")
-    assert q.n_side == 64 and q.corruption.p_edge_drop == 0.2
-    assert q.direction.variant == "sine"
+    assert q.n_side == 64 and q.p_edge_drop == 0.2
+    assert q.direction == "sine"
 
 
 def test_preset_parsing_rejects_garbage():
@@ -56,10 +54,60 @@ def test_preset_names_cover_groups():
         preset_params(n)  # all resolvable
 
 
-def test_gen_params_round_trip():
-    p = small_params(seed=5)
-    q = GenParams.from_json_dict(p.to_json_dict())
-    assert q == p
+def assert_regenerates(dirpath, params):
+    """save_dataset -> load_params -> build_dataset writes the same files."""
+    save_dataset(dirpath / "a", build_dataset(params), params)
+    again = load_params(dirpath / "a")
+    assert again == params
+    save_dataset(dirpath / "b", build_dataset(again), again)
+    for name in ("graph.json", "pairs.tsv", "params.json"):
+        assert ((dirpath / "a" / name).read_bytes()
+                == (dirpath / "b" / name).read_bytes())
+
+
+def test_gen_params_round_trip(tmp_path):
+    assert_regenerates(tmp_path,
+                       GenParams(7, 6, 0.4, 0.05, 0.1, 3, "history", 11))
+
+
+def test_preset_params_round_trip(tmp_path):
+    assert_regenerates(
+        tmp_path, preset_params("LOCATION-SZ32-STP16-EDRP-STD0.5", seed=1))
+
+
+def test_gen_params_rejects_unknown_direction():
+    with pytest.raises(ValueError):
+        GenParams(direction="spiral")
+
+
+# params.json as written before GenParams was flat: the direction was a
+# nested record of a variant name and eight coefficients.
+NESTED_PARAMS_JSON = """{
+  "n_side": 32,
+  "max_steps": 16,
+  "sigma": 0.2,
+  "p_node_drop": 0.1,
+  "p_edge_drop": 0.0,
+  "n_rollout": 10,
+  "direction": {
+    "variant": "sine",
+    "a1": 1.0,
+    "b1": 0.0,
+    "a2": 1.0,
+    "b2": 0.0,
+    "omega": 0.0,
+    "l1": 0.0,
+    "l2": 0.0,
+    "phi": 0.0
+  },
+  "seed": 3
+}"""
+
+
+def test_nested_params_json_loads_flat(tmp_path):
+    (tmp_path / "params.json").write_text(NESTED_PARAMS_JSON)
+    assert load_params(tmp_path) == preset_params(
+        "SINE-SZ32-STP16-NDRP-STD0.2", seed=3)
 
 
 def test_split_sources_proportions():

@@ -7,7 +7,6 @@ from gridflow import dynamics, grid
 from gridflow.dynamics import (
     BLOCKED,
     MAX_STEPS,
-    DirectionFunction,
     edge_distribution,
     latent_direction,
     rollout,
@@ -15,54 +14,42 @@ from gridflow.dynamics import (
 
 
 def test_line_direction_is_constant():
-    fn = DirectionFunction.preset("line")
     for t in range(5):
-        assert np.allclose(latent_direction(fn, t, [(3, 4)]), [1.0, 0.4])
+        assert np.allclose(latent_direction("line", t, [(3, 4)]), [1.0, 0.4])
 
 
 def test_sine_direction_follows_time():
-    fn = DirectionFunction.preset("sine")
     for t in (0, 3, 11):
-        d = latent_direction(fn, t, [(0, 0)])
+        d = latent_direction("sine", t, [(0, 0)])
         assert d[0] == 1.0
         assert d[1] == pytest.approx(math.sin(0.4 * t + 1.6))
 
 
 def test_location_direction_uses_current_position():
-    fn = DirectionFunction.preset("location")
-    d = latent_direction(fn, 7, [(1, 1), (5, 10)])
+    d = latent_direction("location", 7, [(1, 1), (5, 10)])
     theta = 0.2 * 5 + 0.2 * 10
     assert np.allclose(d, [math.cos(theta), math.sin(theta)])
 
 
 def test_history_direction_uses_coordinate_maxima():
-    fn = DirectionFunction.preset("history")
     history = [(2, 9), (6, 1), (4, 4)]
     theta = 0.2 * 6 + 0.2 * 9
-    d = latent_direction(fn, 0, history)
+    d = latent_direction("history", 0, history)
     assert np.allclose(d, [math.cos(theta), math.sin(theta)])
     # the current position participates in the maxima
-    d2 = latent_direction(fn, 0, history + [(8, 0)])
+    d2 = latent_direction("history", 0, history + [(8, 0)])
     theta2 = 0.2 * 8 + 0.2 * 9
     assert np.allclose(d2, [math.cos(theta2), math.sin(theta2)])
 
 
-def test_general_form_reduces_to_presets():
-    line = DirectionFunction(variant="general", a1=0.0, b1=1.0, a2=0.0, b2=0.4)
-    assert np.allclose(latent_direction(line, 9, [(5, 5)]), [1.0, 0.4])
-    sine = DirectionFunction(variant="general", omega=0.4, phi=1.6)
-    expect = [math.cos(0.4 * 2 + 1.6), math.sin(0.4 * 2 + 1.6)]
-    assert np.allclose(latent_direction(sine, 2, [(0, 0)]), expect)
-
-
 def test_latent_direction_requires_history():
     with pytest.raises(ValueError):
-        latent_direction(DirectionFunction.preset("line"), 0, [])
+        latent_direction("line", 0, [])
 
 
 def test_unknown_preset():
     with pytest.raises(ValueError):
-        DirectionFunction.preset("spiral")
+        latent_direction("spiral", 0, [(0, 0)])
 
 
 def test_edge_distribution_normalizes():
@@ -78,7 +65,8 @@ def test_edge_distribution_matches_formula():
     unit = direction / np.linalg.norm(direction)
     raw = np.array(
         [
-            math.exp(float(grid.edge_unit_vector(t) @ unit) / sigma**2)
+            math.exp(float(grid.OFFSETS[t] @ unit)
+                     / np.linalg.norm(grid.OFFSETS[t]) / sigma**2)
             for t in range(8)
         ]
     )
@@ -127,8 +115,7 @@ def test_empirical_frequencies_match_distribution():
 def test_rollout_terminates_and_records_source():
     g = grid.build_grid(6)
     rng = np.random.default_rng(0)
-    fn = DirectionFunction.preset("line")
-    traj = rollout(g, 7, fn, 0.2, 10, rng)
+    traj = rollout(g, 7, "line", 0.2, 10, rng)
     assert traj.source == 7
     assert traj.length <= 10
     assert traj.terminated_by in (MAX_STEPS, BLOCKED)
@@ -137,10 +124,10 @@ def test_rollout_terminates_and_records_source():
 
 def test_rollout_respects_graph_edges():
     g = grid.corrupt(grid.build_grid(8), grid.CorruptionParams(0.2, 0.0, seed=5))
-    fn = DirectionFunction.preset("location")
     triples = {(int(a), int(b)) for a, b, _ in g.edges}
     for seed in range(20):
-        traj = rollout(g, int(g.nodes[0]), fn, 0.5, 12, np.random.default_rng(seed))
+        traj = rollout(g, int(g.nodes[0]), "location", 0.5, 12,
+                       np.random.default_rng(seed))
         for a, b in zip(traj.nodes, traj.nodes[1:]):
             assert (a, b) in triples
 
@@ -149,10 +136,9 @@ def test_rollout_blocked_at_border():
     # A 2x2 grid with a strongly eastward direction: from the east border
     # the sampled east move fails immediately.
     g = grid.build_grid(2)
-    fn = DirectionFunction.preset("line")
     blocked = 0
     for seed in range(50):
-        traj = rollout(g, 1, fn, 0.1, 5, np.random.default_rng(seed))
+        traj = rollout(g, 1, "line", 0.1, 5, np.random.default_rng(seed))
         if traj.terminated_by == BLOCKED and traj.length == 0:
             blocked += 1
     assert blocked > 25  # sigma 0.1 makes east overwhelmingly likely
@@ -160,8 +146,7 @@ def test_rollout_blocked_at_border():
 
 def test_rollout_max_steps():
     g = grid.build_grid(30)
-    fn = DirectionFunction.preset("line")
-    traj = rollout(g, 0, fn, 0.2, 4, np.random.default_rng(3))
+    traj = rollout(g, 0, "line", 0.2, 4, np.random.default_rng(3))
     if traj.terminated_by == MAX_STEPS:
         assert traj.length == 4
 
@@ -169,13 +154,11 @@ def test_rollout_max_steps():
 def test_rollout_unknown_source():
     g = grid.build_grid(3)
     with pytest.raises(ValueError):
-        rollout(g, 99, DirectionFunction.preset("line"), 0.2, 4,
-                np.random.default_rng(0))
+        rollout(g, 99, "line", 0.2, 4, np.random.default_rng(0))
 
 
 def test_rollout_deterministic_per_rng_seed():
     g = grid.build_grid(10)
-    fn = DirectionFunction.preset("sine")
-    a = rollout(g, 12, fn, 0.3, 16, np.random.default_rng(42))
-    b = rollout(g, 12, fn, 0.3, 16, np.random.default_rng(42))
+    a = rollout(g, 12, "sine", 0.3, 16, np.random.default_rng(42))
+    b = rollout(g, 12, "sine", 0.3, 16, np.random.default_rng(42))
     assert a.nodes == b.nodes and a.terminated_by == b.terminated_by

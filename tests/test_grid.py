@@ -68,7 +68,7 @@ def test_node_drop_is_deterministic():
 def test_node_drop_removes_incident_edges():
     g = grid.build_grid(6)
     c = grid.corrupt(g, CorruptionParams(0.1, 0.0, seed=0))
-    alive = c.node_set()
+    alive = set(c.nodes.tolist())
     for src, dst, _ in c.edges:
         assert src in alive and dst in alive
 
@@ -132,6 +132,9 @@ def test_json_round_trip(tmp_path):
 
 def test_neighbor_and_has_edge():
     g = grid.build_grid(3)
-    assert g.neighbor(0, grid.E) == 1
-    assert g.neighbor(0, grid.N) == 3
-    assert g.neighbor(0, grid.NE) == 4
+    assert g.moves[0] == {grid.E: 1, grid.NE: 4, grid.N: 3}
+    assert g.moves[4][grid.SW] == 0 and len(g.moves[4]) == 8
+    c = grid.corrupt(grid.build_grid(6), CorruptionParams(0.0, 0.3, seed=2))
+    assert c.moves.keys() == set(c.nodes.tolist())
+    assert sorted([s, d, t] for s, step in c.moves.items()
+                  for t, d in step.items()) == c.edges.tolist()

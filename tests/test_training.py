@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from gridflow import grid, training
 from gridflow.data import GenParams, build_dataset
-from gridflow.dynamics import DirectionFunction
 from gridflow.graphnets import GraphTensors, Model, ModelConfig
 from gridflow.metrics import MetricsReport
 from gridflow.training import (
@@ -80,15 +78,15 @@ def test_select_snapshots_fewer_than_k_warns():
 
 
 def test_aggregate_runs():
-    out = aggregate_runs([[report(0.3)], [report(0.5)]])
+    out = aggregate_runs([report(0.3), report(0.5)])
     assert out["mrr"]["mean"] == pytest.approx(0.4)
     assert out["mrr"]["std"] == pytest.approx(0.1)
     assert out["n_snapshots"] == 2
 
 
 def test_aggregate_pools_all_snapshots():
-    runs = [[report(0.1 * i) for i in range(3)] for _ in range(10)]
-    out = aggregate_runs(runs)
+    reports = [report(0.1 * i) for _ in range(10) for i in range(3)]
+    out = aggregate_runs(reports)
     assert out["n_snapshots"] == 30
     assert out["mrr"]["mean"] == pytest.approx(0.1)
     with pytest.raises(ValueError):
@@ -97,9 +95,8 @@ def test_aggregate_pools_all_snapshots():
 
 def tiny_dataset(seed=0):
     params = GenParams(
-        n_side=5, max_steps=4, sigma=0.3,
-        corruption=grid.CorruptionParams(0.1, 0.0, seed),
-        n_rollout=3, direction=DirectionFunction.preset("line"), seed=seed,
+        n_side=5, max_steps=4, sigma=0.3, p_node_drop=0.1,
+        n_rollout=3, direction="line", seed=seed,
     )
     return build_dataset(params)
 
