@@ -16,7 +16,8 @@ compared too.
 
 compare prints the number of arrays, how many of them are not
 bit-identical, and the largest relative difference,
-max |a - b| / max(1, max |b|) per array. It exits 1 if the two dumps hold
+max |a - b| / max(1, max |b|) per array. It exits 0 when every array is
+bit-identical, and 1 when any array differs or the two dumps hold
 different arrays or shapes.
 """
 from __future__ import annotations
@@ -101,7 +102,7 @@ def compare(a_path: Path, b_path: Path) -> int:
     print(f"not bit-identical: {differ}")
     print(f"largest relative difference: {worst:.3g}"
           + (f" ({worst_key})" if worst_key else ""))
-    return 0
+    return 1 if differ else 0
 
 
 def main(argv=None) -> int:

@@ -19,13 +19,7 @@ def _apply_thread_cap():
 
 _apply_thread_cap()
 
-from .grid import (
-    CorruptionParams,
-    GridGraph,
-    add_selfloops,
-    build_grid,
-    corrupt,
-)
+from .grid import GridGraph, add_selfloops, build_grid, corrupt
 from .dynamics import Trajectory, edge_distribution, rollout
 from .data import (
     Dataset,
@@ -53,7 +47,7 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorruptionParams", "GridGraph", "add_selfloops", "build_grid", "corrupt",
+    "GridGraph", "add_selfloops", "build_grid", "corrupt",
     "Trajectory", "edge_distribution", "rollout",
     "Dataset", "GenParams", "build_dataset", "dataset_stats", "load_dataset",
     "preset_names", "preset_params", "save_dataset",

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import _apply_thread_cap, data, graphnets, training, viz
+from . import data, graphnets, training, viz
 from .dynamics import DIRECTION_PRESETS
 from .graphnets import ModelConfig
 from .training import TrainConfig

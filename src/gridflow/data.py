@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DIRECTION_PRESETS, rollout
-from .grid import CorruptionParams, GridGraph, SELFLOOP, add_selfloops, build_grid, corrupt
+from .grid import GridGraph, SELFLOOP, add_selfloops, build_grid, corrupt
 
 TRAIN, VALID, TEST = 0, 1, 2
 SPLIT_NAMES = ("train", "valid", "test")
@@ -112,10 +112,8 @@ def generate_trajectories(graph: GridGraph, params: GenParams) -> list:
 
 def build_dataset(params: GenParams, return_trajectories: bool = False):
     """Build grid, corrupt, roll out, deduplicate pairs, split by source."""
-    corrupted = corrupt(
-        build_grid(params.n_side),
-        CorruptionParams(params.p_node_drop, params.p_edge_drop, params.seed),
-    )
+    corrupted = corrupt(build_grid(params.n_side), params.p_node_drop,
+                        params.p_edge_drop, params.seed)
     trajectories = generate_trajectories(corrupted, params)
     seen = set()
     pairs = []

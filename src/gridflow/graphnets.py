@@ -36,13 +36,15 @@ MODEL_NAMES = [
     for suffix in ("", "-noact", "-mul", "-mulmlp")
 ] + ["rw-stationary", "rw-dynamic"]
 
+# GAT's attention heads; a GAT model's dims must be a multiple of it.
+GAT_HEADS = 5
+
 
 @dataclass
 class ModelConfig:
     name: str = "ggnn"  # one of MODEL_NAMES
     dims: int = 40
     attn_dims: int = 8
-    heads: int = 5
     steps: int = 16
     dtype: str = "float32"
 
@@ -52,8 +54,9 @@ class ModelConfig:
                              f"{', '.join(MODEL_NAMES)}")
         if not self.attn_dims < self.dims:
             raise ValueError("attn_dims must be smaller than dims")
-        if self.core == "gat" and self.dims % self.heads:
-            raise ValueError("gat needs dims divisible by heads")
+        if self.core == "gat" and self.dims % GAT_HEADS:
+            raise ValueError(
+                f"gat needs dims divisible by heads ({GAT_HEADS})")
 
     @property
     def core(self) -> str:
@@ -400,13 +403,13 @@ class Model:
             self._param("global.b", np.zeros(d))
         elif cfg.core in ("ggnn", "gat"):
             # A GAT block maps to all heads at once; its fan-out is one head.
-            hw = d // cfg.heads if cfg.core == "gat" else d
+            hw = d // GAT_HEADS if cfg.core == "gat" else d
             self._param("msg.W", np.stack(
                 [self._glorot(rng, (d, d), d, hw) for _ in range(nt)]))
             self._param("msg.b", np.zeros((nt, d)))
             if cfg.core == "gat":
-                self._param("gat.a1", self._glorot(rng, (cfg.heads, hw), 2 * hw, 1))
-                self._param("gat.a2", self._glorot(rng, (cfg.heads, hw), 2 * hw, 1))
+                self._param("gat.a1", self._glorot(rng, (GAT_HEADS, hw), 2 * hw, 1))
+                self._param("gat.a2", self._glorot(rng, (GAT_HEADS, hw), 2 * hw, 1))
             self._build_gru(rng, x_dim=2 * d)
         elif cfg.core == "rw-dynamic":
             self._param("node.W", self._glorot(rng, (3 * d, d), 3 * d, d))
@@ -529,7 +532,7 @@ class Model:
         (n_types, heads) bias. It is the same at every step, so a forward
         builds it once."""
         p, cfg, nt = self.params, self.cfg, self.gt.n_types
-        k, hw = cfg.heads, cfg.dims // cfg.heads
+        k, hw = GAT_HEADS, cfg.dims // GAT_HEADS
         w = ad.reshape(p["msg.W"], (nt, cfg.dims, k, hw))
         b = ad.reshape(p["msg.b"], (nt, k, hw))
         return [(ad.rowdot(w, ad.reshape(p[name], (1, 1, k, hw))),
@@ -541,7 +544,7 @@ class Model:
         and their weights alpha_ij (B, n, n_types, heads), the attention
         normalized over each receiver's incoming edges in receiver slots."""
         gt, p, cfg = self.gt, self.params, self.cfg
-        k, hw = cfg.heads, cfg.dims // cfg.heads
+        k, hw = GAT_HEADS, cfg.dims // GAT_HEADS
         z = ad.reshape(ad.typed_affine(h, p["msg.W"], p["msg.b"]),
                        (-1, gt.n, gt.n_types, k, hw))
         # a1 . z_i is read from the sender's slot; a2 . z_j is node j's own
@@ -736,9 +739,6 @@ class Model:
                     f"parameter {name!r} shape {t.data.shape}"
                 )
             t.data = np.array(value, dtype=t.data.dtype, order="C")
-
-    def save(self, path) -> None:
-        np.savez(path, **self.state_dict())
 
     def load(self, path) -> None:
         with np.load(path) as f:

@@ -33,18 +33,6 @@ def reverse_edge_type(edge_type: int) -> int:
 
 
 @dataclass
-class CorruptionParams:
-    p_node_drop: float = 0.0
-    p_edge_drop: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        for p in (self.p_node_drop, self.p_edge_drop):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"drop probability {p} outside [0, 1]")
-
-
-@dataclass
 class GridGraph:
     """A (possibly corrupted) grid graph.
 
@@ -139,24 +127,28 @@ def build_grid(n_side: int) -> GridGraph:
     return GridGraph(n_side, nodes, edges)
 
 
-def corrupt(graph: GridGraph, params: CorruptionParams) -> GridGraph:
+def corrupt(graph: GridGraph, p_node_drop: float, p_edge_drop: float,
+            seed: int) -> GridGraph:
     """Drop nodes, then undirected edge pairs, then isolated nodes.
 
     Dropping a node removes all its incident edges; dropping an edge removes
-    both directions. Deterministic given params.seed.
+    both directions. Deterministic given seed.
     """
+    for p in (p_node_drop, p_edge_drop):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"drop probability {p} outside [0, 1]")
     if graph.has_selfloops():
         raise ValueError("corrupt expects a graph without selfloops")
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
 
-    node_keep = rng.random(graph.n_nodes) >= params.p_node_drop
+    node_keep = rng.random(graph.n_nodes) >= p_node_drop
     kept_nodes = set(graph.nodes[node_keep].tolist())
 
     edges = graph.edges
     # One representative per undirected pair: the direction coded 0..3.
     rep = edges[:, 2] < 4
     rep_edges = edges[rep]
-    rep_keep = rng.random(len(rep_edges)) >= params.p_edge_drop
+    rep_keep = rng.random(len(rep_edges)) >= p_edge_drop
     dropped_pairs = set()
     for (src, dst, t), keep in zip(rep_edges.tolist(), rep_keep.tolist()):
         if not keep:

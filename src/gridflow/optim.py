@@ -1,4 +1,4 @@
-"""Adam with optional decoupled weight decay on selected parameters."""
+"""Adam with bias correction."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,17 +7,11 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction.
+    """Standard Adam with bias correction; training.train applies the
+    embeddings' decoupled weight decay before each step."""
 
-    Parameters named in decay_names additionally shrink by
-    p <- p - lr * weight_decay * p before the Adam update (decoupled decay;
-    in this project only node embeddings carry it).
-    """
-
-    def __init__(self, params: dict, weight_decay=0.0, decay_names=()):
+    def __init__(self, params: dict):
         self.params = params
-        self.weight_decay = weight_decay
-        self.decay_names = frozenset(decay_names)
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -39,8 +33,6 @@ class Adam:
                     f"gradient shape {g.shape} does not match parameter "
                     f"{name!r} shape {p.data.shape}"
                 )
-            if self.weight_decay and name in self.decay_names:
-                p.data -= lr * self.weight_decay * p.data
             m = self.m[name]
             v = self.v[name]
             m *= BETA1

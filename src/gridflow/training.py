@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from decimal import Decimal
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,7 +21,12 @@ from .metrics import MetricsReport, metrics as compute_metrics, ranks_of
 from .graphnets import MICROBATCH_SIZE, GraphTensors, Model, ModelConfig
 from .optim import Adam
 
-# Decoupled weight decay on the node embeddings.
+# The paper's learning rate: one entry per LR_STEP_EPOCHS epochs, then the
+# last entry for every later epoch.
+LR_SCHEDULE = (0.0005, 0.0004, 0.0003, 0.0002, 0.0001)
+LR_STEP_EPOCHS = 10
+# Decoupled weight decay on the node embeddings: train shrinks embed by
+# lr * WEIGHT_DECAY * embed just before each Adam step.
 WEIGHT_DECAY = 1e-5
 
 
@@ -29,29 +34,19 @@ WEIGHT_DECAY = 1e-5
 class TrainConfig:
     batch_size: int = 16
     epochs: int = 50
-    lr_start: float = 0.0005
-    lr_end: float = 0.0001
-    lr_step: float = 0.0001
-    lr_step_epochs: int = 10
     snapshot_top_k: int = 3
     shuffle_seed: int = 0
-    eval_batch_size: int = 64
+    eval_batch_size: ClassVar[int] = 64
 
     def __post_init__(self):
-        if self.lr_start < self.lr_end:
-            raise ValueError("lr schedule must be non-increasing")
         if self.epochs and self.snapshot_top_k > self.epochs:
             raise ValueError("snapshot_top_k cannot exceed epochs")
 
 
-def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
+def lr_schedule(epoch: int) -> float:
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
-    # Decimal arithmetic on the configured values, so that two drops of
-    # 0.0001 from 0.0005 give 0.0003 and not 0.00030000000000000003.
-    drops = epoch // cfg.lr_step_epochs
-    lr = Decimal(str(cfg.lr_start)) - Decimal(str(cfg.lr_step)) * drops
-    return max(cfg.lr_end, float(lr))
+    return LR_SCHEDULE[min(epoch // LR_STEP_EPOCHS, len(LR_SCHEDULE) - 1)]
 
 
 # run.log's columns: the header above the rows that Snapshot.log_line makes.
@@ -125,12 +120,13 @@ def train(model: Model, cfg: TrainConfig, examples: dict,
     if len(tr_src) == 0 or len(va_src) == 0:
         raise ValueError("train and valid splits must be non-empty")
 
-    opt = Adam(model.params, weight_decay=WEIGHT_DECAY, decay_names=("embed",))
+    opt = Adam(model.params)
+    embed = model.params["embed"]
     rng = np.random.default_rng(cfg.shuffle_seed)
     snapshots = []
 
     for epoch in range(cfg.epochs):
-        lr = lr_schedule(epoch, cfg)
+        lr = lr_schedule(epoch)
         order = rng.permutation(len(tr_src))
         losses, sizes = [], []
         for start in range(0, len(order), cfg.batch_size):
@@ -150,6 +146,7 @@ def train(model: Model, cfg: TrainConfig, examples: dict,
                     )
                 loss.backward()
                 batch_loss += value
+            embed.data -= lr * WEIGHT_DECAY * embed.data
             opt.step(lr=lr)
             losses.append(batch_loss)
             sizes.append(len(batch))

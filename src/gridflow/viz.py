@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from .grid import SELFLOOP, GridGraph
 
 CELL, GAP = 18, 6  # heatmap cell side and the gap between cells, in pixels
@@ -37,7 +38,8 @@ def attention_trace(model, src_index: int):
             "implicit readout heatmap instead"
         )
     model = _as_float64(model)
-    fr = model.forward(np.array([src_index]), trace=True)
+    with ad.no_grad():
+        fr = model.forward(np.array([src_index]), trace=True)
     focused = np.stack([a[0] for a in fr.focused])
     flowing = np.stack([f[0] for f in fr.flowing])
     return focused, flowing
@@ -60,12 +62,6 @@ def write_edge_trace(path, gt, flowing) -> None:
                     f"{t}\t{gt.src_ids[e]}\t{gt.dst_ids[e]}\t{gt.etype[e]}\t"
                     f"{float(a)!r}\n"
                 )
-
-
-def read_node_trace(path):
-    """Inverse of write_node_trace; returns (steps, node_ids, attention)."""
-    rows = np.loadtxt(path, skiprows=1, ndmin=2)
-    return rows[:, 0].astype(int), rows[:, 1].astype(int), rows[:, 2]
 
 
 def heatmap_values(focused: np.ndarray) -> np.ndarray:

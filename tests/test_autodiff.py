@@ -182,7 +182,7 @@ def test_typed_affine_matches_gathered_oracle():
 
 
 def slot_graph(seed):
-    g = grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.1, seed=seed))
+    g = grid.corrupt(grid.build_grid(4), 0.1, 0.1, seed=seed)
     return GraphTensors(grid.add_selfloops(g))
 
 

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from gridflow import cli, viz
+import gridflow
+from gridflow import cli
 
 
 def run_cli(*argv):
@@ -150,7 +151,8 @@ def test_train_eval_visualize_round_trip(tmp_path, capsys):
                  "--dst", str(dst), "--out", str(viz_dir))
     assert rc == 0
     assert (viz_dir / "heatmap.svg").exists()
-    steps, ids, attn = viz.read_node_trace(viz_dir / "trace_nodes.tsv")
+    steps, _, attn = np.loadtxt(viz_dir / "trace_nodes.tsv", skiprows=1,
+                                unpack=True)
     per_step = {}
     for s, a in zip(steps, attn):
         per_step[s] = per_step.get(s, 0.0) + a
@@ -288,7 +290,7 @@ def test_reproduce_one_cell(tmp_path, capsys):
 def test_thread_cap_env(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("GRIDFLOW_THREADS", "2")
-    assert cli._apply_thread_cap() == 2
+    assert gridflow._apply_thread_cap() == 2
     assert os.environ["OMP_NUM_THREADS"] == "2"
 
 

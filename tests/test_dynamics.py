@@ -123,7 +123,7 @@ def test_rollout_terminates_and_records_source():
 
 
 def test_rollout_respects_graph_edges():
-    g = grid.corrupt(grid.build_grid(8), grid.CorruptionParams(0.2, 0.0, seed=5))
+    g = grid.corrupt(grid.build_grid(8), 0.2, 0.0, seed=5)
     triples = {(int(a), int(b)) for a, b, _ in g.edges}
     for seed in range(20):
         traj = rollout(g, int(g.nodes[0]), "location", 0.5, 12,

@@ -26,8 +26,7 @@ from gridflow.graphnets import (
 
 
 def random_graph(seed, n_side=5):
-    g = grid.corrupt(grid.build_grid(n_side),
-                     grid.CorruptionParams(0.1, 0.1, seed=seed))
+    g = grid.corrupt(grid.build_grid(n_side), 0.1, 0.1, seed=seed)
     return GraphTensors(grid.add_selfloops(g))
 
 
@@ -129,7 +128,7 @@ def test_flow_conserves_mass():
 
 def test_rw_stationary_transition_is_step_and_example_invariant():
     g = grid.add_selfloops(
-        grid.corrupt(grid.build_grid(5), grid.CorruptionParams(0.1, 0.0, seed=2)))
+        grid.corrupt(grid.build_grid(5), 0.1, 0.0, seed=2))
     model = Model(ModelConfig("rw-stationary", dims=10,
                               attn_dims=4, steps=5, dtype="float64"),
                   GraphTensors(g), seed=0)
@@ -203,7 +202,7 @@ def test_onehot_focus():
 
 def test_noact_messages_equal_regular_messages():
     g = grid.add_selfloops(
-        grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=3)))
+        grid.corrupt(grid.build_grid(4), 0.1, 0.0, seed=3))
     reg = Model(ModelConfig("ggnn", dims=12, attn_dims=4,
                             steps=3, dtype="float64"), GraphTensors(g), seed=7)
     noa = Model(ModelConfig("ggnn-noact", dims=12, attn_dims=4,
@@ -220,7 +219,7 @@ def test_mulmlp_fold_matches_unfused_acting():
     """GGNN-MulMlp folds act.W into its message weights; its acted messages
     and their grads equal tanh((f m) act.W + act.b) built from plain ops."""
     g = grid.add_selfloops(
-        grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=3)))
+        grid.corrupt(grid.build_grid(4), 0.1, 0.0, seed=3))
     d = 6
     model = Model(ModelConfig("ggnn-mulmlp", dims=d, attn_dims=2,
                               steps=2, dtype="float64"),
@@ -264,10 +263,10 @@ def test_gat_mulmlp_acting_matches_unfused(monkeypatch):
     act.W in its step, before the acting; its acted messages and their
     grads equal tanh(f (alpha z) act.W + act.b) built from plain ops."""
     g = grid.add_selfloops(
-        grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=3)))
-    d = 6
-    model = Model(ModelConfig("gat-mulmlp", dims=d, attn_dims=2, heads=3,
-                              steps=2, dtype="float64"),
+        grid.corrupt(grid.build_grid(4), 0.1, 0.0, seed=3))
+    d = 10
+    model = Model(ModelConfig("gat-mulmlp", dims=d, attn_dims=2, steps=2,
+                              dtype="float64"),
                   GraphTensors(g), seed=5)
     gt, p = model.gt, model.params
     rng = np.random.default_rng(1)
@@ -338,13 +337,14 @@ def test_focused_attention_is_zero_outside_the_reach():
     focused attention, and the flowing attention of every edge out of an
     unreached sender, is exactly zero outside it."""
     g = grid.add_selfloops(
-        grid.corrupt(grid.build_grid(5), grid.CorruptionParams(0.1, 0.1, seed=5)))
+        grid.corrupt(grid.build_grid(5), 0.1, 0.1, seed=5))
     n = GraphTensors(g).n
     src = np.array([0, n // 2, n - 1])
     steps = 5
     for name in MODEL_NAMES:
-        cfg = ModelConfig.from_name(name, dims=8, attn_dims=2, heads=4,
-                                    steps=steps, dtype="float64")
+        cfg = ModelConfig.from_name(
+            name, dims=10 if name.startswith("gat") else 8, attn_dims=2,
+            steps=steps, dtype="float64")
         if not cfg.explicit_flow:
             continue
         model = Model(cfg, GraphTensors(g), seed=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridflow import grid
-from gridflow.grid import CorruptionParams, GridGraph
+from gridflow.grid import GridGraph
 
 
 def test_full_grid_counts():
@@ -49,25 +49,26 @@ def test_every_directed_edge_has_reverse():
 
 
 def test_corruption_params_validate():
-    with pytest.raises(ValueError):
-        CorruptionParams(p_node_drop=-0.1)
-    with pytest.raises(ValueError):
-        CorruptionParams(p_edge_drop=1.5)
+    g = grid.build_grid(3)
+    with pytest.raises(ValueError, match="outside"):
+        grid.corrupt(g, -0.1, 0.0, seed=0)
+    with pytest.raises(ValueError, match="outside"):
+        grid.corrupt(g, 0.0, 1.5, seed=0)
 
 
 def test_node_drop_is_deterministic():
     g = grid.build_grid(8)
-    a = grid.corrupt(g, CorruptionParams(0.1, 0.0, seed=3))
-    b = grid.corrupt(g, CorruptionParams(0.1, 0.0, seed=3))
+    a = grid.corrupt(g, 0.1, 0.0, seed=3)
+    b = grid.corrupt(g, 0.1, 0.0, seed=3)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.edges, b.edges)
-    c = grid.corrupt(g, CorruptionParams(0.1, 0.0, seed=4))
+    c = grid.corrupt(g, 0.1, 0.0, seed=4)
     assert not np.array_equal(a.nodes, c.nodes)
 
 
 def test_node_drop_removes_incident_edges():
     g = grid.build_grid(6)
-    c = grid.corrupt(g, CorruptionParams(0.1, 0.0, seed=0))
+    c = grid.corrupt(g, 0.1, 0.0, seed=0)
     alive = set(c.nodes.tolist())
     for src, dst, _ in c.edges:
         assert src in alive and dst in alive
@@ -75,7 +76,7 @@ def test_node_drop_removes_incident_edges():
 
 def test_edge_drop_removes_both_directions():
     g = grid.build_grid(6)
-    c = grid.corrupt(g, CorruptionParams(0.0, 0.2, seed=1))
+    c = grid.corrupt(g, 0.0, 0.2, seed=1)
     triples = {tuple(e) for e in c.edges.tolist()}
     for src, dst, etype in c.edges:
         assert (dst, src, grid.reverse_edge_type(etype)) in triples
@@ -84,7 +85,7 @@ def test_edge_drop_removes_both_directions():
 
 def test_no_isolated_nodes_after_corruption():
     for seed in range(5):
-        c = grid.corrupt(grid.build_grid(6), CorruptionParams(0.0, 0.45, seed=seed))
+        c = grid.corrupt(grid.build_grid(6), 0.0, 0.45, seed=seed)
         degree = {int(v): 0 for v in c.nodes}
         for src, dst, _ in c.edges:
             degree[src] += 1
@@ -96,14 +97,14 @@ def test_node_drop_rate_statistics():
     kept = []
     g = grid.build_grid(16)
     for seed in range(30):
-        c = grid.corrupt(g, CorruptionParams(0.1, 0.0, seed=seed))
+        c = grid.corrupt(g, 0.1, 0.0, seed=seed)
         kept.append(c.n_nodes)
     # 256 nodes, keep probability 0.9 before isolated-node cleanup.
     assert 0.85 < np.mean(kept) / 256 < 0.93
 
 
 def test_selfloop_augmentation():
-    c = grid.corrupt(grid.build_grid(5), CorruptionParams(0.1, 0.0, seed=2))
+    c = grid.corrupt(grid.build_grid(5), 0.1, 0.0, seed=2)
     s = grid.add_selfloops(c)
     assert s.has_selfloops()
     loops = s.edges[s.edges[:, 2] == grid.SELFLOOP]
@@ -118,7 +119,7 @@ def test_selfloop_augmentation():
 
 def test_json_round_trip(tmp_path):
     g = grid.add_selfloops(
-        grid.corrupt(grid.build_grid(5), CorruptionParams(0.1, 0.1, seed=9))
+        grid.corrupt(grid.build_grid(5), 0.1, 0.1, seed=9)
     )
     path = tmp_path / "graph.json"
     g.save(path)
@@ -134,7 +135,7 @@ def test_neighbor_and_has_edge():
     g = grid.build_grid(3)
     assert g.moves[0] == {grid.E: 1, grid.NE: 4, grid.N: 3}
     assert g.moves[4][grid.SW] == 0 and len(g.moves[4]) == 8
-    c = grid.corrupt(grid.build_grid(6), CorruptionParams(0.0, 0.3, seed=2))
+    c = grid.corrupt(grid.build_grid(6), 0.0, 0.3, seed=2)
     assert c.moves.keys() == set(c.nodes.tolist())
     assert sorted([s, d, t] for s, step in c.moves.items()
                   for t, d in step.items()) == c.edges.tolist()

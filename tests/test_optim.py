@@ -43,26 +43,6 @@ def test_multi_step_moments_track_oracle():
         assert np.allclose(opt.v["w"], v)
 
 
-def test_decoupled_decay_only_on_named_params():
-    rng = np.random.default_rng(2)
-    a0 = rng.standard_normal(4)
-    b0 = rng.standard_normal(4)
-    g = rng.standard_normal(4)
-    a = Tensor(a0.copy(), requires_grad=True)
-    b = Tensor(b0.copy(), requires_grad=True)
-    a.grad = g.copy()
-    b.grad = g.copy()
-    opt = Adam({"embed": a, "core.W": b}, weight_decay=0.1,
-               decay_names=("embed",))
-    opt.step(0.01)
-    # decay shrinks the parameter before the Adam update is applied
-    expect_a, _, _ = adam_oracle(a0 - 0.01 * 0.1 * a0, g,
-                                 np.zeros(4), np.zeros(4), 1, 0.01)
-    expect_b, _, _ = adam_oracle(b0, g, np.zeros(4), np.zeros(4), 1, 0.01)
-    assert np.allclose(a.data, expect_a, atol=1e-12)
-    assert np.allclose(b.data, expect_b, atol=1e-12)
-
-
 def test_lr_override_per_step():
     w = Tensor(np.zeros(2), requires_grad=True)
     w.grad = np.ones(2)

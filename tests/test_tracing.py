@@ -37,8 +37,8 @@ def test_layer_patches_resolve_and_every_op_is_called(monkeypatch):
     tracing = load_tracing(monkeypatch)
     tracer = tracing.Tracer()
     g = grid.add_selfloops(
-        grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.1, 0.0, seed=0)))
-    cfg = dict(dims=10, attn_dims=4, heads=5, steps=2, dtype="float64")
+        grid.corrupt(grid.build_grid(4), 0.1, 0.0, seed=0))
+    cfg = dict(dims=10, attn_dims=4, steps=2, dtype="float64")
     gt = GraphTensors(g)
     mulmlp = Model(ModelConfig.from_name("ggnn-mulmlp", **cfg), gt, seed=0)
     gat = Model(ModelConfig.from_name("gat", **cfg), gt, seed=0)

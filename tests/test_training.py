@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from gridflow import training
 from gridflow.data import GenParams, build_dataset
 from gridflow.graphnets import GraphTensors, Model, ModelConfig
 from gridflow.metrics import MetricsReport
+from gridflow.optim import Adam
 from gridflow.training import (
+    WEIGHT_DECAY,
     Snapshot,
     TrainConfig,
     aggregate_runs,
@@ -35,22 +38,12 @@ def test_lr_schedule_values():
     expect = {0: 0.0005, 9: 0.0005, 10: 0.0004, 19: 0.0004, 20: 0.0003,
               30: 0.0002, 39: 0.0002, 40: 0.0001, 49: 0.0001, 100: 0.0001}
     for epoch, lr in expect.items():
-        assert lr_schedule(epoch, TrainConfig()) == pytest.approx(lr)
+        assert lr_schedule(epoch) == pytest.approx(lr)
     with pytest.raises(ValueError):
-        lr_schedule(-1, TrainConfig())
-
-
-def test_lr_schedule_floor():
-    cfg = TrainConfig(lr_start=0.001, lr_end=0.0005, lr_step=0.0002,
-                      lr_step_epochs=5)
-    assert lr_schedule(0, cfg) == pytest.approx(0.001)
-    assert lr_schedule(5, cfg) == pytest.approx(0.0008)
-    assert lr_schedule(50, cfg) == pytest.approx(0.0005)
+        lr_schedule(-1)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(lr_start=0.0001, lr_end=0.0005)
     with pytest.raises(ValueError):
         TrainConfig(epochs=2, snapshot_top_k=3)
     TrainConfig(epochs=0)  # allowed: no training, no snapshots
@@ -111,13 +104,13 @@ def test_prepare_examples_covers_all_pairs():
         assert np.all(src < gt.n) and np.all(dst < gt.n)
 
 
-def test_train_loss_decreases():
+def test_train_loss_decreases(monkeypatch):
+    monkeypatch.setattr(training, "lr_schedule", lambda epoch: 0.01)
     ds = tiny_dataset()
     gt = GraphTensors(ds.graph)
     model = Model(ModelConfig("ggnn-mul", dims=10, attn_dims=4,
                               steps=3, dtype="float64"), gt, seed=0)
-    cfg = TrainConfig(batch_size=8, epochs=4, snapshot_top_k=2,
-                      lr_start=0.01, lr_end=0.01)
+    cfg = TrainConfig(batch_size=8, epochs=4, snapshot_top_k=2)
     lines = []
     result = train(model, cfg, prepare_examples(ds, gt), log=lines.append)
     assert len(result) == 4
@@ -125,6 +118,40 @@ def test_train_loss_decreases():
     assert result[-1].train_loss < result[0].train_loss
     # each log line carries epoch, lr, loss, and five validation metrics
     assert all(len(line.split("\t")) == 8 for line in lines)
+
+
+def test_decoupled_decay_only_on_embed(monkeypatch):
+    """At the entry of each Adam step, embed equals its value before the
+    batch minus lr * WEIGHT_DECAY times that value, and every other
+    parameter is untouched."""
+    ds = tiny_dataset()
+    gt = GraphTensors(ds.graph)
+    model = Model(ModelConfig("ggnn-mul", dims=10, attn_dims=4,
+                              steps=3, dtype="float64"), gt, seed=0)
+    zero_grad, step = Adam.zero_grad, Adam.step
+    before, lrs = {}, []
+
+    def recording_zero_grad(self):
+        before.update(model.state_dict())
+        zero_grad(self)
+
+    def checking_step(self, lr):
+        state = model.state_dict()
+        embed = before["embed"]
+        assert np.array_equal(state["embed"],
+                              embed - lr * WEIGHT_DECAY * embed)
+        assert not np.array_equal(state["embed"], embed)
+        for name, value in state.items():
+            if name != "embed":
+                assert np.array_equal(value, before[name]), name
+        lrs.append(lr)
+        step(self, lr)
+
+    monkeypatch.setattr(Adam, "zero_grad", recording_zero_grad)
+    monkeypatch.setattr(Adam, "step", checking_step)
+    ex = prepare_examples(ds, gt)
+    train(model, TrainConfig(batch_size=8, epochs=2, snapshot_top_k=1), ex)
+    assert len(lrs) == 2 * -(-len(ex["train"][0]) // 8)
 
 
 def test_train_is_deterministic():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from gridflow import grid, viz
+from gridflow import autodiff, grid, viz
 from gridflow.graphnets import GraphTensors, Model, ModelConfig
 
 
 def make_model(name="ggnn-mul", dtype="float32"):
     g = grid.add_selfloops(
-        grid.corrupt(grid.build_grid(5), grid.CorruptionParams(0.1, 0.0, seed=1)))
+        grid.corrupt(grid.build_grid(5), 0.1, 0.0, seed=1))
     gt = GraphTensors(g)
     cfg = ModelConfig.from_name(name, dims=10, attn_dims=4, steps=3, dtype=dtype)
     return Model(cfg, gt, seed=0), gt
@@ -23,6 +23,21 @@ def test_attention_trace_shapes_and_conservation():
     # conservation at publication tolerance regardless of model dtype
     assert np.abs(focused.sum(axis=1) - 1.0).max() < 1e-9
     assert np.abs(flowing.sum(axis=1) - 1.0).max() < 1e-9
+
+
+def test_attention_trace_records_no_tape(monkeypatch):
+    """The float64 clone's parameters require grad, but nothing
+    differentiates a trace, so its forward runs with recording off."""
+    model, _ = make_model()
+    forward, enabled = Model.forward, []
+
+    def recording(self, *args, **kwargs):
+        enabled.append(autodiff._grad_enabled)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", recording)
+    viz.attention_trace(model, 0)
+    assert enabled == [False]
 
 
 def test_attention_trace_rejects_regular_variants():
@@ -61,7 +76,7 @@ def test_trace_files_round_trip(tmp_path):
 
     header = npath.read_text().splitlines()[0]
     assert header == "step\tnode_id\tattention"
-    steps, ids, attn = viz.read_node_trace(npath)
+    steps, ids, attn = np.loadtxt(npath, skiprows=1, unpack=True)
     assert len(steps) == focused.size
     back = attn.reshape(focused.shape)
     assert np.array_equal(back, focused)  # repr round-trips exactly
@@ -77,7 +92,7 @@ def test_trace_files_round_trip(tmp_path):
 
 def test_render_svg_structure():
     g = grid.add_selfloops(
-        grid.corrupt(grid.build_grid(4), grid.CorruptionParams(0.2, 0.0, seed=0)))
+        grid.corrupt(grid.build_grid(4), 0.2, 0.0, seed=0))
     values = {int(v): 0.5 for v in g.nodes}
     svg = viz.render_svg(g, values, int(g.nodes[0]), int(g.nodes[-1]))
     assert svg.startswith("<svg") and svg.endswith("</svg>")
