@@ -10,9 +10,11 @@ parameter gradient of all 14 variants at float32 and float64. The inputs
 are fixed: LINE-SZ32-STP16-NDRP-STD0.2 at seed 0, its first 4 train pairs,
 16 propagation steps, model seed 0, and every bias drawn non-zero, so that
 terms that read a bias, such as MulMlp's tanh(act.b), are not zero.
-It also saves the nodes, edges, pairs and splits of DATA_PRESETS at seed
-0, one SZ32 preset per direction and drop kind, so that the data layer is
-compared too.
+It also saves the nodes, edges, pairs, splits and the six dataset_stats
+fields of every table preset (data.preset_names(), 16 SZ32 and 8 SZ64) at
+seed 0: what `gridflow generate` writes to graph.json, pairs.tsv and
+stats.json, so that the data layer is compared too. A dump takes about
+85 s on a 2-core x86-64 host with one BLAS thread.
 
 compare prints the number of arrays, how many of them are not
 bit-identical, and the largest relative difference,
@@ -29,9 +31,6 @@ from pathlib import Path
 import numpy as np
 
 PRESET = "LINE-SZ32-STP16-NDRP-STD0.2"
-DATA_PRESETS = tuple(f"{d}-SZ32-STP16-{drp}-STD0.2"
-                     for d in ("LINE", "SINE", "LOCATION", "HISTORY")
-                     for drp in ("NDRP", "EDRP"))
 PAIRS = 4
 STEPS = 16
 
@@ -62,13 +61,17 @@ def dump(src_dir: Path, out: Path) -> int:
             for key, p in model.params.items():
                 arrays[prefix + "grad/" + key] = p.grad
             print(f"{dtype} {name}: loss {float(loss.data):.8g}", flush=True)
-    for preset in DATA_PRESETS:
-        ds = data.build_dataset(data.preset_params(preset, seed=0))
+    for preset in data.preset_names():
+        ds, trajectories = data.build_dataset(
+            data.preset_params(preset, seed=0), return_trajectories=True)
         prefix = f"data/{preset}/"
         arrays[prefix + "nodes"] = ds.graph.nodes
         arrays[prefix + "edges"] = ds.graph.edges
         arrays[prefix + "pairs"] = ds.pairs
         arrays[prefix + "splits"] = ds.splits
+        stats = data.dataset_stats(ds, trajectories).to_json_dict()
+        for field, value in stats.items():
+            arrays[prefix + "stats/" + field] = np.array(value)
         print(f"{preset}: {len(ds.graph.nodes)} nodes, {len(ds.pairs)} pairs",
               flush=True)
     np.savez(out, **arrays)

@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from . import data, graphnets, training, viz
-from .dynamics import DIRECTION_PRESETS
 from .graphnets import ModelConfig
 from .training import TrainConfig
 
@@ -32,16 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
                               argument_default=argparse.SUPPRESS)
 
     g = command("generate", "generate trajectory datasets")
-    g.add_argument("--preset", help="dataset group name, e.g. "
-                   "LINE-SZ32-STP16-NDRP-STD0.2")
+    g.add_argument("--preset", required=True, help="dataset group name "
+                   f"{data.PRESET_GRAMMAR}, e.g. LINE-SZ32-STP16-NDRP-STD0.2")
     g.add_argument("--seeds", type=int,
                    help="number of generation seeds (0..seeds-1)")
     g.add_argument("--out", required=True)
-    g.add_argument("--n", type=int, help="grid side (custom dataset)")
-    g.add_argument("--t", type=int, help="max rollout steps (custom dataset)")
-    g.add_argument("--sigma", type=float, help="sampling spread (custom)")
-    g.add_argument("--preset-dir", dest="direction",
-                   help="direction function: line|sine|location|history")
 
     t = command("train", "train one model on one dataset")
     t.add_argument("--model", required=True)
@@ -79,36 +73,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _unknown(kind, name, valid) -> int:
-    print(f"unknown {kind} {name!r}; valid {kind}s:", file=sys.stderr)
-    for v in valid:
-        print(f"  {v}", file=sys.stderr)
-    return 2
-
-
-def generate(out, preset=None, seeds=1, n=None, t=None, sigma=None,
-             direction="line") -> int:
-    if preset:
-        try:
-            data.preset_params(preset, seed=0)
-        except ValueError:
-            return _unknown("preset", preset, data.preset_names())
-    elif direction.lower() not in DIRECTION_PRESETS:
-        return _unknown("direction", direction, DIRECTION_PRESETS)
-    elif n is None or t is None or sigma is None:
-        print("custom datasets need --n, --t and --sigma", file=sys.stderr)
+def generate(out, preset, seeds=1) -> int:
+    if seeds < 1:
+        print("seeds must be >= 1", file=sys.stderr)
+        return 2
+    try:
+        data.preset_params(preset, seed=0)
+    except ValueError as err:
+        print(f"{err}; the paper's tables use:", file=sys.stderr)
+        for name in data.preset_names():
+            print(f"  {name}", file=sys.stderr)
         return 2
 
     header = ("seed", "nodes", "edges", "pairs", "pairs_per_node", "traj_len")
     print("\t".join(header))
     for seed in range(seeds):
-        if preset:
-            params = data.preset_params(preset, seed=seed)
-        else:
-            params = data.GenParams(
-                n_side=n, max_steps=t, sigma=sigma, p_node_drop=0.1,
-                direction=direction.lower(), seed=seed,
-            )
+        params = data.preset_params(preset, seed=seed)
         try:
             dataset, trajectories = data.build_dataset(
                 params, return_trajectories=True)
@@ -141,7 +121,12 @@ def _load_run(run_dir):
         cfg_doc = json.load(f)
     # A relative data path is relative to the run directory; older configs
     # hold an absolute one, which join leaves as it is.
-    dataset = data.load_dataset(os.path.join(run_dir, cfg_doc["data"]))
+    try:
+        dataset = data.load_dataset(os.path.join(run_dir, cfg_doc["data"]))
+    except FileNotFoundError as err:
+        print(f"the run's dataset file {err.filename} does not exist",
+              file=sys.stderr)
+        return None
     model_cfg = ModelConfig.from_name(
         cfg_doc["model"], dims=cfg_doc["dims"], attn_dims=cfg_doc["attn_dims"],
         steps=cfg_doc["steps"],
@@ -155,24 +140,27 @@ def _load_run(run_dir):
 def train(model, data_dir, run_dir, epochs=TrainConfig.epochs, batch=None,
           dims=ModelConfig.dims, attn_dims=ModelConfig.attn_dims, steps=None,
           seed=0, shuffle_seed=0) -> int:
-    if not os.path.isdir(data_dir):
-        print(f"dataset directory {data_dir!r} does not exist; run "
-              "`gridflow generate` first", file=sys.stderr)
-        return 2
-    params = data.load_params(data_dir)
-    batch = batch or (4 if params.n_side == 64 else TrainConfig.batch_size)
-    steps = steps or params.max_steps
     # Everything that can refuse the run does so before the run directory
     # is made.
     try:
+        params = data.load_params(data_dir)
+        dataset = data.load_dataset(data_dir)
+        if batch is None:
+            batch = 4 if params.n_side == 64 else TrainConfig.batch_size
+        if steps is None:
+            steps = params.max_steps
         model_cfg = ModelConfig.from_name(
             model, dims=dims, attn_dims=attn_dims, steps=steps)
         top_k = TrainConfig.snapshot_top_k
         train_cfg = TrainConfig(
             batch_size=batch, epochs=epochs, shuffle_seed=shuffle_seed,
             snapshot_top_k=min(top_k, epochs) if epochs else top_k)
-        dataset = data.load_dataset(data_dir)
         training.check_dataset(dataset)
+    except FileNotFoundError as err:
+        print(f"dataset file {err.filename} does not exist; run `gridflow "
+              "generate` first and pass one of its seed directories",
+              file=sys.stderr)
+        return 2
     except ValueError as err:
         print(err, file=sys.stderr)
         return 2

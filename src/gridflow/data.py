@@ -22,6 +22,7 @@ from .grid import GridGraph, SELFLOOP, add_selfloops, build_grid, corrupt
 
 TRAIN, VALID, TEST = 0, 1, 2
 SPLIT_NAMES = ("train", "valid", "test")
+PRESET_GRAMMAR = "<LINE|SINE|LOCATION|HISTORY>-SZ<n>-STP<T>-<NDRP|EDRP>-STD<sigma>"
 
 
 @dataclass
@@ -57,9 +58,8 @@ def preset_params(name: str, seed: int = 0) -> GenParams:
             direction=dname.lower(), seed=seed,
         )
     except (ValueError, KeyError, AttributeError) as err:
-        raise ValueError(
-            f"unknown preset {name!r}; expected e.g. LINE-SZ32-STP16-NDRP-STD0.2"
-        ) from err
+        raise ValueError(f"unknown preset {name!r}; presets are named "
+                         f"{PRESET_GRAMMAR}") from err
 
 
 def preset_names() -> list:
@@ -81,18 +81,15 @@ class Dataset:
     splits: np.ndarray  # (M,) of TRAIN/VALID/TEST, a function of src
 
 
-def split_sources(sources: np.ndarray, seed: int) -> dict:
-    """Shuffle sorted sources with the dataset seed, take 80/10/10."""
-    srcs = np.sort(np.asarray(sources))
-    rng = np.random.default_rng([seed, 2])
-    perm = rng.permutation(len(srcs))
-    srcs = srcs[perm]
-    n = len(srcs)
-    n_train, n_valid = int(0.8 * n), int(0.9 * n) - int(0.8 * n)
-    out = {}
-    for i, s in enumerate(srcs.tolist()):
-        out[s] = TRAIN if i < n_train else (VALID if i < n_train + n_valid else TEST)
-    return out
+def split_sources(sources: np.ndarray, seed: int) -> np.ndarray:
+    """The split code (TRAIN, VALID or TEST) of each of the sorted distinct
+    sources: shuffle them with the dataset seed, take 80/10/10."""
+    n = len(sources)
+    perm = np.random.default_rng([seed, 2]).permutation(n)
+    codes = np.empty(n, dtype=np.int64)
+    codes[perm] = np.searchsorted([int(0.8 * n), int(0.9 * n)], np.arange(n),
+                                  side="right")
+    return codes
 
 
 def generate_trajectories(graph: GridGraph, params: GenParams) -> list:
@@ -115,16 +112,10 @@ def build_dataset(params: GenParams, return_trajectories: bool = False):
     corrupted = corrupt(build_grid(params.n_side), params.p_node_drop,
                         params.p_edge_drop, params.seed)
     trajectories = generate_trajectories(corrupted, params)
-    seen = set()
-    pairs = []
-    for traj in trajectories:
-        key = (traj.source, traj.destination)
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    pairs = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    by_src = split_sources(np.unique(pairs[:, 0]), params.seed)
-    splits = np.array([by_src[s] for s in pairs[:, 0].tolist()], dtype=np.int64)
+    pairs = np.unique(np.array([(t.source, t.destination) for t in trajectories],
+                               dtype=np.int64).reshape(-1, 2), axis=0)
+    sources, by_src = np.unique(pairs[:, 0], return_inverse=True)
+    splits = split_sources(sources, params.seed)[by_src]
     dataset = Dataset(add_selfloops(corrupted), pairs, splits)
     if return_trajectories:
         return dataset, trajectories

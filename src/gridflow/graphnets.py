@@ -52,6 +52,9 @@ class ModelConfig:
         if self.name not in MODEL_NAMES:
             raise ValueError(f"unknown model {self.name!r}; valid models: "
                              f"{', '.join(MODEL_NAMES)}")
+        for field in ("dims", "attn_dims", "steps"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be >= 1")
         if not self.attn_dims < self.dims:
             raise ValueError("attn_dims must be smaller than dims")
         if self.core == "gat" and self.dims % GAT_HEADS:

@@ -132,7 +132,8 @@ def corrupt(graph: GridGraph, p_node_drop: float, p_edge_drop: float,
     """Drop nodes, then undirected edge pairs, then isolated nodes.
 
     Dropping a node removes all its incident edges; dropping an edge removes
-    both directions. Deterministic given seed.
+    both directions. Deterministic given seed: one random per node, then
+    one per representative edge (types 0..3) in canonical order.
     """
     for p in (p_node_drop, p_edge_drop):
         if not 0.0 <= p <= 1.0:
@@ -140,35 +141,23 @@ def corrupt(graph: GridGraph, p_node_drop: float, p_edge_drop: float,
     if graph.has_selfloops():
         raise ValueError("corrupt expects a graph without selfloops")
     rng = np.random.default_rng(seed)
+    n_ids = graph.n_side * graph.n_side
 
-    node_keep = rng.random(graph.n_nodes) >= p_node_drop
-    kept_nodes = set(graph.nodes[node_keep].tolist())
+    alive = np.zeros(n_ids, dtype=bool)  # by node id
+    alive[graph.nodes] = rng.random(graph.n_nodes) >= p_node_drop
 
-    edges = graph.edges
-    # One representative per undirected pair: the direction coded 0..3.
-    rep = edges[:, 2] < 4
-    rep_edges = edges[rep]
-    rep_keep = rng.random(len(rep_edges)) >= p_edge_drop
-    dropped_pairs = set()
-    for (src, dst, t), keep in zip(rep_edges.tolist(), rep_keep.tolist()):
-        if not keep:
-            dropped_pairs.add((src, dst, t))
-            dropped_pairs.add((dst, src, reverse_edge_type(t)))
+    src, dst, t = graph.edges.T
+    # An undirected pair is named by its representative, the direction coded
+    # 0..3; on a grid its source and type determine its destination.
+    rep = t < 4
+    pair = np.where(rep, src, dst) * 4 + t % 4
+    dropped = np.zeros(4 * n_ids, dtype=bool)
+    dropped[pair[rep]] = rng.random(int(rep.sum())) < p_edge_drop
 
-    kept = []
-    for src, dst, t in edges.tolist():
-        if src not in kept_nodes or dst not in kept_nodes:
-            continue
-        if (src, dst, t) in dropped_pairs:
-            continue
-        kept.append((src, dst, t))
-    new_edges = _canonical_edges(np.array(kept, dtype=np.int64).reshape(-1, 3))
-
-    # Isolated-node cleanup: removing an edgeless node deletes no edges,
-    # so a single pass suffices.
-    touched = set(new_edges[:, 0].tolist()) | set(new_edges[:, 1].tolist())
-    new_nodes = np.array(sorted(kept_nodes & touched), dtype=np.int64)
-    return GridGraph(graph.n_side, new_nodes, new_edges)
+    # A filtered canonical edge array stays canonical. Removing the nodes
+    # that no kept edge touches deletes no edges, so one pass suffices.
+    edges = graph.edges[alive[src] & alive[dst] & ~dropped[pair]]
+    return GridGraph(graph.n_side, np.unique(edges[:, :2]), edges)
 
 
 def add_selfloops(graph: GridGraph) -> GridGraph:

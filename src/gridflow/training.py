@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import autodiff as ad
-from .data import TRAIN, VALID, Dataset
+from .data import SPLIT_NAMES, TRAIN, VALID, Dataset
 from .metrics import MetricsReport, metrics as compute_metrics, ranks_of
 from .graphnets import MICROBATCH_SIZE, GraphTensors, Model, ModelConfig
 from .optim import Adam
@@ -39,6 +39,10 @@ class TrainConfig:
     eval_batch_size: ClassVar[int] = 64
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if self.epochs and self.snapshot_top_k > self.epochs:
             raise ValueError("snapshot_top_k cannot exceed epochs")
 
@@ -76,7 +80,7 @@ def prepare_examples(dataset: Dataset, gt: GraphTensors) -> dict:
     src = gt.to_indices(dataset.pairs[:, 0])
     dst = gt.to_indices(dataset.pairs[:, 1])
     out = {}
-    for name, code in (("train", 0), ("valid", 1), ("test", 2)):
+    for code, name in enumerate(SPLIT_NAMES):
         mask = dataset.splits == code
         out[name] = (src[mask], dst[mask])
     return out

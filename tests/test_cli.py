@@ -9,16 +9,20 @@ import pytest
 
 import gridflow
 from gridflow import cli
+from gridflow.data import preset_names
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
 
 
+TINY = "LINE-SZ5-STP4-NDRP-STD0.3"
+
+
 def generate_tiny(tmp_path, seeds=1):
     out = tmp_path / "data"
     rc = run_cli("generate", "--out", str(out), "--seeds", str(seeds),
-                 "--n", "5", "--t", "4", "--sigma", "0.3")
+                 "--preset", TINY)
     assert rc == 0
     return out
 
@@ -42,12 +46,13 @@ def test_generate_unknown_preset_lists_valid(tmp_path, capsys):
 
 
 def test_generate_unknown_direction_lists_valid(tmp_path, capsys):
-    rc = run_cli("generate", "--out", str(tmp_path / "x"), "--n", "5",
-                 "--t", "4", "--sigma", "0.3", "--preset-dir", "spiral")
+    rc = run_cli("generate", "--out", str(tmp_path / "x"),
+                 "--preset", "SPIRAL-SZ5-STP4-NDRP-STD0.3")
     assert rc == 2
     err = capsys.readouterr().err
-    assert "'spiral'" in err
-    for name in ("line", "sine", "location", "history"):
+    assert "'SPIRAL-SZ5-STP4-NDRP-STD0.3'" in err
+    assert "<LINE|SINE|LOCATION|HISTORY>-SZ<n>-STP<T>" in err
+    for name in preset_names():
         assert name in err
     assert not (tmp_path / "x").exists()
 
@@ -88,33 +93,48 @@ BAD_INPUT = {
                   "attn_dims must be smaller"),
     "no-valid-pairs": (["train", "--model", "ggnn", "--data", "{grid2}"],
                        "0 valid pairs"),
-    "n-1": (["generate", "--n", "1", "--t", "4", "--sigma", "0.3"],
+    "n-1": (["generate", "--preset", "LINE-SZ1-STP4-NDRP-STD0.3"],
             "n_side must be >= 2"),
-    "sigma-0": (["generate", "--n", "5", "--t", "4", "--sigma", "0"],
+    "sigma-0": (["generate", "--preset", "LINE-SZ5-STP4-NDRP-STD0"],
                 "sigma must be positive"),
+    "seeds-0": (["generate", "--preset", TINY, "--seeds", "0"],
+                "seeds must be >= 1"),
+    "batch-0": (["train", "--model", "ggnn", "--data", "{data}",
+                 "--batch", "0"], "batch_size must be >= 1"),
+    "batch-neg": (["train", "--model", "ggnn", "--data", "{data}",
+                   "--batch", "-1"], "batch_size must be >= 1"),
+    "epochs-neg": (["train", "--model", "ggnn", "--data", "{data}",
+                    "--epochs", "-1"], "epochs must be >= 0"),
+    "steps-0": (["train", "--model", "ggnn", "--data", "{data}",
+                 "--steps", "0"], "steps must be >= 1"),
+    "steps-neg": (["train", "--model", "ggnn", "--data", "{data}",
+                   "--steps", "-1"], "steps must be >= 1"),
+    "attn-dims-0": (["train", "--model", "ggnn", "--data", "{data}",
+                     "--attn-dims", "0"], "attn_dims must be >= 1"),
+    "attn-dims-neg": (["train", "--model", "ggnn", "--data", "{data}",
+                       "--attn-dims", "-3"], "attn_dims must be >= 1"),
+    "group-dir": (["train", "--model", "ggnn", "--data", "{group}"],
+                  "params.json does not exist"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, case):
     """The library's message on stderr, exit 2, and no output directory.
-    A 2x2 grid's two sources leave no valid pairs."""
-    data = generate_tiny(tmp_path) / "seed0"
+    A 2x2 grid's two sources leave no valid pairs; a group directory holds
+    seed directories, not a dataset."""
+    group = generate_tiny(tmp_path)
     grid2 = tmp_path / "grid2"
-    assert run_cli("generate", "--out", str(grid2), "--n", "2", "--t", "2",
-                   "--sigma", "0.3", "--preset-dir", "line") == 0
+    assert run_cli("generate", "--out", str(grid2),
+                   "--preset", "LINE-SZ2-STP2-NDRP-STD0.3") == 0
     argv, message = BAD_INPUT[case]
     out = tmp_path / "out"
-    argv = [a.format(data=data, grid2=grid2 / "seed0") for a in argv]
+    argv = [a.format(data=group / "seed0", group=group, grid2=grid2 / "seed0")
+            for a in argv]
     capsys.readouterr()
     assert run_cli(*argv, "--out", str(out)) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_generate_custom_needs_all_three(tmp_path, capsys):
-    rc = run_cli("generate", "--out", str(tmp_path / "x"), "--n", "5")
-    assert rc == 2
 
 
 def test_train_eval_visualize_round_trip(tmp_path, capsys):
@@ -240,6 +260,25 @@ def test_train_missing_dataset(tmp_path, capsys):
     assert rc == 2
 
 
+def test_eval_and_visualize_of_run_without_its_dataset(tmp_path, capsys):
+    """A run whose dataset was deleted exits 2 naming the missing file."""
+    data = generate_tiny(tmp_path) / "seed0"
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--model", "rw-stationary", "--data", str(data),
+                   "--out", str(run_dir), "--epochs", "1", "--dims", "8",
+                   "--attn-dims", "2", "--steps", "2") == 0
+    shutil.rmtree(data)
+    missing = os.path.join("data", "seed0", "graph.json")
+    capsys.readouterr()
+    assert run_cli("eval", "--run", str(run_dir)) == 2
+    assert missing in capsys.readouterr().err
+    rc = run_cli("visualize", "--run", str(run_dir), "--src", "0",
+                 "--dst", "1", "--out", str(tmp_path / "viz"))
+    assert rc == 2
+    assert missing in capsys.readouterr().err
+    assert not (tmp_path / "viz").exists()
+
+
 def test_eval_requires_selection_manifest(tmp_path, capsys):
     os.makedirs(tmp_path / "empty")
     rc = run_cli("eval", "--run", str(tmp_path / "empty"))
@@ -307,11 +346,11 @@ with open("/proc/self/status") as f:
 # module as __main__ through runpy.
 ENTRY_POINTS = {
     "console-script": "from gridflow.cli import main\n"
-                      "main(['generate', '--out', {out!r}, '--n', '5', "
-                      "'--t', '4', '--sigma', '0.3'])\n",
+                      "main(['generate', '--out', {out!r}, "
+                      "'--preset', 'LINE-SZ5-STP4-NDRP-STD0.3'])\n",
     "python-m": "import runpy, sys\n"
                 "sys.argv = ['gridflow', 'generate', '--out', {out!r}, "
-                "'--n', '5', '--t', '4', '--sigma', '0.3']\n"
+                "'--preset', 'LINE-SZ5-STP4-NDRP-STD0.3']\n"
                 "try:\n"
                 "    runpy.run_module('gridflow.cli', run_name='__main__', "
                 "alter_sys=True)\n"

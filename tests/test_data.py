@@ -113,16 +113,69 @@ def test_nested_params_json_loads_flat(tmp_path):
 def test_split_sources_proportions():
     sources = np.arange(100)
     splits = split_sources(sources, seed=1)
-    counts = {TRAIN: 0, VALID: 0, TEST: 0}
-    for s in splits.values():
-        counts[s] += 1
+    assert splits.dtype == np.int64 and splits.shape == (100,)
+    counts = np.bincount(splits, minlength=3)
     assert counts[TRAIN] == 80 and counts[VALID] == 10 and counts[TEST] == 10
 
 
 def test_split_sources_deterministic_and_seed_sensitive():
     sources = np.arange(50)
-    assert split_sources(sources, 7) == split_sources(sources, 7)
-    assert split_sources(sources, 7) != split_sources(sources, 8)
+    assert np.array_equal(split_sources(sources, 7), split_sources(sources, 7))
+    assert not np.array_equal(split_sources(sources, 7),
+                              split_sources(sources, 8))
+
+
+def split_oracle(sources, seed):
+    """The dict split that split_sources' array replaced: source -> code."""
+    srcs = np.sort(np.asarray(sources))
+    srcs = srcs[np.random.default_rng([seed, 2]).permutation(len(srcs))]
+    n = len(srcs)
+    n_train, n_valid = int(0.8 * n), int(0.9 * n) - int(0.8 * n)
+    return {s: TRAIN if i < n_train else (VALID if i < n_train + n_valid
+                                          else TEST)
+            for i, s in enumerate(srcs.tolist())}
+
+
+def pairs_oracle(trajectories, seed):
+    """The set dedup and per-pair dict lookup that build_dataset's arrays
+    replaced: the sorted distinct (source, destination) pairs and their
+    split codes."""
+    seen, pairs = set(), []
+    for traj in trajectories:
+        key = (traj.source, traj.destination)
+        if key not in seen:
+            seen.add(key)
+            pairs.append(key)
+    pairs = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    by_src = split_oracle(np.unique(pairs[:, 0]), seed)
+    splits = np.array([by_src[s] for s in pairs[:, 0].tolist()],
+                      dtype=np.int64)
+    return pairs, splits
+
+
+def test_split_sources_matches_dict_oracle():
+    for n in list(range(12)) + [37, 100, 1023]:
+        sources = np.arange(n, dtype=np.int64) * 3 + 1
+        for seed in range(4):
+            want = split_oracle(sources, seed)
+            got = split_sources(sources, seed)
+            assert got.dtype == np.int64
+            assert got.tolist() == [want[s] for s in sources.tolist()]
+
+
+@pytest.mark.parametrize("params", [
+    small_params(seed=0), small_params(seed=5),
+    GenParams(7, 6, 0.4, 0.05, 0.1, 3, "history", 11),
+    GenParams(2, 2, 0.3, 0.1, 0.0, 10, "line", 0),
+    GenParams(3, 4, 0.3, 1.0, 0.0, 2, "sine", 1),  # every node dropped
+], ids=["small0", "small5", "history7", "grid2", "empty"])
+def test_pairs_and_splits_match_set_oracle(params):
+    ds, trajs = build_dataset(params, return_trajectories=True)
+    pairs, splits = pairs_oracle(trajs, params.seed)
+    for got, want in ((ds.pairs, pairs), (ds.splits, splits)):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_build_dataset_pairs_are_deduplicated():

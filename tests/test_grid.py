@@ -93,6 +93,44 @@ def test_no_isolated_nodes_after_corruption():
         assert all(d > 0 for d in degree.values())
 
 
+def corrupt_oracle(graph, p_node_drop, p_edge_drop, seed):
+    """The set-based corruption that grid.corrupt's masks replaced: the
+    same draws, kept nodes and dropped pairs as sets, edges re-sorted."""
+    rng = np.random.default_rng(seed)
+    node_keep = rng.random(graph.n_nodes) >= p_node_drop
+    kept_nodes = set(graph.nodes[node_keep].tolist())
+    rep_edges = graph.edges[graph.edges[:, 2] < 4]
+    rep_keep = rng.random(len(rep_edges)) >= p_edge_drop
+    dropped_pairs = set()
+    for (src, dst, t), keep in zip(rep_edges.tolist(), rep_keep.tolist()):
+        if not keep:
+            dropped_pairs.add((src, dst, t))
+            dropped_pairs.add((dst, src, grid.reverse_edge_type(t)))
+    kept = [(src, dst, t) for src, dst, t in graph.edges.tolist()
+            if src in kept_nodes and dst in kept_nodes
+            and (src, dst, t) not in dropped_pairs]
+    edges = np.array(kept, dtype=np.int64).reshape(-1, 3)
+    edges = edges[np.lexsort((edges[:, 2], edges[:, 1], edges[:, 0]))]
+    touched = set(edges[:, 0].tolist()) | set(edges[:, 1].tolist())
+    nodes = np.array(sorted(kept_nodes & touched), dtype=np.int64)
+    return nodes, edges
+
+
+@pytest.mark.parametrize("n_side", [2, 3, 7, 32])
+def test_corrupt_matches_set_oracle(n_side):
+    g = grid.build_grid(n_side)
+    for p_node_drop, p_edge_drop in ((0.0, 0.0), (0.1, 0.0), (0.0, 0.2),
+                                     (0.3, 0.3), (0.5, 0.0), (0.0, 0.5),
+                                     (0.9, 0.9), (1.0, 0.0), (0.0, 1.0)):
+        for seed in range(3):
+            c = grid.corrupt(g, p_node_drop, p_edge_drop, seed)
+            nodes, edges = corrupt_oracle(g, p_node_drop, p_edge_drop, seed)
+            for got, want in ((c.nodes, nodes), (c.edges, edges)):
+                assert got.dtype == want.dtype
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
 def test_node_drop_rate_statistics():
     kept = []
     g = grid.build_grid(16)

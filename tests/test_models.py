@@ -59,6 +59,10 @@ def test_config_validation():
         ModelConfig(dims=8, attn_dims=8)
     with pytest.raises(ValueError):
         ModelConfig("gat", dims=42, attn_dims=8)
+    for field, value in (("dims", 0), ("attn_dims", 0), ("attn_dims", -3),
+                         ("steps", 0), ("steps", -1)):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            ModelConfig(**{field: value})
     assert ModelConfig.from_name("RW_Stationary").name == "rw-stationary"
     assert ModelConfig.from_name("GGNN_MulMlp").name == "ggnn-mulmlp"
     cfg = ModelConfig.from_name("gat-mul")

@@ -47,6 +47,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=2, snapshot_top_k=3)
     TrainConfig(epochs=0)  # allowed: no training, no snapshots
+    for batch_size in (0, -1):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            TrainConfig(batch_size=batch_size)
+    with pytest.raises(ValueError, match="epochs must be >= 0"):
+        TrainConfig(epochs=-1)
 
 
 def test_select_snapshots_by_mrr():
