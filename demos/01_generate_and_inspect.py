@@ -27,8 +27,9 @@ params = GenParams(
     seed=0,  # drives the corruption, the rollouts and the split
 )
 
-dataset, trajectories = build_dataset(params, return_trajectories=True)
-stats = dataset_stats(dataset, trajectories)
+# paths holds every rollout, one row of node ids each, padded with -1.
+dataset, paths = build_dataset(params, return_trajectories=True)
+stats = dataset_stats(dataset, paths)
 
 print(f"grid {params.n_side}x{params.n_side}, node drop "
       f"{params.p_node_drop}")
@@ -46,11 +47,14 @@ for name, prob in zip(names, p):
     bar = "#" * int(round(60 * prob))
     print(f"  {name:>2} {prob:6.3f} {bar}")
 
-# A few raw trajectories, as node id chains.
+# A few raw trajectories, as node id chains. One shorter than
+# max_steps + 1 nodes stopped where it chose a missing edge.
 print("\nsample trajectories (node ids, row-major y*N+x):")
-for traj in trajectories[:5]:
-    chain = " -> ".join(str(v) for v in traj.nodes)
-    print(f"  [{traj.terminated_by:>12}] {chain}")
+for row in paths[:5]:
+    nodes = row[row >= 0]
+    tag = "blocked" if len(nodes) < params.max_steps + 1 else "max_steps"
+    chain = " -> ".join(str(v) for v in nodes)
+    print(f"  [{tag:>9}] {chain}")
 
 example_src, example_dst = (int(v) for v in dataset.pairs[0])
 svg = render_svg(dataset.graph, {}, example_src, example_dst)

@@ -20,7 +20,7 @@ def _apply_thread_cap():
 _apply_thread_cap()
 
 from .grid import GridGraph, add_selfloops, build_grid, corrupt
-from .dynamics import Trajectory, edge_distribution, rollout
+from .dynamics import edge_distribution, rollout
 from .data import (
     Dataset,
     GenParams,
@@ -48,7 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridGraph", "add_selfloops", "build_grid", "corrupt",
-    "Trajectory", "edge_distribution", "rollout",
+    "edge_distribution", "rollout",
     "Dataset", "GenParams", "build_dataset", "dataset_stats", "load_dataset",
     "preset_names", "preset_params", "save_dataset",
     "GraphTensors", "Model", "ModelConfig", "MODEL_NAMES",

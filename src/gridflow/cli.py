@@ -89,13 +89,8 @@ def generate(out, preset, seeds=1) -> int:
     print("\t".join(header))
     for seed in range(seeds):
         params = data.preset_params(preset, seed=seed)
-        try:
-            dataset, trajectories = data.build_dataset(
-                params, return_trajectories=True)
-        except ValueError as err:
-            print(err, file=sys.stderr)
-            return 2
-        stats = data.dataset_stats(dataset, trajectories)
+        dataset, paths = data.build_dataset(params, return_trajectories=True)
+        stats = data.dataset_stats(dataset, paths)
         outdir = os.path.join(out, f"seed{seed}")
         data.save_dataset(outdir, dataset, params, stats)
         print("\t".join([

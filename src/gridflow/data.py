@@ -7,11 +7,16 @@ On-disk layout (one directory per dataset):
     params.json  generation parameters: GenParams' fields, which regenerate
                  graph.json and pairs.tsv
     stats.json   dataset statistics
+
+The rollouts follow dynamics' RNG contract: one stream per source node,
+seeded by the dataset seed and the node id, and one draw per step taken,
+the step that chooses a missing edge included.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -43,23 +48,41 @@ class GenParams:
         if self.direction not in DIRECTION_PRESETS:
             raise ValueError(f"unknown direction preset {self.direction!r}; "
                              f"expected one of {DIRECTION_PRESETS}")
+        if self.n_side < 2:
+            raise ValueError(f"n_side must be >= 2, got {self.n_side}")
+        for name in ("max_steps", "n_rollout"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
+        # The sampler's cumulative distributions are monotone only then.
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, "
+                             f"got {self.sigma}")
+        for p in (self.p_node_drop, self.p_edge_drop):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"drop probability {p} outside [0, 1]")
 
 
 def preset_params(name: str, seed: int = 0) -> GenParams:
-    """Resolve a dataset-group name like LINE-SZ32-STP16-NDRP-STD0.2."""
+    """Resolve a dataset-group name like LINE-SZ32-STP16-NDRP-STD0.2. A
+    name outside the grammar and a value GenParams refuses both raise
+    ValueError, each with its own message."""
     try:
         dname, sz, stp, drp, std = name.upper().split("-")
         p_node_drop, p_edge_drop = {"NDRP": (0.1, 0.0), "EDRP": (0.0, 0.2)}[drp]
-        return GenParams(
+        if dname.lower() not in DIRECTION_PRESETS:
+            raise KeyError(dname)
+        fields = dict(
             n_side=int(sz.removeprefix("SZ")),
             max_steps=int(stp.removeprefix("STP")),
             sigma=float(std.removeprefix("STD")),
             p_node_drop=p_node_drop, p_edge_drop=p_edge_drop,
-            direction=dname.lower(), seed=seed,
+            direction=dname.lower(),
         )
     except (ValueError, KeyError, AttributeError) as err:
         raise ValueError(f"unknown preset {name!r}; presets are named "
                          f"{PRESET_GRAMMAR}") from err
+    return GenParams(**fields, seed=seed)
 
 
 def preset_names() -> list:
@@ -92,33 +115,27 @@ def split_sources(sources: np.ndarray, seed: int) -> np.ndarray:
     return codes
 
 
-def generate_trajectories(graph: GridGraph, params: GenParams) -> list:
-    """n_rollout trajectories per surviving node. Each source draws from its
-    own RNG stream, seeded by the dataset seed and its node id, so its
-    trajectories do not depend on the other sources."""
-    trajectories = []
-    for src in graph.nodes.tolist():
-        rng = np.random.default_rng([params.seed, 1, src])
-        for _ in range(params.n_rollout):
-            trajectories.append(
-                rollout(graph, src, params.direction, params.sigma,
-                        params.max_steps, rng)
-            )
-    return trajectories
+def _endpoints(paths: np.ndarray):
+    """The (source, destination) pair of each rollout row of
+    dynamics.rollout's -1-padded paths, and its number of nodes."""
+    lengths = (paths >= 0).sum(axis=1)
+    ends = paths[np.arange(len(paths)), lengths - 1]
+    return np.stack([paths[:, 0], ends], axis=1), lengths
 
 
 def build_dataset(params: GenParams, return_trajectories: bool = False):
-    """Build grid, corrupt, roll out, deduplicate pairs, split by source."""
+    """Build grid, corrupt, roll out, deduplicate pairs, split by source.
+    With return_trajectories, also return the rollouts' paths."""
     corrupted = corrupt(build_grid(params.n_side), params.p_node_drop,
                         params.p_edge_drop, params.seed)
-    trajectories = generate_trajectories(corrupted, params)
-    pairs = np.unique(np.array([(t.source, t.destination) for t in trajectories],
-                               dtype=np.int64).reshape(-1, 2), axis=0)
+    paths = rollout(corrupted, params.direction, params.sigma,
+                    params.max_steps, params.n_rollout, params.seed)
+    pairs = np.unique(_endpoints(paths)[0], axis=0)
     sources, by_src = np.unique(pairs[:, 0], return_inverse=True)
     splits = split_sources(sources, params.seed)[by_src]
     dataset = Dataset(add_selfloops(corrupted), pairs, splits)
     if return_trajectories:
-        return dataset, trajectories
+        return dataset, paths
     return dataset
 
 
@@ -138,21 +155,20 @@ class Stats:
         return dataclasses.asdict(self)
 
 
-def dataset_stats(dataset: Dataset, trajectories) -> Stats:
-    """Summary statistics; trajectories are the pre-dedup rollouts."""
-    lengths_all = [t.length for t in trajectories]
-    seen = {}
-    for t in trajectories:
-        seen.setdefault((t.source, t.destination), len(t.nodes))
-    lengths_distinct = list(seen.values())
+def dataset_stats(dataset: Dataset, paths: np.ndarray) -> Stats:
+    """Summary statistics; paths are the pre-dedup rollouts, as
+    build_dataset(params, return_trajectories=True) returns them. A pair's
+    trajectory is its first rollout, as np.unique picks it."""
+    pairs, lengths = _endpoints(paths)
+    first = np.unique(pairs, axis=0, return_index=True)[1]
     n_nodes = dataset.graph.n_nodes
     return Stats(
         n_nodes=n_nodes,
         n_edges=dataset.graph.n_directional_edges(),
         n_pairs=len(dataset.pairs),
         pairs_per_node=len(dataset.pairs) / n_nodes if n_nodes else 0.0,
-        traj_length=float(np.mean(lengths_distinct)) if lengths_distinct else 0.0,
-        traj_transitions_all=float(np.mean(lengths_all)) if lengths_all else 0.0,
+        traj_length=float(np.mean(lengths[first])) if len(first) else 0.0,
+        traj_transitions_all=float(np.mean(lengths - 1)) if len(lengths) else 0.0,
     )
 
 

@@ -6,18 +6,22 @@ over the 8 directional types, where d is the latent direction of one of
 the presets in DIRECTION_PRESETS at the current (time, position, history).
 Choosing an edge that does not exist in the corrupted graph terminates the
 trajectory.
+
+RNG contract: each source node draws from its own stream,
+default_rng([seed, 1, source]), so its trajectories do not depend on the
+other sources. Its rollouts take that stream's doubles in order, one per
+step taken, the step that chooses a missing edge included; the edge type
+is the number of entries of the cumulative distribution below the draw,
+capped at 7.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridGraph, N_DIRECTIONS, _UNIT_VECTORS
 
-MAX_STEPS = "max_steps"
-BLOCKED = "blocked_edge"
 DIRECTION_PRESETS = ("line", "sine", "location", "history")
 
 
@@ -55,47 +59,67 @@ def edge_distribution(direction, sigma: float) -> np.ndarray:
     return p / p.sum()
 
 
-@dataclass
-class Trajectory:
-    nodes: list
-    terminated_by: str
-
-    @property
-    def length(self) -> int:
-        """Number of transitions."""
-        return len(self.nodes) - 1
-
-    @property
-    def source(self) -> int:
-        return self.nodes[0]
-
-    @property
-    def destination(self) -> int:
-        return self.nodes[-1]
+def _cumulative_table(direction: str, sigma: float, max_steps: int,
+                      n_side: int) -> np.ndarray:
+    """Cumulative edge distribution of each key a preset's direction
+    depends on, one row per key: one row for line, step t for sine, the
+    node id for location, and y * n_side + x of the running coordinate
+    maxima (x, y) for history."""
+    if direction == "line":
+        args = [(0, (0, 0))]
+    elif direction == "sine":
+        args = [(t, (0, 0)) for t in range(max_steps)]
+    else:
+        args = [(0, (k % n_side, k // n_side)) for k in range(n_side * n_side)]
+    return np.array([np.cumsum(edge_distribution(
+        latent_direction(direction, t, [xy]), sigma)) for t, xy in args])
 
 
-def rollout(graph: GridGraph, src: int, direction: str,
-            sigma: float, max_steps: int, rng) -> Trajectory:
-    """Sample one trajectory from src under a direction preset.
+def rollout(graph: GridGraph, direction: str, sigma: float, max_steps: int,
+            n_rollout: int, seed: int) -> np.ndarray:
+    """Sample n_rollout trajectories from every surviving node, by the RNG
+    contract in the module docstring; sigma must be finite and positive.
 
-    Sampling is always over all 8 directional types; selfloops are never
-    drawn. Following a missing edge (including off-grid moves) terminates.
+    Returns a (len(graph.nodes) * n_rollout, max_steps + 1) int64 array of
+    node ids: row s * n_rollout + r is rollout r from graph.nodes[s],
+    padded with -1 after the node where it stopped. Sampling is always
+    over all 8 directional types; selfloops are never drawn. Every step
+    runs at once over the walkers still live.
     """
-    moves = graph.moves
-    if src not in moves:
-        raise ValueError(f"source node {src} not in graph")
     n = graph.n_side
-    cur = int(src)
-    history = [(cur % n, cur // n)]
-    nodes = [cur]
-    for t in range(max_steps):
-        d = latent_direction(direction, t, history)
-        p = edge_distribution(d, sigma)
-        e = int(np.searchsorted(np.cumsum(p), rng.random()))
-        e = min(e, N_DIRECTIONS - 1)
-        if e not in moves[cur]:
-            return Trajectory(nodes, BLOCKED)
-        cur = moves[cur][e]
-        history.append((cur % n, cur // n))
-        nodes.append(cur)
-    return Trajectory(nodes, MAX_STEPS)
+    sources = graph.nodes
+    draws = np.empty((len(sources), n_rollout * max_steps))
+    for row, src in zip(draws, sources.tolist()):
+        row[:] = np.random.default_rng([seed, 1, src]).random(len(row))
+    used = np.zeros(len(sources), dtype=np.int64)  # draws taken per source
+    cum = _cumulative_table(direction, sigma, max_steps, n)
+    moves = graph.move_table()
+    paths = np.full((len(sources), n_rollout, max_steps + 1), -1,
+                    dtype=np.int64)
+    paths[:, :, 0] = sources[:, None]
+    for r in range(n_rollout):
+        walker = np.arange(len(sources))  # source index of each live walker
+        cur = sources.copy()
+        max_x, max_y = cur % n, cur // n
+        for t in range(max_steps):
+            if not len(walker):
+                break
+            if direction == "line":
+                key = 0
+            elif direction == "sine":
+                key = t
+            elif direction == "location":
+                key = cur
+            else:
+                key = max_y * n + max_x
+            u = draws[walker, used[walker]]
+            used[walker] += 1
+            e = np.minimum((cum[key] < u[:, None]).sum(axis=1),
+                           N_DIRECTIONS - 1)
+            nxt = moves[cur, e]
+            ok = nxt >= 0
+            walker, cur = walker[ok], nxt[ok]
+            max_x = np.maximum(max_x[ok], cur % n)
+            max_y = np.maximum(max_y[ok], cur // n)
+            paths[walker, r, t + 1] = cur
+    return paths.reshape(len(sources) * n_rollout, max_steps + 1)

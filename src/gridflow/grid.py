@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,14 +63,14 @@ class GridGraph:
         ids = np.asarray(ids)
         return np.stack([ids % self.n_side, ids // self.n_side], axis=-1)
 
-    @cached_property
-    def moves(self) -> dict:
-        """{node: {edge type: destination}}, with an entry for every node;
-        rollouts check their source and take each step here."""
-        moves = {v: {} for v in self.nodes.tolist()}
-        for src, dst, t in self.edges.tolist():
-            moves[src][t] = dst
-        return moves
+    def move_table(self) -> np.ndarray:
+        """(n_side^2, 8) destination of each node id's directional edge of
+        each type, -1 where the graph has no such edge."""
+        table = np.full((self.n_side * self.n_side, N_DIRECTIONS), -1,
+                        dtype=np.int64)
+        src, dst, t = self.edges[self.edges[:, 2] != SELFLOOP].T
+        table[src, t] = dst
+        return table
 
     def to_json_dict(self) -> dict:
         xs = self.nodes % self.n_side

@@ -45,8 +45,8 @@ def test_dataset_statistics_over_seeds():
     stats = []
     for seed in range(5):
         params = preset_params("LINE-SZ32-STP16-NDRP-STD0.2", seed=seed)
-        ds, trajs = build_dataset(params, return_trajectories=True)
-        stats.append(dataset_stats(ds, trajs))
+        ds, paths = build_dataset(params, return_trajectories=True)
+        stats.append(dataset_stats(ds, paths))
     mean = lambda f: float(np.mean([getattr(s, f) for s in stats]))
     assert 894 <= mean("n_nodes") <= 948
     assert 6130 <= mean("n_edges") <= 6510

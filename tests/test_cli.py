@@ -97,6 +97,14 @@ BAD_INPUT = {
             "n_side must be >= 2"),
     "sigma-0": (["generate", "--preset", "LINE-SZ5-STP4-NDRP-STD0"],
                 "sigma must be positive"),
+    "STDnan": (["generate", "--preset", "LINE-SZ5-STP4-NDRP-STDnan"],
+               "sigma must be positive and finite, got nan"),
+    "STDinf": (["generate", "--preset", "LINE-SZ5-STP4-NDRP-STDinf"],
+               "sigma must be positive and finite, got inf"),
+    "STP0": (["generate", "--preset", "LINE-SZ5-STP0-NDRP-STD0.3"],
+             "max_steps must be >= 1"),
+    "SZ0": (["generate", "--preset", "LINE-SZ0-STP4-NDRP-STD0.3"],
+            "n_side must be >= 2"),
     "seeds-0": (["generate", "--preset", TINY, "--seeds", "0"],
                 "seeds must be >= 1"),
     "batch-0": (["train", "--model", "ggnn", "--data", "{data}",
@@ -120,9 +128,9 @@ BAD_INPUT = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, case):
-    """The library's message on stderr, exit 2, and no output directory.
-    A 2x2 grid's two sources leave no valid pairs; a group directory holds
-    seed directories, not a dataset."""
+    """The library's message on stderr, exit 2, nothing on stdout and no
+    output directory. A 2x2 grid's two sources leave no valid pairs; a
+    group directory holds seed directories, not a dataset."""
     group = generate_tiny(tmp_path)
     grid2 = tmp_path / "grid2"
     assert run_cli("generate", "--out", str(grid2),
@@ -133,7 +141,9 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, case):
             for a in argv]
     capsys.readouterr()
     assert run_cli(*argv, "--out", str(out)) == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,25 @@ def test_gen_params_rejects_unknown_direction():
         GenParams(direction="spiral")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("sigma", float("nan"), "sigma must be positive and finite"),
+    ("sigma", float("inf"), "sigma must be positive and finite"),
+    ("sigma", 0.0, "sigma must be positive and finite"),
+    ("sigma", -0.2, "sigma must be positive and finite"),
+    ("max_steps", 0, "max_steps must be >= 1"),
+    ("n_rollout", 0, "n_rollout must be >= 1"),
+    ("n_side", 1, "n_side must be >= 2"),
+    ("p_node_drop", 1.5, "outside [0, 1]"),
+    ("p_edge_drop", -0.1, "outside [0, 1]"),
+    ("p_edge_drop", float("nan"), "outside [0, 1]"),
+])
+def test_gen_params_rejects_degenerate_values(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GenParams(**{field: value})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(GenParams(), **{field: value})
+
+
 # params.json as written before GenParams was flat: the direction was a
 # nested record of a variant name and eight coefficients.
 NESTED_PARAMS_JSON = """{
@@ -136,13 +158,18 @@ def split_oracle(sources, seed):
             for i, s in enumerate(srcs.tolist())}
 
 
-def pairs_oracle(trajectories, seed):
+def trajectories(paths):
+    """Each rollout row's node ids, without the -1 padding."""
+    return [[v for v in row if v >= 0] for row in paths.tolist()]
+
+
+def pairs_oracle(paths, seed):
     """The set dedup and per-pair dict lookup that build_dataset's arrays
     replaced: the sorted distinct (source, destination) pairs and their
     split codes."""
     seen, pairs = set(), []
-    for traj in trajectories:
-        key = (traj.source, traj.destination)
+    for nodes in trajectories(paths):
+        key = (nodes[0], nodes[-1])
         if key not in seen:
             seen.add(key)
             pairs.append(key)
@@ -170,8 +197,8 @@ def test_split_sources_matches_dict_oracle():
     GenParams(3, 4, 0.3, 1.0, 0.0, 2, "sine", 1),  # every node dropped
 ], ids=["small0", "small5", "history7", "grid2", "empty"])
 def test_pairs_and_splits_match_set_oracle(params):
-    ds, trajs = build_dataset(params, return_trajectories=True)
-    pairs, splits = pairs_oracle(trajs, params.seed)
+    ds, paths = build_dataset(params, return_trajectories=True)
+    pairs, splits = pairs_oracle(paths, params.seed)
     for got, want in ((ds.pairs, pairs), (ds.splits, splits)):
         assert got.dtype == want.dtype
         assert got.shape == want.shape
@@ -214,8 +241,8 @@ def test_pair_count_bounded_by_rollouts():
 
 def test_stats_fields():
     params = small_params()
-    ds, trajs = build_dataset(params, return_trajectories=True)
-    stats = dataset_stats(ds, trajs)
+    ds, paths = build_dataset(params, return_trajectories=True)
+    stats = dataset_stats(ds, paths)
     assert stats.n_nodes == ds.graph.n_nodes
     assert stats.n_edges == ds.graph.n_directional_edges()
     assert stats.n_pairs == len(ds.pairs)
@@ -224,10 +251,30 @@ def test_stats_fields():
     assert 1.0 <= stats.traj_length <= params.max_steps + 1
 
 
+@pytest.mark.parametrize("preset", [
+    "LINE-SZ32-STP16-NDRP-STD0.2", "HISTORY-SZ32-STP16-EDRP-STD0.5",
+    "SINE-SZ8-STP6-NDRP-STD0.5", "LOCATION-SZ5-STP4-EDRP-STD0.3",
+])
+def test_stats_lengths_match_dict_oracle(preset):
+    """traj_length is the node count of the first rollout of each distinct
+    pair, as the dict that dataset_stats' np.unique replaced kept it."""
+    for seed in range(3):
+        ds, paths = build_dataset(preset_params(preset, seed=seed),
+                                  return_trajectories=True)
+        first = {}
+        for nodes in trajectories(paths):
+            first.setdefault((nodes[0], nodes[-1]), len(nodes))
+        assert sorted(first) == [tuple(p) for p in ds.pairs.tolist()]
+        stats = dataset_stats(ds, paths)
+        assert stats.traj_length == float(np.mean(list(first.values())))
+        assert stats.traj_transitions_all == float(
+            np.mean([len(nodes) - 1 for nodes in trajectories(paths)]))
+
+
 def test_save_load_round_trip(tmp_path):
     params = small_params(seed=4)
-    ds, trajs = build_dataset(params, return_trajectories=True)
-    stats = dataset_stats(ds, trajs)
+    ds, paths = build_dataset(params, return_trajectories=True)
+    stats = dataset_stats(ds, paths)
     save_dataset(tmp_path, ds, params, stats)
     loaded = load_dataset(tmp_path)
     assert np.array_equal(loaded.pairs, ds.pairs)

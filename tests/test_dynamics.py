@@ -5,8 +5,7 @@ import pytest
 
 from gridflow import dynamics, grid
 from gridflow.dynamics import (
-    BLOCKED,
-    MAX_STEPS,
+    DIRECTION_PRESETS,
     edge_distribution,
     latent_direction,
     rollout,
@@ -112,53 +111,116 @@ def test_empirical_frequencies_match_distribution():
     assert np.abs(counts / draws - p).max() < 0.02
 
 
+def scalar_rollout(graph, src, direction, sigma, max_steps, rng):
+    """The one-trajectory-at-a-time sampler that rollout batches: the node
+    ids of one rollout from src, drawing rng.random() once per step."""
+    moves = {v: {} for v in graph.nodes.tolist()}
+    for a, b, t in graph.edges.tolist():
+        moves[a][t] = b
+    n = graph.n_side
+    cur = int(src)
+    history = [(cur % n, cur // n)]
+    nodes = [cur]
+    for t in range(max_steps):
+        d = latent_direction(direction, t, history)
+        p = edge_distribution(d, sigma)
+        e = int(np.searchsorted(np.cumsum(p), rng.random()))
+        e = min(e, grid.N_DIRECTIONS - 1)
+        if e not in moves[cur]:
+            break
+        cur = moves[cur][e]
+        history.append((cur % n, cur // n))
+        nodes.append(cur)
+    return nodes
+
+
+def scalar_paths(graph, direction, sigma, max_steps, n_rollout, seed):
+    """rollout's output, built by the scalar oracle source by source."""
+    rows = []
+    for src in graph.nodes.tolist():
+        rng = np.random.default_rng([seed, 1, src])
+        for _ in range(n_rollout):
+            nodes = scalar_rollout(graph, src, direction, sigma, max_steps, rng)
+            rows.append(nodes + [-1] * (max_steps + 1 - len(nodes)))
+    return np.array(rows, dtype=np.int64).reshape(-1, max_steps + 1)
+
+
+def lengths(paths):
+    return (paths >= 0).sum(axis=1)
+
+
+def test_block_draw_equals_scalar_draws():
+    """rollout draws each source's uniforms as one block; this holds only
+    while numpy's rng.random(k) gives the doubles of k rng.random() calls."""
+    for seed in ([0, 1, 5], [3, 1, 1023], 7):
+        block = np.random.default_rng(seed).random(160)
+        rng = np.random.default_rng(seed)
+        assert block.tolist() == [rng.random() for _ in range(160)]
+
+
+GRAPHS = {
+    "full6": grid.build_grid(6),
+    "full2": grid.build_grid(2),
+    "node-drop": grid.corrupt(grid.build_grid(9), 0.2, 0.0, seed=4),
+    "edge-drop": grid.corrupt(grid.build_grid(8), 0.0, 0.3, seed=1),
+    "edge-drop2": grid.corrupt(grid.build_grid(2), 0.0, 0.5, seed=0),
+    "empty": grid.corrupt(grid.build_grid(4), 1.0, 0.0, seed=0),
+}
+
+
+@pytest.mark.parametrize("direction", DIRECTION_PRESETS)
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_rollout_matches_scalar_oracle(name, direction):
+    g = GRAPHS[name]
+    for seed in range(3):
+        for sigma, max_steps, n_rollout in ((0.3, 7, 4), (1.5, 3, 2)):
+            got = rollout(g, direction, sigma, max_steps, n_rollout, seed)
+            want = scalar_paths(g, direction, sigma, max_steps, n_rollout,
+                                seed)
+            assert got.dtype == want.dtype
+            assert got.shape == (g.n_nodes * n_rollout, max_steps + 1)
+            assert np.array_equal(got, want)
+
+
 def test_rollout_terminates_and_records_source():
     g = grid.build_grid(6)
-    rng = np.random.default_rng(0)
-    traj = rollout(g, 7, "line", 0.2, 10, rng)
-    assert traj.source == 7
-    assert traj.length <= 10
-    assert traj.terminated_by in (MAX_STEPS, BLOCKED)
-    assert traj.length == len(traj.nodes) - 1
+    paths = rollout(g, "line", 0.2, 10, 3, seed=0)
+    assert paths.dtype == np.int64
+    assert np.array_equal(paths[:, 0], np.repeat(g.nodes, 3))
+    n = lengths(paths)
+    assert np.all((n >= 1) & (n <= 11))
+    assert np.array_equal(paths >= 0, np.arange(11) < n[:, None])
 
 
 def test_rollout_respects_graph_edges():
     g = grid.corrupt(grid.build_grid(8), 0.2, 0.0, seed=5)
-    triples = {(int(a), int(b)) for a, b, _ in g.edges}
-    for seed in range(20):
-        traj = rollout(g, int(g.nodes[0]), "location", 0.5, 12,
-                       np.random.default_rng(seed))
-        for a, b in zip(traj.nodes, traj.nodes[1:]):
-            assert (a, b) in triples
+    pairs = {(int(a), int(b)) for a, b, _ in g.edges}
+    paths = rollout(g, "location", 0.5, 12, 20, seed=0)
+    for row in paths.tolist():
+        nodes = [v for v in row if v >= 0]
+        for a, b in zip(nodes, nodes[1:]):
+            assert (a, b) in pairs
 
 
 def test_rollout_blocked_at_border():
     # A 2x2 grid with a strongly eastward direction: from the east border
     # the sampled east move fails immediately.
     g = grid.build_grid(2)
-    blocked = 0
-    for seed in range(50):
-        traj = rollout(g, 1, "line", 0.1, 5, np.random.default_rng(seed))
-        if traj.terminated_by == BLOCKED and traj.length == 0:
-            blocked += 1
-    assert blocked > 25  # sigma 0.1 makes east overwhelmingly likely
+    paths = rollout(g, "line", 0.1, 5, 50, seed=0)
+    from_east = paths[paths[:, 0] == 1]
+    assert np.sum(lengths(from_east) == 1) > 25  # east is overwhelmingly likely
 
 
 def test_rollout_max_steps():
     g = grid.build_grid(30)
-    traj = rollout(g, 0, "line", 0.2, 4, np.random.default_rng(3))
-    if traj.terminated_by == MAX_STEPS:
-        assert traj.length == 4
-
-
-def test_rollout_unknown_source():
-    g = grid.build_grid(3)
-    with pytest.raises(ValueError):
-        rollout(g, 99, "line", 0.2, 4, np.random.default_rng(0))
+    paths = rollout(g, "line", 0.2, 4, 5, seed=3)
+    assert paths.shape[1] == 5
+    assert np.any(lengths(paths[paths[:, 0] == 0]) == 5)
 
 
 def test_rollout_deterministic_per_rng_seed():
     g = grid.build_grid(10)
-    a = rollout(g, 12, "sine", 0.3, 16, np.random.default_rng(42))
-    b = rollout(g, 12, "sine", 0.3, 16, np.random.default_rng(42))
-    assert a.nodes == b.nodes and a.terminated_by == b.terminated_by
+    a = rollout(g, "sine", 0.3, 16, 3, seed=42)
+    b = rollout(g, "sine", 0.3, 16, 3, seed=42)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, rollout(g, "sine", 0.3, 16, 3, seed=43))

@@ -171,9 +171,13 @@ def test_json_round_trip(tmp_path):
 
 def test_neighbor_and_has_edge():
     g = grid.build_grid(3)
-    assert g.moves[0] == {grid.E: 1, grid.NE: 4, grid.N: 3}
-    assert g.moves[4][grid.SW] == 0 and len(g.moves[4]) == 8
-    c = grid.corrupt(grid.build_grid(6), 0.0, 0.3, seed=2)
-    assert c.moves.keys() == set(c.nodes.tolist())
-    assert sorted([s, d, t] for s, step in c.moves.items()
-                  for t, d in step.items()) == c.edges.tolist()
+    table = g.move_table()
+    assert table.shape == (9, 8) and table.dtype == np.int64
+    assert {t: d for t, d in enumerate(table[0].tolist()) if d >= 0} == {
+        grid.E: 1, grid.NE: 4, grid.N: 3}
+    assert table[4, grid.SW] == 0 and np.all(table[4] >= 0)
+    c = grid.add_selfloops(grid.corrupt(grid.build_grid(6), 0.3, 0.3, seed=2))
+    table = c.move_table()
+    src, t = np.nonzero(table >= 0)
+    rows = np.stack([src, table[src, t], t], axis=1)
+    assert sorted(rows.tolist()) == c.edges[c.edges[:, 2] != grid.SELFLOOP].tolist()
