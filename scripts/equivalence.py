@@ -14,7 +14,7 @@ It also saves the nodes, edges, pairs, splits and the six dataset_stats
 fields of every table preset (data.preset_names(), 16 SZ32 and 8 SZ64) at
 seed 0: what `gridflow generate` writes to graph.json, pairs.tsv and
 stats.json, so that the data layer is compared too. A dump takes about
-85 s on a 2-core x86-64 host with one BLAS thread.
+21 s on a 2-core x86-64 host with one BLAS thread.
 
 compare prints the number of arrays, how many of them are not
 bit-identical, and the largest relative difference,
