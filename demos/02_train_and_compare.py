@@ -37,8 +37,8 @@ for name in variants:
     start = time.time()
     snapshots = train(model, train_cfg, examples)
     selected = select_snapshots(snapshots, train_cfg.snapshot_top_k)
-    reports = evaluate_snapshots(model, selected, *examples["test"],
-                                 train_cfg.eval_batch_size)
+    reports = evaluate_snapshots(model, [s.state for s in selected],
+                                 *examples["test"])
     hits1 = sum(r.hits1 for r in reports) / len(reports)
     hits5 = sum(r.hits5 for r in reports) / len(reports)
     mrr = sum(r.mrr for r in reports) / len(reports)

@@ -13,19 +13,30 @@ terms that read a bias, such as MulMlp's tanh(act.b), are not zero.
 It also saves the nodes, edges, pairs, splits and the six dataset_stats
 fields of every table preset (data.preset_names(), 16 SZ32 and 8 SZ64) at
 seed 0: what `gridflow generate` writes to graph.json, pairs.tsv and
-stats.json, so that the data layer is compared too. A dump takes about
-21 s on a 2-core x86-64 host with one BLAS thread.
+stats.json, so that the data layer is compared too. Last, it runs a small
+`gridflow generate`, `train`, `eval --split valid` and `visualize` round
+trip on LINE-SZ6-STP3-NDRP-STD0.3 for ggnn-mulmlp and rw-stationary (3
+epochs, --dims 10 --attn-dims 4) and saves every file they write: the run
+directory's config.json, run.log and selection.json as lines of text, the
+selected epoch*.npz arrays, the eval JSON and the visualize traces and
+heatmap. So refactors of training and the CLI are compared as well. A
+dump takes about 22-25 s on a 2-core x86-64 host, of which the round trip
+is about 1 s. BLAS runs at numpy's default thread count: the script loads
+numpy before gridflow, so GRIDFLOW_THREADS does not reach it.
 
 compare prints the number of arrays, how many of them are not
 bit-identical, and the largest relative difference,
-max |a - b| / max(1, max |b|) per array. It exits 0 when every array is
-bit-identical, and 1 when any array differs or the two dumps hold
-different arrays or shapes.
+max |a - b| / max(1, max |b|) per array, which is inf for text that
+differs. It exits 0 when every array is bit-identical, and 1 when any
+array differs or the two dumps hold different arrays or shapes.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +44,61 @@ import numpy as np
 PRESET = "LINE-SZ32-STP16-NDRP-STD0.2"
 PAIRS = 4
 STEPS = 16
+CLI_PRESET = "LINE-SZ6-STP3-NDRP-STD0.3"
+CLI_MODELS = ("ggnn-mulmlp", "rw-stationary")
+
+
+def file_arrays(directory: Path, prefix: str) -> dict:
+    """Every file in directory: an .npz file's arrays, any other file's
+    lines of text."""
+    arrays = {}
+    for path in sorted(directory.iterdir()):
+        if path.suffix == ".npz":
+            with np.load(path) as f:
+                arrays.update({f"{prefix}{path.name}/{k}": f[k]
+                               for k in f.files})
+        else:
+            arrays[prefix + path.name] = np.array(
+                path.read_text().splitlines())
+    return arrays
+
+
+def cli_round_trip(cli, data) -> dict:
+    """The files that generate, train, eval and visualize write for each
+    of CLI_MODELS on CLI_PRESET."""
+    def gridflow(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([str(a) for a in argv])
+        if rc:
+            raise RuntimeError(f"gridflow {' '.join(map(str, argv))} "
+                               f"exited {rc}")
+
+    arrays = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        gridflow("generate", "--preset", CLI_PRESET, "--out", tmp / "data")
+        data_dir = tmp / "data" / "seed0"
+        nodes = data.load_dataset(data_dir).graph.nodes
+        for name in CLI_MODELS:
+            run_dir, out = tmp / name / "run", tmp / name / "out"
+            out.mkdir(parents=True)
+            gridflow("train", "--model", name, "--data", data_dir,
+                     "--out", run_dir, "--epochs", 3, "--dims", 10,
+                     "--attn-dims", 4)
+            gridflow("eval", "--run", run_dir, "--split", "valid",
+                     "--out", out / "eval-valid.json")
+            gridflow("visualize", "--run", run_dir, "--src", nodes[0],
+                     "--dst", nodes[-1], "--out", out)
+            arrays.update(file_arrays(run_dir, f"cli/{name}/run/"))
+            arrays.update(file_arrays(out, f"cli/{name}/out/"))
+            print(f"cli {name}: train, eval and visualize done", flush=True)
+    return arrays
 
 
 def dump(src_dir: Path, out: Path) -> int:
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(src_dir.resolve()))
-    from gridflow import data, graphnets, training
+    from gridflow import cli, data, graphnets, training
 
     ds = data.build_dataset(data.preset_params(PRESET, seed=0))
     gt = graphnets.GraphTensors(ds.graph)
@@ -74,6 +134,7 @@ def dump(src_dir: Path, out: Path) -> int:
             arrays[prefix + "stats/" + field] = np.array(value)
         print(f"{preset}: {len(ds.graph.nodes)} nodes, {len(ds.pairs)} pairs",
               flush=True)
+    arrays.update(cli_round_trip(cli, data))
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays written to {out}")
     return 0
@@ -96,9 +157,12 @@ def compare(a_path: Path, b_path: Path) -> int:
         if np.array_equal(x, y):
             continue
         differ += 1
-        y64 = y.astype(np.float64)
-        rel = (np.abs(x.astype(np.float64) - y64).max()
-               / max(1.0, np.abs(y64).max()))
+        if x.dtype.kind == "U":
+            rel = np.inf
+        else:
+            y64 = y.astype(np.float64)
+            rel = (np.abs(x.astype(np.float64) - y64).max()
+                   / max(1.0, np.abs(y64).max()))
         if not rel <= worst:
             worst, worst_key = rel, key
     print(f"arrays: {len(a)}")

@@ -18,13 +18,13 @@
 # and the selected epoch*.npz checkpoints; only the first three are
 # committed.
 #
-# Wall time on a shared 2-core host with numpy 2.4: sine-ggnn alone took
-# 3 h 14 min at GRIDFLOW_THREADS=2. From per-batch times measured at one
-# thread, two processes side by side (the command is in README
-# "Benchmarks"), line-ggnn-mul takes about 2.1-2.5 h and line-ggnn-mulmlp
-# about 2.6-2.9 h, so all three runs take about 5.7 h. Per-batch times
-# drift by 1.3-1.45x from one day to another on the same host; plan for
-# 5.7-8.3 h.
+# Wall time on a shared 2-core host with numpy 2.4, estimated from
+# per-batch times measured at one thread, two processes side by side (the
+# side by side measurements of ROADMAP.md "Baseline", commit 04d3ee9; the
+# command is in README "Benchmarks"): line-ggnn-mulmlp about 2.5 h,
+# line-ggnn-mul and sine-ggnn about 2.1 h each. So the two LINE runs take
+# about 2.5 h, or 3.6 h at the 1.45x drift seen between sessions, and the
+# whole script about 4.2 h, the chain of sine-ggnn then line-ggnn-mul.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"

@@ -102,8 +102,9 @@ def generate(out, preset, seeds=1) -> int:
 
 
 def _load_run(run_dir):
-    """A trained run directory's selection manifest, model, GraphTensors
-    and examples; None after printing why there is no manifest."""
+    """A trained run directory's selected parameter states, read from its
+    epoch*.npz files, its model, GraphTensors and examples; None after
+    printing why there is no manifest or dataset."""
     manifest_path = os.path.join(run_dir, "selection.json")
     if not os.path.exists(manifest_path):
         print("no selection manifest in run directory; snapshots are only "
@@ -129,7 +130,11 @@ def _load_run(run_dir):
     gt = graphnets.GraphTensors(dataset.graph)
     model = graphnets.Model(model_cfg, gt, seed=cfg_doc["seed"])
     examples = training.prepare_examples(dataset, gt)
-    return manifest, model, gt, examples
+    states = []
+    for epoch in manifest["selected_epochs"]:
+        with np.load(os.path.join(run_dir, f"epoch{epoch}.npz")) as f:
+            states.append(dict(f))
+    return states, model, gt, examples
 
 
 def train(model, data_dir, run_dir, epochs=TrainConfig.epochs, batch=None,
@@ -146,10 +151,8 @@ def train(model, data_dir, run_dir, epochs=TrainConfig.epochs, batch=None,
             steps = params.max_steps
         model_cfg = ModelConfig.from_name(
             model, dims=dims, attn_dims=attn_dims, steps=steps)
-        top_k = TrainConfig.snapshot_top_k
-        train_cfg = TrainConfig(
-            batch_size=batch, epochs=epochs, shuffle_seed=shuffle_seed,
-            snapshot_top_k=min(top_k, epochs) if epochs else top_k)
+        train_cfg = TrainConfig(batch_size=batch, epochs=epochs,
+                                shuffle_seed=shuffle_seed)
         training.check_dataset(dataset)
     except FileNotFoundError as err:
         print(f"dataset file {err.filename} does not exist; run `gridflow "
@@ -202,30 +205,16 @@ def train(model, data_dir, run_dir, epochs=TrainConfig.epochs, batch=None,
     return 0
 
 
-def _load_checkpoint(model, run_dir, epoch) -> int:
-    """Load the epoch's snapshot into model: 0, or 2 after printing why the
-    snapshot does not fit the model."""
-    try:
-        model.load(os.path.join(run_dir, f"epoch{epoch}.npz"))
-    except ValueError as err:
-        print(err, file=sys.stderr)
-        return 2
-    return 0
-
-
 def evaluate(run, split="test", out=None) -> int:
     loaded = _load_run(run)
     if loaded is None:
         return 2
-    manifest, model, gt, examples = loaded
-    src, dst = examples[split]
-
-    reports = []
-    for epoch in manifest["selected_epochs"]:
-        rc = _load_checkpoint(model, run, epoch)
-        if rc:
-            return rc
-        reports.append(training.evaluate(model, src, dst))
+    states, model, gt, examples = loaded
+    try:
+        reports = training.evaluate_snapshots(model, states, *examples[split])
+    except ValueError as err:  # a checkpoint that does not fit the model
+        print(err, file=sys.stderr)
+        return 2
     summary = training.aggregate_runs(reports)
     summary["split"] = split
     text = json.dumps(summary, indent=1)
@@ -240,10 +229,12 @@ def visualize(run, src, dst, out) -> int:
     loaded = _load_run(run)
     if loaded is None:
         return 2
-    manifest, model, gt, examples = loaded
-    rc = _load_checkpoint(model, run, manifest["selected_epochs"][0])
-    if rc:
-        return rc
+    states, model, gt, examples = loaded
+    try:
+        model.load_state_dict(states[0])
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
     try:
         src_idx, dst_idx = gt.to_indices([src, dst])
     except ValueError as err:

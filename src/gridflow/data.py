@@ -45,6 +45,10 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_side", "max_steps", "n_rollout", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.direction not in DIRECTION_PRESETS:
             raise ValueError(f"unknown direction preset {self.direction!r}; "
                              f"expected one of {DIRECTION_PRESETS}")

@@ -742,7 +742,3 @@ class Model:
                     f"parameter {name!r} shape {t.data.shape}"
                 )
             t.data = np.array(value, dtype=t.data.dtype, order="C")
-
-    def load(self, path) -> None:
-        with np.load(path) as f:
-            self.load_state_dict(dict(f))

@@ -4,12 +4,12 @@ snapshot selection, and multi-run aggregation.
 Batches are split into microbatches of MICROBATCH_SIZE examples whose
 gradients accumulate before a single optimizer step; this bounds the live
 computation-graph memory without changing the update (contributions are
-weighted by microbatch size). Snapshots are kept in memory as parameter
-state dicts; callers persist the selected ones.
+weighted by microbatch size). Each epoch's snapshot keeps its metrics; only
+the snapshots that select_snapshots picks keep their parameter state dicts
+in memory, and callers persist those.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -43,8 +43,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.epochs and self.snapshot_top_k > self.epochs:
-            raise ValueError("snapshot_top_k cannot exceed epochs")
+        if self.snapshot_top_k < 1:
+            raise ValueError("snapshot_top_k must be >= 1")
 
 
 def lr_schedule(epoch: int) -> float:
@@ -64,7 +64,8 @@ class Snapshot:
     lr: float
     train_loss: float
     valid: MetricsReport
-    state: dict  # parameter name -> array
+    # parameter name -> array; None once the snapshot is out of the top k
+    state: dict | None
 
     def log_line(self) -> str:
         v = self.valid
@@ -114,7 +115,9 @@ def _param_norms(model: Model) -> str:
 
 def train(model: Model, cfg: TrainConfig, examples: dict,
           log=None) -> list:
-    """Run the full epoch loop; returns the Snapshot of each epoch.
+    """Run the full epoch loop; returns the Snapshot of each epoch. Only
+    the snapshots that select_snapshots(snapshots, cfg.snapshot_top_k)
+    returns keep their state; every other state is None.
 
     examples: {"train": (src, dst), "valid": (src, dst), ...} compact indices.
     log: optional callable receiving one tab-separated line per epoch.
@@ -159,30 +162,31 @@ def train(model: Model, cfg: TrainConfig, examples: dict,
         snap = Snapshot(epoch=epoch, lr=lr, train_loss=train_loss,
                         valid=valid, state=model.state_dict())
         snapshots.append(snap)
+        kept = {s.epoch for s in select_snapshots(snapshots,
+                                                  cfg.snapshot_top_k)}
+        for s in snapshots:
+            if s.epoch not in kept:
+                s.state = None
         if log is not None:
             log(snap.log_line())
     return snapshots
 
 
 def select_snapshots(snaps: list, k: int) -> list:
-    """Top-k snapshots by validation MRR; ties favor higher Hits@1, then
-    the earlier epoch."""
-    if len(snaps) < k:
-        warnings.warn(
-            f"only {len(snaps)} snapshots available, selecting all", stacklevel=2
-        )
-        k = len(snaps)
+    """The best min(k, len(snaps)) snapshots by validation MRR; ties favor
+    higher Hits@1, then the earlier epoch."""
     ordered = sorted(snaps, key=lambda s: (-s.valid.mrr, -s.valid.hits1, s.epoch))
     return ordered[:k]
 
 
-def evaluate_snapshots(model: Model, snapshots, src, dst,
-                       batch_size: int) -> list:
-    """MetricsReport per snapshot on the given pairs (restores each state)."""
+def evaluate_snapshots(model: Model, states, src, dst) -> list:
+    """MetricsReport per parameter state dict on the given pairs; loads each
+    state into model, so a state that does not fit it raises
+    load_state_dict's ValueError."""
     reports = []
-    for snap in snapshots:
-        model.load_state_dict(snap.state)
-        reports.append(evaluate(model, src, dst, batch_size))
+    for state in states:
+        model.load_state_dict(state)
+        reports.append(evaluate(model, src, dst))
     return reports
 
 
@@ -215,6 +219,6 @@ def run_experiment(model_cfg: ModelConfig, train_cfg: TrainConfig,
         return model, snapshots, [], []
     selected = select_snapshots(snapshots, train_cfg.snapshot_top_k)
     te_src, te_dst = examples["test"]
-    tests = evaluate_snapshots(model, selected, te_src, te_dst,
-                               train_cfg.eval_batch_size)
+    tests = evaluate_snapshots(model, [s.state for s in selected],
+                               te_src, te_dst)
     return model, snapshots, selected, tests

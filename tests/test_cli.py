@@ -147,6 +147,46 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_side", 5.0), ("max_steps", 2.5), ("n_rollout", True), ("seed", 1.5)])
+def test_train_refuses_params_json_of_wrong_type(tmp_path, capsys, field,
+                                                 value):
+    """A params.json edited to hold a float or a bool where GenParams
+    needs an int exits 2 before the run directory is made."""
+    data = generate_tiny(tmp_path) / "seed0"
+    doc = json.loads((data / "params.json").read_text())
+    (data / "params.json").write_text(json.dumps(doc | {field: value}))
+    run_dir = tmp_path / "run"
+    capsys.readouterr()
+    rc = run_cli("train", "--model", "rw-stationary", "--data", str(data),
+                 "--out", str(run_dir), "--epochs", "1")
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"{field} must be an int, got {value!r}" in captured.err
+    assert captured.out == ""
+    assert not run_dir.exists()
+
+
+def test_eval_reproduces_the_test_summary_of_train(tmp_path, capsys):
+    """`eval --split test` reloads the selected epoch*.npz files and
+    prints, value for value, the test block that train computed from the
+    states it kept in memory. Four epochs leave one snapshot unselected."""
+    data = generate_tiny(tmp_path) / "seed0"
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--model", "ggnn-mul", "--data", str(data),
+                   "--out", str(run_dir), "--epochs", "4", "--dims", "10",
+                   "--attn-dims", "4", "--steps", "3") == 0
+    manifest = json.loads((run_dir / "selection.json").read_text())
+    assert len(manifest["selected_epochs"]) == 3
+    assert sorted(p.name for p in run_dir.glob("epoch*.npz")) == sorted(
+        f"epoch{e}.npz" for e in manifest["selected_epochs"])
+    capsys.readouterr()
+    assert run_cli("eval", "--run", str(run_dir), "--split", "test") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.pop("split") == "test"
+    assert doc == manifest["test"]
+
+
 def test_train_eval_visualize_round_trip(tmp_path, capsys):
     data = generate_tiny(tmp_path) / "seed0"
     run_dir = tmp_path / "run"

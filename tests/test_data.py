@@ -94,6 +94,11 @@ def test_gen_params_rejects_unknown_direction():
     ("p_node_drop", 1.5, "outside [0, 1]"),
     ("p_edge_drop", -0.1, "outside [0, 1]"),
     ("p_edge_drop", float("nan"), "outside [0, 1]"),
+    ("n_side", 4.0, "n_side must be an int, got 4.0"),
+    ("max_steps", 2.5, "max_steps must be an int, got 2.5"),
+    ("n_rollout", True, "n_rollout must be an int, got True"),
+    ("seed", 1.5, "seed must be an int, got 1.5"),
+    ("seed", "0", "seed must be an int, got '0'"),
 ])
 def test_gen_params_rejects_degenerate_values(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):

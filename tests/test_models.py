@@ -410,7 +410,8 @@ def test_checkpoint_round_trip(tmp_path):
     np.savez(path, **a.state_dict())
     b = Model(small_cfg("fullgn-mulmlp"), GraphTensors(g), seed=9)
     assert not np.array_equal(a.predict([2]), b.predict([2]))
-    b.load(path)
+    with np.load(path) as f:
+        b.load_state_dict(dict(f))
     assert np.array_equal(a.predict([2]), b.predict([2]))
 
 

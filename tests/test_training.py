@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,14 +46,15 @@ def test_lr_schedule_values():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=2, snapshot_top_k=3)
     TrainConfig(epochs=0)  # allowed: no training, no snapshots
     for batch_size in (0, -1):
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             TrainConfig(batch_size=batch_size)
     with pytest.raises(ValueError, match="epochs must be >= 0"):
         TrainConfig(epochs=-1)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="snapshot_top_k must be >= 1"):
+            TrainConfig(snapshot_top_k=k)
 
 
 def test_select_snapshots_by_mrr():
@@ -68,11 +71,18 @@ def test_select_snapshots_tie_breaks():
     assert [s.epoch for s in picked] == [1, 2]
 
 
-def test_select_snapshots_fewer_than_k_warns():
-    run = run_with([0.4])
-    with pytest.warns(UserWarning):
-        picked = select_snapshots(run, k=3)
-    assert len(picked) == 1
+def test_top_k_above_epochs_selects_every_epoch():
+    """snapshot_top_k may exceed epochs: every epoch is selected, with no
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, result, selected, tests = run_experiment(
+            ModelConfig("rw-stationary", dims=8, attn_dims=2, steps=2),
+            TrainConfig(batch_size=8, epochs=2, snapshot_top_k=3),
+            tiny_dataset(), model_seed=0)
+    assert len(result) == 2
+    assert sorted(s.epoch for s in selected) == [0, 1]
+    assert len(tests) == 2
 
 
 def test_aggregate_runs():
@@ -168,12 +178,36 @@ def test_train_is_deterministic():
                                   attn_dims=2, steps=2, dtype="float64"),
                       gt, seed=1)
         cfg = TrainConfig(batch_size=8, epochs=2, snapshot_top_k=1)
-        return train(model, cfg, prepare_examples(ds, gt))
+        return train(model, cfg, prepare_examples(ds, gt)), model.state_dict()
 
-    a, b = go(), go()
+    (a, a_state), (b, b_state) = go(), go()
     assert a[-1].train_loss == b[-1].train_loss
-    for k in a[-1].state:
-        assert np.array_equal(a[-1].state[k], b[-1].state[k])
+    for k in a_state:
+        assert np.array_equal(a_state[k], b_state[k])
+
+
+def test_train_keeps_only_the_top_k_states(monkeypatch):
+    """Each epoch has a snapshot, but only the k that select_snapshots
+    returns hold a state: the parameters at the end of their epoch."""
+    monkeypatch.setattr(training, "lr_schedule", lambda epoch: 0.01)
+    ds = tiny_dataset()
+    gt = GraphTensors(ds.graph)
+    model = Model(ModelConfig("ggnn-mul", dims=10, attn_dims=4,
+                              steps=3, dtype="float64"), gt, seed=0)
+    at_epoch_end = []
+    snapshots = train(model, TrainConfig(batch_size=8, epochs=5,
+                                         snapshot_top_k=2),
+                      prepare_examples(ds, gt),
+                      log=lambda line: at_epoch_end.append(model.state_dict()))
+    assert len(snapshots) == 5
+    kept = [s.epoch for s in snapshots if s.state is not None]
+    assert kept == sorted(s.epoch for s in select_snapshots(snapshots, 2))
+    assert len(kept) == 2
+    for epoch in kept:
+        state = snapshots[epoch].state
+        assert state.keys() == at_epoch_end[epoch].keys()
+        for name, value in state.items():
+            assert np.array_equal(value, at_epoch_end[epoch][name]), name
 
 
 def test_train_rejects_empty_split():
