@@ -104,7 +104,7 @@ def generate(out, preset, seeds=1) -> int:
 def _load_run(run_dir):
     """A trained run directory's selected parameter states, read from its
     epoch*.npz files, its model, GraphTensors and examples; None after
-    printing why there is no manifest or dataset."""
+    printing why there is no manifest, or which file is missing."""
     manifest_path = os.path.join(run_dir, "selection.json")
     if not os.path.exists(manifest_path):
         print("no selection manifest in run directory; snapshots are only "
@@ -119,8 +119,12 @@ def _load_run(run_dir):
     # hold an absolute one, which join leaves as it is.
     try:
         dataset = data.load_dataset(os.path.join(run_dir, cfg_doc["data"]))
+        states = []
+        for epoch in manifest["selected_epochs"]:
+            with np.load(os.path.join(run_dir, f"epoch{epoch}.npz")) as f:
+                states.append(dict(f))
     except FileNotFoundError as err:
-        print(f"the run's dataset file {err.filename} does not exist",
+        print(f"the run's file {err.filename} does not exist",
               file=sys.stderr)
         return None
     model_cfg = ModelConfig.from_name(
@@ -130,10 +134,6 @@ def _load_run(run_dir):
     gt = graphnets.GraphTensors(dataset.graph)
     model = graphnets.Model(model_cfg, gt, seed=cfg_doc["seed"])
     examples = training.prepare_examples(dataset, gt)
-    states = []
-    for epoch in manifest["selected_epochs"]:
-        with np.load(os.path.join(run_dir, f"epoch{epoch}.npz")) as f:
-            states.append(dict(f))
     return states, model, gt, examples
 
 

@@ -329,6 +329,24 @@ def test_eval_and_visualize_of_run_without_its_dataset(tmp_path, capsys):
     assert not (tmp_path / "viz").exists()
 
 
+def test_eval_and_visualize_of_run_without_its_checkpoint(tmp_path, capsys):
+    """A run whose selected epoch*.npz was deleted exits 2 naming it."""
+    data = generate_tiny(tmp_path) / "seed0"
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--model", "rw-stationary", "--data", str(data),
+                   "--out", str(run_dir), "--epochs", "1", "--dims", "8",
+                   "--attn-dims", "2", "--steps", "2") == 0
+    (run_dir / "epoch0.npz").unlink()
+    capsys.readouterr()
+    assert run_cli("eval", "--run", str(run_dir)) == 2
+    assert "epoch0.npz" in capsys.readouterr().err
+    rc = run_cli("visualize", "--run", str(run_dir), "--src", "0",
+                 "--dst", "1", "--out", str(tmp_path / "viz"))
+    assert rc == 2
+    assert "epoch0.npz" in capsys.readouterr().err
+    assert not (tmp_path / "viz").exists()
+
+
 def test_eval_requires_selection_manifest(tmp_path, capsys):
     os.makedirs(tmp_path / "empty")
     rc = run_cli("eval", "--run", str(tmp_path / "empty"))
