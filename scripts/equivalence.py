@@ -21,8 +21,9 @@ directory's config.json, run.log and selection.json as lines of text, the
 selected epoch*.npz arrays, the eval JSON and the visualize traces and
 heatmap. So refactors of training and the CLI are compared as well. A
 dump takes about 22-25 s on a 2-core x86-64 host, of which the round trip
-is about 1 s. BLAS runs at numpy's default thread count: the script loads
-numpy before gridflow, so GRIDFLOW_THREADS does not reach it.
+is about 1 s. numpy is loaded only after gridflow, so that
+GRIDFLOW_THREADS, which gridflow applies when it is imported, reaches
+BLAS.
 
 compare prints the number of arrays, how many of them are not
 bit-identical, and the largest relative difference,
@@ -39,8 +40,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 PRESET = "LINE-SZ32-STP16-NDRP-STD0.2"
 PAIRS = 4
 STEPS = 16
@@ -51,6 +50,8 @@ CLI_MODELS = ("ggnn-mulmlp", "rw-stationary")
 def file_arrays(directory: Path, prefix: str) -> dict:
     """Every file in directory: an .npz file's arrays, any other file's
     lines of text."""
+    import numpy as np
+
     arrays = {}
     for path in sorted(directory.iterdir()):
         if path.suffix == ".npz":
@@ -99,6 +100,7 @@ def dump(src_dir: Path, out: Path) -> int:
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(src_dir.resolve()))
     from gridflow import cli, data, graphnets, training
+    import numpy as np  # after gridflow, which caps BLAS's threads
 
     ds = data.build_dataset(data.preset_params(PRESET, seed=0))
     gt = graphnets.GraphTensors(ds.graph)
@@ -141,6 +143,8 @@ def dump(src_dir: Path, out: Path) -> int:
 
 
 def compare(a_path: Path, b_path: Path) -> int:
+    import numpy as np
+
     with np.load(a_path) as fa, np.load(b_path) as fb:
         a, b = dict(fa), dict(fb)
     if a.keys() != b.keys():

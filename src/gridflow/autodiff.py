@@ -144,9 +144,6 @@ class Tensor:
                 node.grad = None
                 node._vjps = ()
 
-    def zero_grad(self):
-        self.grad = None
-
 
 def _make(data, vjps):
     out = Tensor(data)
@@ -527,42 +524,3 @@ def _type_sum(axis, *xs):
     axes = list(range(xs[0].ndim))
     return np.einsum(*[a for x in xs for a in (x, axes)],
                      [i for i in axes if i != axis])
-
-
-# -- gradient checking ---------------------------------------------------
-
-
-def grad_check(f, params, eps=1e-5, sample_frac=0.05, min_coords=50, seed=0):
-    """Max relative error between backward() gradients and central finite
-    differences on a random coordinate subsample of each parameter.
-
-    f must be a deterministic closure over params returning a scalar Tensor.
-    """
-    for p in params:
-        p.zero_grad()
-    loss = f()
-    loss.backward()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p in params:
-        grad = np.zeros_like(p.data) if p.grad is None else p.grad
-        size = p.data.size
-        k = max(min(min_coords, size), int(round(sample_frac * size)))
-        coords = rng.choice(size, size=min(k, size), replace=False)
-        for c in coords:
-            # An index into p.data itself, so any memory layout is perturbed
-            # in place.
-            c = np.unravel_index(c, p.data.shape)
-            orig = p.data[c]
-            p.data[c] = orig + eps
-            with no_grad():
-                hi = float(f().data)
-            p.data[c] = orig - eps
-            with no_grad():
-                lo = float(f().data)
-            p.data[c] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            analytic = float(grad[c])
-            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -113,11 +113,11 @@ def _load_run(run_dir):
         return None
     with open(manifest_path) as f:
         manifest = json.load(f)
-    with open(os.path.join(run_dir, "config.json")) as f:
-        cfg_doc = json.load(f)
-    # A relative data path is relative to the run directory; older configs
-    # hold an absolute one, which join leaves as it is.
     try:
+        with open(os.path.join(run_dir, "config.json")) as f:
+            cfg_doc = json.load(f)
+        # A relative data path is relative to the run directory; older
+        # configs hold an absolute one, which join leaves as it is.
         dataset = data.load_dataset(os.path.join(run_dir, cfg_doc["data"]))
         states = []
         for epoch in manifest["selected_epochs"]:

@@ -3,7 +3,8 @@
 An edge type e is drawn at each step from
     P(e) proportional to exp(<d_e/|d_e|, d/|d|> / sigma^2)
 over the 8 directional types, where d is the latent direction of one of
-the presets in DIRECTION_PRESETS at the current (time, position, history).
+the presets in DIRECTION_PRESETS at the current time and position, or,
+for history, at the running maxima of the coordinates visited.
 Choosing an edge that does not exist in the corrupted graph terminates the
 trajectory.
 
@@ -25,22 +26,16 @@ from .grid import GridGraph, N_DIRECTIONS, _UNIT_VECTORS
 DIRECTION_PRESETS = ("line", "sine", "location", "history")
 
 
-def latent_direction(direction: str, t: int, history) -> np.ndarray:
-    """Unnormalized direction vector of a preset at step t given the
-    coordinate history (including the current position as its last
-    element)."""
-    if len(history) == 0:
-        raise ValueError("history must contain at least the current position")
-    x, y = history[-1]
+def latent_direction(direction: str, t: int, x: int, y: int) -> np.ndarray:
+    """Unnormalized direction vector of a preset at step t and the position
+    (x, y) that it keys on: the current node's for location, the running
+    coordinate maxima, the current node's included, for history."""
     if direction == "line":
         return np.array([1.0, 0.4])
     if direction == "sine":
         return np.array([1.0, math.sin(0.4 * t + 1.6)])
-    if direction == "location":
+    if direction in ("location", "history"):
         theta = 0.2 * x + 0.2 * y
-        return np.array([math.cos(theta), math.sin(theta)])
-    if direction == "history":
-        theta = 0.2 * max(p[0] for p in history) + 0.2 * max(p[1] for p in history)
         return np.array([math.cos(theta), math.sin(theta)])
     raise ValueError(f"unknown direction preset {direction!r}")
 
@@ -72,7 +67,7 @@ def _cumulative_table(direction: str, sigma: float, max_steps: int,
     else:
         args = [(0, (k % n_side, k // n_side)) for k in range(n_side * n_side)]
     return np.array([np.cumsum(edge_distribution(
-        latent_direction(direction, t, [xy]), sigma)) for t, xy in args])
+        latent_direction(direction, t, *xy), sigma)) for t, xy in args])
 
 
 def rollout(graph: GridGraph, direction: str, sigma: float, max_steps: int,

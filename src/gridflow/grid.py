@@ -24,13 +24,6 @@ OFFSETS = np.array(
 _UNIT_VECTORS = OFFSETS / np.linalg.norm(OFFSETS, axis=1, keepdims=True)
 
 
-def reverse_edge_type(edge_type: int) -> int:
-    """Opposite direction: E<->W, NE<->SW, N<->S, NW<->SE; selfloop fixed."""
-    if edge_type == SELFLOOP:
-        return SELFLOOP
-    return (edge_type + 4) % 8
-
-
 @dataclass
 class GridGraph:
     """A (possibly corrupted) grid graph.

@@ -1,41 +1,116 @@
-"""Operator-level checks of the reverse-mode engine against central finite
-differences and independent numpy oracles."""
+"""Operator-level checks of the reverse-mode engine: the four properties
+of every op by one table (see gradcheck.check_op), and independent numpy
+oracles of the forward values and of some backward ones."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+from gradcheck import check_op, grad_check
 from gridflow import autodiff as ad, grid
 from gridflow.autodiff import Tensor
 from gridflow.graphnets import Frontier, GraphTensors, StateRows
 
 
-def fd_grad(f, x, eps=1e-6):
-    """Central finite differences of a scalar function of one array."""
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    out = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f()
-        flat[i] = orig - eps
-        lo = f()
-        flat[i] = orig
-        out[i] = (hi - lo) / (2 * eps)
-    return g
+def slot_graph(seed):
+    g = grid.corrupt(grid.build_grid(4), 0.1, 0.1, seed=seed)
+    return GraphTensors(grid.add_selfloops(g))
 
 
-def check_unary(op, x, tol=1e-7, **kw):
-    t = Tensor(x.copy(), requires_grad=True)
-    loss = ad.tsum(ad.mul(op(t, **kw), Tensor(np.cos(np.arange(x.size)).reshape(x.shape))))
-    loss.backward()
-    weights = np.cos(np.arange(x.size)).reshape(x.shape)
+def frontier(gt, src, t):
+    """The compact slots of step t of a flow from src."""
+    reach = gt.reach(src, t + 1)
+    every = StateRows(np.ones((len(src), gt.n), dtype=bool))
+    return Frontier(gt, reach[t], reach[t + 1], every)
 
-    def scalar():
-        with ad.no_grad():
-            return float(ad.tsum(ad.mul(op(Tensor(t.data), **kw), Tensor(weights))).data)
 
-    assert np.abs(t.grad - fd_grad(scalar, t.data)).max() < tol
+RNG = np.random.default_rng(2)
+X = RNG.standard_normal((3, 5))
+GT = slot_graph(12)
+SLOTS = (2, GT.n, GT.n_types)
+
+
+def r(*shape):
+    """Standard normal draws of the given shape."""
+    return RNG.standard_normal(shape)
+
+
+# One row per public op of autodiff: check_op's arguments, the op on Tensors,
+# its float64 inputs and, where they are not the defaults, its pad and tol.
+OPS = {
+    "add": (ad.add, [r(3, 4), r(4)]),
+    "mul": (ad.mul, [r(3, 4), r(4)]),
+    "matmul": (ad.matmul, [r(2, 4, 5), r(5, 3)], None, 1e-7),
+    "concat": (lambda a, b: ad.concat([a, b], axis=1), [r(2, 3), r(2, 5)]),
+    "slice_axis": (lambda t: ad.slice_axis(t, 1, 1, 4), [r(2, 5)]),
+    "reshape": (lambda t: ad.reshape(t, (10,)), [r(2, 5)]),
+    "tanh": (ad.tanh, [X], None, 1e-7),
+    "sigmoid": (ad.sigmoid, [X], None, 1e-7),
+    "leaky_relu": (ad.leaky_relu, [X + 0.05], None, 1e-7),
+    "log": (ad.log, [np.abs(X) + 0.5], None, 1e-7),
+    "softmax": (ad.softmax, [X], None, 1e-7),
+    "tsum": (lambda t: ad.tsum(t, axis=1), [r(2, 3, 4)]),
+    "tmean": (lambda t: ad.tmean(t, axis=2), [r(2, 3, 4)]),
+    "rowdot": (ad.rowdot, [r(3, 4, 1, 6), r(3, 4, 5, 6)]),
+    "scale_affine_tanh": (ad.scale_affine_tanh, [r(2, 7), r(2, 7, 3), r(3)]),
+    "typed_affine": (ad.typed_affine, [r(2, 5, 3), r(4, 3, 6), r(4, 6)]),
+    "take": (lambda t: ad.take(t, GT.send), [r(*SLOTS, 2)]),
+    "segment_sum": (lambda x, w: ad.segment_sum(x, GT, w),
+                    [r(*SLOTS, 3), RNG.random(SLOTS)], GT.pad),
+    "segment_softmax": (lambda t: ad.segment_softmax(t, GT.pad), [r(*SLOTS)],
+                        GT.pad),
+}
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_op_properties(name):
+    check_op(*OPS[name])
+
+
+def test_every_public_op_has_a_row():
+    ops = {name for name, f in vars(ad).items()
+           if inspect.isfunction(f) and f.__module__ == ad.__name__
+           and not name.startswith("_")}
+    assert ops == set(OPS)
+
+
+def tanh_with_vjp(vjp):
+    """tanh whose VJP is g -> vjp(g, tanh's output)."""
+    def op(t):
+        out = ad.tanh(t)
+        out._vjps = tuple((p, lambda g: vjp(g, out.data))
+                          for p, _ in out._vjps)
+        return out
+
+    return op
+
+
+def writes_input(t):
+    out = ad.tanh(t)
+    t.data[0] = 0.0
+    return out
+
+
+# Broken copies of a row of OPS, and the check_op message each fails with.
+MUTANTS = {
+    "forward-writes-input": (writes_input, "tanh", "wrote into an input"),
+    "float64-vjp": (tanh_with_vjp(lambda g, y: (g * (1 - y * y)).astype(
+        np.float64)), "tanh", "float32 not kept"),
+    "pad-mask-dropped": (lambda t: ad.segment_softmax(
+        t, np.zeros_like(GT.pad)), "segment_softmax", "pad junk"),
+    "vjp-writes-g": (tanh_with_vjp(lambda g, y: np.multiply(
+        g, 1 - y * y, out=g)), "tanh", "wrote into g"),
+    "wrong-gradient": (tanh_with_vjp(lambda g, y: 2 * g * (1 - y * y)), "tanh",
+                       "finite differences"),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_check_op_catches_mutant(name):
+    mutant, row, message = MUTANTS[name]
+    with pytest.raises(AssertionError, match=message):
+        check_op(mutant, *OPS[row][1:])
 
 
 def test_add_mul_with_broadcasting():
@@ -50,35 +125,9 @@ def test_add_mul_with_broadcasting():
     assert np.allclose(b.grad, 2 * (a.data + b.data).sum(axis=0))
 
 
-def test_matmul_weight_and_vector():
-    rng = np.random.default_rng(1)
-    for shape_w in ((5, 3),):
-        x = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
-        w = Tensor(rng.standard_normal(shape_w), requires_grad=True)
-        loss = ad.tsum(ad.tanh(ad.matmul(x, w)))
-        loss.backward()
-
-        def scalar_x():
-            with ad.no_grad():
-                return float(ad.tsum(ad.tanh(ad.matmul(Tensor(x.data), Tensor(w.data)))).data)
-
-        assert np.abs(x.grad - fd_grad(scalar_x, x.data)).max() < 1e-7
-        assert np.abs(w.grad - fd_grad(scalar_x, w.data)).max() < 1e-7
-
-
 def test_matmul_rejects_3d_rhs():
     with pytest.raises(ValueError):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3, 3))))
-
-
-def test_elementwise_ops_against_finite_differences():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((3, 5))
-    check_unary(ad.tanh, x)
-    check_unary(ad.sigmoid, x)
-    check_unary(ad.leaky_relu, x + 0.05)
-    check_unary(lambda t: ad.log(t), np.abs(x) + 0.5)
-    check_unary(ad.softmax, x)
 
 
 def test_log_floor_clamps_and_zeroes_gradient():
@@ -95,7 +144,7 @@ def test_sum_mean_reductions():
     x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     ad.tsum(ad.mul(ad.tsum(x, axis=1), 2.0)).backward()
     assert np.allclose(x.grad, 2.0)
-    x.zero_grad()
+    x.grad = None
     ad.tsum(ad.tmean(x, axis=2)).backward()
     assert np.allclose(x.grad, 0.25)
 
@@ -113,77 +162,38 @@ def test_concat_slice_reshape_round_trip():
 
 
 def test_rowdot_matches_mul_sum():
+    """Also where one operand is broadcast along an axis."""
     rng = np.random.default_rng(5)
-    a = Tensor(rng.standard_normal((3, 4, 6)), requires_grad=True)
-    b = Tensor(rng.standard_normal((3, 4, 6)), requires_grad=True)
-    out = ad.rowdot(a, b)
-    assert np.allclose(out.data, (a.data * b.data).sum(-1))
-    ad.tsum(ad.tanh(out)).backward()
-    g = (1 - np.tanh(out.data) ** 2)[..., None]
-    assert np.allclose(a.grad, g * b.data)
-    assert np.allclose(b.grad, g * a.data)
-    # a broadcast operand gets its gradient summed over the broadcast axis
-    a = Tensor(rng.standard_normal((3, 4, 1, 6)), requires_grad=True)
-    b = Tensor(rng.standard_normal((3, 4, 5, 6)), requires_grad=True)
-    out = ad.rowdot(a, b)
-    assert np.allclose(out.data, (a.data * b.data).sum(-1))
-    ad.tsum(ad.tanh(out)).backward()
-    g = (1 - np.tanh(out.data) ** 2)[..., None]
-    assert a.grad.shape == a.data.shape
-    assert np.allclose(a.grad, (g * b.data).sum(axis=2, keepdims=True))
-    assert np.allclose(b.grad, g * a.data)
+    for sa, sb in (((3, 4, 6), (3, 4, 6)), ((3, 4, 1, 6), (3, 4, 5, 6))):
+        a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+        out = ad.rowdot(Tensor(a), Tensor(b))
+        assert np.allclose(out.data, (a * b).sum(-1))
+        check_op(ad.rowdot, [a, b])
 
 
 def test_scale_affine_tanh_matches_unfused():
     rng = np.random.default_rng(6)
-    s = Tensor(rng.standard_normal((2, 7)), requires_grad=True)
-    q = Tensor(rng.standard_normal((2, 7, 3)), requires_grad=True)
-    b = Tensor(rng.standard_normal(3), requires_grad=True)
-    fused = ad.scale_affine_tanh(s, q, b)
+    s, q, b = (Tensor(rng.standard_normal(shape))
+               for shape in ((2, 7), (2, 7, 3), 3))
     plain = ad.tanh(ad.add(ad.mul(q, ad.reshape(s, (2, 7, 1))), b))
-    assert np.allclose(fused.data, plain.data)
-    ad.tsum(ad.mul(fused, 0.7)).backward()
-    grads = [t.grad.copy() for t in (s, q, b)]
-    for t in (s, q, b):
-        t.zero_grad()
-    ad.tsum(ad.mul(plain, 0.7)).backward()
-    for g, t in zip(grads, (s, q, b)):
-        assert np.allclose(g, t.grad)
+    assert np.allclose(ad.scale_affine_tanh(s, q, b).data, plain.data)
 
 
 def test_typed_affine_matches_gathered_oracle():
     """out[..., i, t] = x[..., i] @ w[t] + b[t] for every (node, type) slot,
-    for node rows with and without a batch axis, with finite-difference
-    grads."""
+    for node rows with and without a batch axis, and check_op holds in
+    both."""
     rng = np.random.default_rng(7)
     n, nt, din, dout = 5, 4, 3, 6
-    w = Tensor(rng.standard_normal((nt, din, dout)), requires_grad=True)
-    b = Tensor(rng.standard_normal((nt, dout)), requires_grad=True)
+    w = rng.standard_normal((nt, din, dout))
+    b = rng.standard_normal((nt, dout))
     for lead in ((2,), ()):
-        x = Tensor(rng.standard_normal(lead + (n, din)), requires_grad=True)
-        out = ad.typed_affine(x, w, b)
-        expect = np.einsum("...ni,tio->...nto", x.data, w.data) + b.data
+        x = rng.standard_normal(lead + (n, din))
+        out = ad.typed_affine(Tensor(x), Tensor(w), Tensor(b))
+        expect = np.einsum("...ni,tio->...nto", x, w) + b
         assert out.data.shape == lead + (n, nt, dout)
         assert np.allclose(out.data, expect, rtol=1e-12, atol=1e-12)
-        weights = rng.standard_normal(out.data.shape)
-        for t in (x, w, b):
-            t.zero_grad()
-        ad.tsum(ad.mul(out, Tensor(weights))).backward()
-
-        def scalar():
-            with ad.no_grad():
-                o = ad.typed_affine(Tensor(x.data), Tensor(w.data),
-                                    Tensor(b.data))
-                return float(ad.tsum(ad.mul(o, Tensor(weights))).data)
-
-        for t in (x, w, b):
-            assert t.grad.shape == t.data.shape
-            assert np.abs(t.grad - fd_grad(scalar, t.data)).max() < 1e-6
-
-
-def slot_graph(seed):
-    g = grid.corrupt(grid.build_grid(4), 0.1, 0.1, seed=seed)
-    return GraphTensors(grid.add_selfloops(g))
+        check_op(ad.typed_affine, [x, w, b])
 
 
 def test_take_permutes_slots():
@@ -200,47 +210,10 @@ def test_take_permutes_slots():
         assert out.data.shape == x.data.shape
         assert np.array_equal(out.data.reshape(flat.shape), flat[:, send])
         weights = rng.standard_normal(out.data.shape)
-        x.zero_grad()
         ad.tsum(ad.mul(out, Tensor(weights))).backward()
         expect = np.zeros_like(flat)
         expect[:, send] = weights.reshape(flat.shape)
         assert np.array_equal(x.grad, expect.reshape(x.data.shape))
-
-
-def frontier(gt, src, t):
-    """The compact slots of step t of a flow from src."""
-    reach = gt.reach(src, t + 1)
-    every = StateRows(np.ones((len(src), gt.n), dtype=bool))
-    return Frontier(gt, reach[t], reach[t + 1], every)
-
-
-def check_op(op, inputs, tol=1e-6):
-    """op's finite-difference grads at float64; at float32, float32 output
-    and grads; and no write into an input or the incoming grad."""
-    rng = np.random.default_rng(0)
-    ts = [Tensor(x.copy(), requires_grad=True) for x in inputs]
-    out = op(*ts)
-    weights = rng.standard_normal(out.data.shape)
-    ad.tsum(ad.mul(out, Tensor(weights))).backward()
-    for t in ts:
-        def scalar():
-            with ad.no_grad():
-                o = op(*[Tensor(u.data) for u in ts])
-                return float(ad.tsum(ad.mul(o, Tensor(weights))).data)
-
-        assert t.grad.shape == t.data.shape
-        assert np.abs(t.grad - fd_grad(scalar, t.data)).max() < tol
-    xs = [x.astype(np.float32) for x in inputs]
-    before = [x.copy() for x in xs]
-    out = op(*[Tensor(x, requires_grad=True) for x in xs])
-    g = weights.astype(np.float32)
-    g_before = g.copy()
-    assert out.data.dtype == np.float32
-    for _, vjp in out._vjps:
-        assert vjp(g).dtype == np.float32
-    assert np.array_equal(g, g_before)
-    for x, x0 in zip(xs, before):
-        assert np.array_equal(x, x0)
 
 
 def test_take_picks_rows_and_compact_slots():
@@ -306,9 +279,8 @@ def test_segment_sum_matches_add_at():
 def test_segment_sum_receives_compact_rows_with_weights():
     """From a Frontier's compact sender rows, with and without a per-slot
     weight, segment_sum equals np.add.at of the reached senders' edge
-    values into the batch's dense rows, with finite-difference grads,
-    float32 kept, no input written, and pad junk in x and the weight
-    ignored."""
+    values into the batch's dense rows, and check_op holds with the
+    Frontier's pads."""
     rng = np.random.default_rng(14)
     gt = slot_graph(14)
     src = [3, 0]
@@ -336,26 +308,14 @@ def test_segment_sum_receives_compact_rows_with_weights():
         assert out.data.shape == (2, gt.n, 3)
         assert np.allclose(out.data, np.moveaxis(expect, 0, 1),
                            rtol=1e-12, atol=1e-12)
-        check_op(lambda *t: ad.segment_sum(t[0], fr, *t[1:]), inputs)
-        # pad junk changes neither the output nor a grad
-        results = []
-        for junk in (0.0, 1e30):
-            vs = [v.copy() for v in inputs]
-            for v in vs:
-                v[:, fr.pad] += junk
-            ts = [Tensor(v, requires_grad=True) for v in vs]
-            o = ad.segment_sum(ts[0], fr, *ts[1:])
-            g = rng.standard_normal(o.data.shape) if not results else results[0][2]
-            results.append((o.data, [f(g) for _, f in o._vjps], g))
-        assert np.array_equal(results[0][0], results[1][0])
-        for a, b in zip(results[0][1], results[1][1]):
-            assert np.array_equal(a, b)
+        check_op(lambda *t: ad.segment_sum(t[0], fr, *t[1:]), inputs,
+                 fr.pad)
 
 
 def test_weighted_segment_sum_matches_materialized_product():
     """segment_sum of x weighted per slot (and per head, as GAT's attention)
     equals segment_sum of the materialized product x * weight, in output
-    and in both grads; float32 stays float32 and nothing is written."""
+    and in both grads, and check_op holds."""
     rng = np.random.default_rng(15)
     gt = slot_graph(15)
     shape = (2, gt.n, gt.n_types, 3)
@@ -372,73 +332,29 @@ def test_weighted_segment_sum_matches_materialized_product():
 
     for got, want in zip(run(True), run(False)):
         assert np.abs(got - want).max() < 1e-12
-    check_op(lambda a, b: ad.segment_sum(a, gt, b), [x, wt])
+    check_op(lambda a, b: ad.segment_sum(a, gt, b), [x, wt], gt.pad)
 
 
 def test_segment_softmax_matches_dense_oracle():
     """Softmax over each node's slots with the pads left out, in sender and
-    receiver slots and with a trailing axis, with finite-difference grads."""
+    receiver slots and with a trailing axis: the pads get probability 0 and
+    zero gradient, and check_op holds."""
     rng = np.random.default_rng(9)
     gt = slot_graph(9)
     for pad, shape, axis in ((gt.pad, (2, gt.n, gt.n_types), -1),
                              (gt.recv_pad, (2, gt.n, gt.n_types, 3), 2)):
-        x = Tensor(rng.standard_normal(shape), requires_grad=True)
-        p = ad.segment_softmax(x, pad, axis=axis)
+        x = rng.standard_normal(shape)
+        p = ad.segment_softmax(Tensor(x, requires_grad=True), pad, axis=axis)
         keep = ~pad.reshape(pad.shape + (1,) * (len(shape) - 3))
         for i in range(gt.n):
-            row = x.data[:, i][:, keep[i].ravel()]
+            row = x[:, i][:, keep[i].ravel()]
             e = np.exp(row - row.max(axis=1, keepdims=True))
             assert np.allclose(p.data[:, i][:, keep[i].ravel()],
                                e / e.sum(axis=1, keepdims=True))
         assert np.all(p.data[:, pad] == 0.0)
-        weights = rng.standard_normal(shape)
-        ad.tsum(ad.mul(p, Tensor(weights))).backward()
-
-        def scalar():
-            with ad.no_grad():
-                q = ad.segment_softmax(Tensor(x.data), pad, axis=axis)
-                return float(ad.tsum(ad.mul(q, Tensor(weights))).data)
-
-        assert np.abs(x.grad - fd_grad(scalar, x.data)).max() < 1e-6
-        assert np.all(x.grad[:, pad] == 0.0)
-
-
-def test_type_axis_ops_keep_dtype_and_inputs_and_ignore_pad_junk():
-    """segment_softmax in both slot layouts and leaky_relu keep float32 in
-    their output and grad and write into neither their input nor the
-    incoming grad; segment_softmax gives the same output and grad when the
-    pads hold +-1e30 junk as when they hold clean values."""
-    rng = np.random.default_rng(12)
-    gt = slot_graph(12)
-    cases = (
-        (lambda t: ad.segment_softmax(t, gt.pad, axis=-1),
-         (2, gt.n, gt.n_types), gt.pad),
-        (lambda t: ad.segment_softmax(t, gt.recv_pad, axis=2),
-         (2, gt.n, gt.n_types, 3), gt.recv_pad),
-        (ad.leaky_relu, (2, gt.n, gt.n_types), None),
-    )
-    for op, shape, pad in cases:
-        x = rng.standard_normal(shape).astype(np.float32)
-        g = rng.standard_normal(shape).astype(np.float32)
-        inputs = [x]
-        if pad is not None:
-            junk = x.copy()
-            junk[:, pad] = rng.choice(np.float32([-1e30, 1e30]),
-                                      size=junk[:, pad].shape)
-            inputs.append(junk)
-        results = []
-        for xd in inputs:
-            xd_before, g_before = xd.copy(), g.copy()
-            out = op(Tensor(xd, requires_grad=True))
-            grad = out._vjps[0][1](g)
-            assert out.data.dtype == grad.dtype == np.float32
-            assert np.array_equal(xd, xd_before)
-            assert np.array_equal(g, g_before)
-            assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(grad))
-            results.append((out.data, grad))
-        for out, grad in results[1:]:
-            assert np.array_equal(out, results[0][0])
-            assert np.array_equal(grad, results[0][1])
+        grad = p._vjps[0][1](rng.standard_normal(shape))
+        assert np.all(grad[:, pad] == 0.0)
+        check_op(lambda t: ad.segment_softmax(t, pad, axis=axis), [x], pad)
 
 
 def test_backward_requires_scalar():
@@ -546,30 +462,14 @@ def test_grad_check_passes_on_smooth_function():
         def f():
             return ad.tsum(ad.tanh(ad.matmul(Tensor(x), w)))
 
-        assert ad.grad_check(f, [w], seed=0) < 1e-7
-
-
-def test_grad_check_catches_wrong_gradient():
-    w = Tensor(np.ones(3), requires_grad=True)
-
-    calls = 0
-
-    def f():
-        nonlocal calls
-        calls += 1
-        out = ad.tsum(ad.mul(w, w))
-        if calls == 1:  # poison the recorded vjp on the backward pass only
-            out._vjps = ((w, lambda g: np.zeros(3)),)
-        return out
-
-    assert ad.grad_check(f, [w], seed=0) > 0.1
+        assert grad_check(f, [w], seed=0) < 1e-7
 
 
 def test_segment_sum_receives_into_compact_state_rows():
     """A Frontier over compact state rows (a subset R of the batch's flat
     rows) points every index at R's rows, pads' receivers included, and
     segment_sum into it gives the whole-batch result at R, which is zero
-    outside R; grads match finite differences and float32 is kept."""
+    outside R; check_op holds with its pads."""
     rng = np.random.default_rng(15)
     gt = slot_graph(15)
     src, steps = [3, 0], 2
@@ -597,7 +497,8 @@ def test_segment_sum_receives_into_compact_state_rows():
         left_out = np.ones(len(flat), dtype=bool)
         left_out[states.rows] = False
         assert not flat[left_out].any()
-        check_op(lambda *t: ad.segment_sum(t[0], compact, *t[1:]), inputs)
+        check_op(lambda *t: ad.segment_sum(t[0], compact, *t[1:]), inputs,
+                 compact.pad)
     # per-row values pass to and from the compact rows unchanged
     rows = rng.standard_normal((2, gt.n, 4))
     picked = states.pick(Tensor(rows))

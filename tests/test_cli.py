@@ -329,21 +329,24 @@ def test_eval_and_visualize_of_run_without_its_dataset(tmp_path, capsys):
     assert not (tmp_path / "viz").exists()
 
 
-def test_eval_and_visualize_of_run_without_its_checkpoint(tmp_path, capsys):
-    """A run whose selected epoch*.npz was deleted exits 2 naming it."""
+@pytest.mark.parametrize("missing", ["epoch0.npz", "config.json"])
+def test_eval_and_visualize_of_run_without_its_checkpoint(tmp_path, capsys,
+                                                          missing):
+    """A run whose selected epoch*.npz or config.json was deleted exits 2
+    naming it."""
     data = generate_tiny(tmp_path) / "seed0"
     run_dir = tmp_path / "run"
     assert run_cli("train", "--model", "rw-stationary", "--data", str(data),
                    "--out", str(run_dir), "--epochs", "1", "--dims", "8",
                    "--attn-dims", "2", "--steps", "2") == 0
-    (run_dir / "epoch0.npz").unlink()
+    (run_dir / missing).unlink()
     capsys.readouterr()
     assert run_cli("eval", "--run", str(run_dir)) == 2
-    assert "epoch0.npz" in capsys.readouterr().err
+    assert missing in capsys.readouterr().err
     rc = run_cli("visualize", "--run", str(run_dir), "--src", "0",
                  "--dst", "1", "--out", str(tmp_path / "viz"))
     assert rc == 2
-    assert "epoch0.npz" in capsys.readouterr().err
+    assert missing in capsys.readouterr().err
     assert not (tmp_path / "viz").exists()
 
 
@@ -411,7 +414,8 @@ with open("/proc/self/status") as f:
 
 # How each entry point loads the package: the `gridflow` console script
 # imports gridflow.cli and calls main; `python -m gridflow.cli` runs the
-# module as __main__ through runpy.
+# module as __main__ through runpy; scripts/equivalence.py is loaded first,
+# and its dump then imports gridflow from a source tree.
 ENTRY_POINTS = {
     "console-script": "from gridflow.cli import main\n"
                       "main(['generate', '--out', {out!r}, "
@@ -424,6 +428,13 @@ ENTRY_POINTS = {
                 "alter_sys=True)\n"
                 "except SystemExit as e:\n"
                 "    assert not e.code\n",
+    "equivalence-dump": "import importlib.util, sys\n"
+                        "spec = importlib.util.spec_from_file_location("
+                        "'equivalence', {root!r} + '/scripts/equivalence.py')\n"
+                        "spec.loader.exec_module("
+                        "importlib.util.module_from_spec(spec))\n"
+                        "sys.path.insert(0, {root!r} + '/src')\n"
+                        "from gridflow import cli, data, graphnets, training\n",
 }
 
 
@@ -434,10 +445,11 @@ def test_thread_cap_reaches_blas(tmp_path, entry):
     env = {k: v for k, v in os.environ.items()
            if not k.endswith("_NUM_THREADS")}
     env["GRIDFLOW_THREADS"] = "1"
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ENTRY_POINTS[entry].format(out=str(tmp_path / "data")) + THREAD_PROBE
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src")] + (
+        [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ENTRY_POINTS[entry].format(out=str(tmp_path / "data"),
+                                      root=root) + THREAD_PROBE
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "1"

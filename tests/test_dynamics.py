@@ -14,41 +14,32 @@ from gridflow.dynamics import (
 
 def test_line_direction_is_constant():
     for t in range(5):
-        assert np.allclose(latent_direction("line", t, [(3, 4)]), [1.0, 0.4])
+        assert np.allclose(latent_direction("line", t, 3, 4), [1.0, 0.4])
 
 
 def test_sine_direction_follows_time():
     for t in (0, 3, 11):
-        d = latent_direction("sine", t, [(0, 0)])
+        d = latent_direction("sine", t, 0, 0)
         assert d[0] == 1.0
         assert d[1] == pytest.approx(math.sin(0.4 * t + 1.6))
 
 
 def test_location_direction_uses_current_position():
-    d = latent_direction("location", 7, [(1, 1), (5, 10)])
+    d = latent_direction("location", 7, 5, 10)
     theta = 0.2 * 5 + 0.2 * 10
     assert np.allclose(d, [math.cos(theta), math.sin(theta)])
 
 
 def test_history_direction_uses_coordinate_maxima():
-    history = [(2, 9), (6, 1), (4, 4)]
+    """history keys on the running maxima (x, y), which the caller keeps."""
+    d = latent_direction("history", 0, 6, 9)
     theta = 0.2 * 6 + 0.2 * 9
-    d = latent_direction("history", 0, history)
     assert np.allclose(d, [math.cos(theta), math.sin(theta)])
-    # the current position participates in the maxima
-    d2 = latent_direction("history", 0, history + [(8, 0)])
-    theta2 = 0.2 * 8 + 0.2 * 9
-    assert np.allclose(d2, [math.cos(theta2), math.sin(theta2)])
-
-
-def test_latent_direction_requires_history():
-    with pytest.raises(ValueError):
-        latent_direction("line", 0, [])
 
 
 def test_unknown_preset():
     with pytest.raises(ValueError):
-        latent_direction("spiral", 0, [(0, 0)])
+        latent_direction("spiral", 0, 0, 0)
 
 
 def test_edge_distribution_normalizes():
@@ -119,17 +110,20 @@ def scalar_rollout(graph, src, direction, sigma, max_steps, rng):
         moves[a][t] = b
     n = graph.n_side
     cur = int(src)
-    history = [(cur % n, cur // n)]
+    max_x, max_y = cur % n, cur // n
     nodes = [cur]
     for t in range(max_steps):
-        d = latent_direction(direction, t, history)
+        if direction == "history":
+            d = latent_direction(direction, t, max_x, max_y)
+        else:
+            d = latent_direction(direction, t, cur % n, cur // n)
         p = edge_distribution(d, sigma)
         e = int(np.searchsorted(np.cumsum(p), rng.random()))
         e = min(e, grid.N_DIRECTIONS - 1)
         if e not in moves[cur]:
             break
         cur = moves[cur][e]
-        history.append((cur % n, cur // n))
+        max_x, max_y = max(max_x, cur % n), max(max_y, cur // n)
         nodes.append(cur)
     return nodes
 

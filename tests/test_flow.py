@@ -236,7 +236,7 @@ def test_mulmlp_fold_matches_unfused_acting():
 
     def acted_and_grads(acted):
         for t in leaves:
-            t.zero_grad()
+            t.grad = None
         ad.tsum(ad.mul(acted, weights)).backward()
         return acted.data, [t.grad.copy() for t in leaves]
 
@@ -284,7 +284,7 @@ def test_gat_mulmlp_acting_matches_unfused(monkeypatch):
 
     def acted_and_grads(acted):
         for t in leaves:
-            t.zero_grad()
+            t.grad = None
         ad.tsum(ad.mul(acted, weights)).backward()
         return acted.data, [t.grad.copy() for t in leaves]
 

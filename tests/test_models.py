@@ -250,24 +250,6 @@ def test_forward_validates_source_indices():
                     run()
 
 
-def test_gradient_check_per_variant():
-    """End-to-end reverse-mode gradients vs finite differences, all variants.
-    At 3 steps, a flow variant's global.W and global.b (read by the second
-    node update) get a gradient, and the reach of the third step's
-    transition is 2 hops, not the whole grid."""
-    g = small_graph(seed=5)
-    src = np.array([0, 1])
-    dst = np.array([3, 2])
-    for name in MODEL_NAMES:
-        model = Model(grad_cfg(name), GraphTensors(g), seed=2)
-
-        def f():
-            return model.loss(src, dst)
-
-        err = ad.grad_check(f, list(model.params.values()), min_coords=20, seed=0)
-        assert err < 1e-4, f"{name}: {err:.3g}"
-
-
 def test_grad_scale_leaves_float64_loss_and_grads_bit_identical(monkeypatch):
     """Every VJP is linear in g and a power-of-two scale commutes with float
     rounding, so backward seeded with GRAD_SCALE gives every variant the
@@ -362,7 +344,7 @@ def test_gat_score_fold_matches_unfused():
 
     def run(outputs):
         for t in p.values():
-            t.zero_grad()
+            t.grad = None
         loss = ad.tsum(ad.mul(outputs[0], weights[0]))
         for out, w in zip(outputs[1:], weights[1:]):
             loss = ad.add(loss, ad.tsum(ad.mul(out, w)))
@@ -532,7 +514,7 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
         loss.backward()
         grads = {k: p.grad for k, p in model.params.items()}
         for p in model.params.values():
-            p.zero_grad()
+            p.grad = None
         return probs, float(loss.data), grads
 
     cases = [(name, 3, g) for name in MODEL_NAMES]
@@ -581,7 +563,7 @@ def test_frontier_sparse_flow_matches_full_reach(monkeypatch):
         loss.backward()
         grads = {k: p.grad for k, p in model.params.items()}
         for p in model.params.values():
-            p.zero_grad()
+            p.grad = None
         return probs, float(loss.data), grads, list(rows)
 
     monkeypatch.setattr(attnflow, "transition_matrix", recording)
@@ -629,7 +611,7 @@ def test_state_rows_skip_rows_the_last_reach_misses(monkeypatch):
         loss.backward()
         grads = {k: p.grad for k, p in model.params.items()}
         for p in model.params.values():
-            p.zero_grad()
+            p.grad = None
         return probs, float(loss.data), grads, list(rows)
 
     monkeypatch.setattr(graphnets, "gru", recording)
