@@ -28,7 +28,8 @@ BLAS.
 compare prints the number of arrays, how many of them are not
 bit-identical, and the largest relative difference,
 max |a - b| / max(1, max |b|) per array, which is inf for text that
-differs. It exits 0 when every array is bit-identical, and 1 when any
+differs; then the same three numbers for each top-level group of array
+names (data/, cli/, float32/ and float64/), one line each. It exits 0 when every array is bit-identical, and 1 when any
 array differs or the two dumps hold different arrays or shapes.
 """
 from __future__ import annotations
@@ -152,27 +153,35 @@ def compare(a_path: Path, b_path: Path) -> int:
               f"{sorted(a.keys() - b.keys())}; only in {b_path}: "
               f"{sorted(b.keys() - a.keys())}")
         return 1
+    groups = {}  # top-level group: [arrays, not bit-identical, worst]
     differ, worst, worst_key = 0, 0.0, None
     for key in sorted(a):
         x, y = a[key], b[key]
         if x.shape != y.shape:
             print(f"{key}: shape {x.shape} against {y.shape}")
             return 1
+        group = groups.setdefault(key.partition("/")[0], [0, 0, 0.0])
+        group[0] += 1
         if np.array_equal(x, y):
             continue
         differ += 1
+        group[1] += 1
         if x.dtype.kind == "U":
             rel = np.inf
         else:
             y64 = y.astype(np.float64)
             rel = (np.abs(x.astype(np.float64) - y64).max()
                    / max(1.0, np.abs(y64).max()))
+        group[2] = max(group[2], rel)
         if not rel <= worst:
             worst, worst_key = rel, key
     print(f"arrays: {len(a)}")
     print(f"not bit-identical: {differ}")
     print(f"largest relative difference: {worst:.3g}"
           + (f" ({worst_key})" if worst_key else ""))
+    for name, (count, changed, rel) in sorted(groups.items()):
+        print(f"{name}/: {count} arrays, {changed} not bit-identical, "
+              f"largest relative difference {rel:.3g}")
     return 1 if differ else 0
 
 

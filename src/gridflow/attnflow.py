@@ -14,9 +14,10 @@ tau_ij = [h_i : 1] . (h_j trans.W[t] + trans.b[t]): no d x d outer product
 is formed and h_i is broadcast.
 
 The functions take a slot layout: GraphTensors, whose slots are every
-node's, or a Frontier, the slots of one step's reached sender rows (see
-graphnets). Outside the reach the focused attention is exactly zero, so
-the transition there only ever meets a factor 0.
+node's, or a Frontier, the slots of one step's reached sender rows, which
+send to the rows one hop further (see graphnets). Outside the reach the
+focused attention is exactly zero, so the transition there only ever
+meets a factor 0.
 """
 from __future__ import annotations
 
@@ -29,8 +30,8 @@ NO_ACT, MUL, MUL_MLP = "noact", "mul", "mulmlp"
 
 def transition_logits(states, slots, w, b) -> ad.Tensor:
     """Per-slot logits at the sender slots of slots from node states
-    (B, n, d), or (1, m, d) at a Frontier's compact state rows, and the
-    packed transition weights w (n_types, d, d+1), b (n_types, d+1):
+    (B, n, d), or a light cone's pool (1, m, d) (see graphnets.Cone), and
+    the packed transition weights w (n_types, d, d+1), b (n_types, d+1):
     (B, n, n_types) for GraphTensors, or (1, k, n_types) for a Frontier's
     k sender rows, whose receiver-side map runs on its ring rows only.
     Pad slots hold values that transition_matrix drops."""
@@ -51,25 +52,26 @@ def transition_matrix(logits: ad.Tensor, slots) -> ad.Tensor:
 def flow_step(focused: ad.Tensor, transition: ad.Tensor, slots):
     """One step of the flow dynamics; conservation is structural.
 
-    focused: (B, n), or (1, m) at a Frontier's compact state rows;
-    transition: per-slot at the sender slots of slots, or (1, n, n_types)
-    for a transition shared by the whole batch. Returns (flowing at the
-    sender slots, next focused in focused's layout).
+    focused: at the sender rows of slots, (B, n) for GraphTensors or
+    (1, k) at a Frontier's reached rows; transition: per-slot at the
+    sender slots of slots, or (1, n, n_types) for a transition shared by
+    the whole batch. Returns (flowing at the sender slots, next focused at
+    the receiver rows of slots).
     """
-    a_src = slots.senders(focused)
-    flowing = ad.mul(transition, ad.reshape(a_src, a_src.shape + (1,)))
+    flowing = ad.mul(transition, ad.reshape(focused, focused.shape + (1,)))
     return flowing, ad.segment_sum(flowing, slots)
 
 
 def attend_message(acting: str, flowing: ad.Tensor, messages: ad.Tensor,
-                   mlp_b: ad.Tensor = None, weight: ad.Tensor = None):
-    """Backward acting of flowing attention (B, n, n_types) on per-slot
-    messages (B, n, n_types, ..., d), which the receive op
-    (autodiff.segment_sum) weights by weight (B, n, n_types, ...), or not
-    at all for None. Returns the acted (messages, weight).
+                   slots, mlp_b: ad.Tensor = None, weight: ad.Tensor = None):
+    """Backward acting of flowing attention (B, k, n_types) on per-slot
+    messages (B, k, n_types, ..., d) in the sender slots of slots, which
+    the receive op (autodiff.segment_sum) weights by weight, in the
+    receiver slots of slots, (B, r, n_types, ...), or not at all for None.
+    Returns the acted (messages, weight).
 
-    Mul multiplies the flowing attention into the weight, so no product
-    with the messages is formed. MulMlp acts on weighted messages m as
+    Mul multiplies the flowing attention, picked into the receiver slots,
+    into the weight, so no product with the messages is formed. MulMlp acts on weighted messages m as
     tanh((f m) W + mlp_b), computed as tanh(f (m W) + mlp_b): its messages
     come already weighted and projected by W (act.W), each core where it
     builds them, and its weight is None.
@@ -77,11 +79,12 @@ def attend_message(acting: str, flowing: ad.Tensor, messages: ad.Tensor,
     if acting == NO_ACT:
         return messages, weight
     if acting == MUL:
+        received = ad.take(flowing, slots.recv)
         if weight is None:
-            return messages, flowing
-        extra = (1,) * (weight.data.ndim - flowing.data.ndim)
-        return messages, ad.mul(weight, ad.reshape(flowing,
-                                                   flowing.shape + extra))
+            return messages, received
+        extra = (1,) * (weight.data.ndim - received.data.ndim)
+        return messages, ad.mul(weight, ad.reshape(received,
+                                                   received.shape + extra))
     if acting == MUL_MLP:
         return ad.scale_affine_tanh(flowing, messages, mlp_b), None
     raise ValueError(f"unknown message-attending variant {acting!r}")

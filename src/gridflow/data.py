@@ -54,6 +54,8 @@ class GenParams:
                              f"expected one of {DIRECTION_PRESETS}")
         if self.n_side < 2:
             raise ValueError(f"n_side must be >= 2, got {self.n_side}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("max_steps", "n_rollout"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, "
@@ -127,6 +129,12 @@ def _endpoints(paths: np.ndarray):
     return np.stack([paths[:, 0], ends], axis=1), lengths
 
 
+def _pair_keys(pairs: np.ndarray, n_side: int) -> np.ndarray:
+    """Each (source, destination) pair of node ids as one integer, which
+    sorts as the pair does."""
+    return pairs[:, 0] * n_side ** 2 + pairs[:, 1]
+
+
 def build_dataset(params: GenParams, return_trajectories: bool = False):
     """Build grid, corrupt, roll out, deduplicate pairs, split by source.
     With return_trajectories, also return the rollouts' paths."""
@@ -134,7 +142,8 @@ def build_dataset(params: GenParams, return_trajectories: bool = False):
                         params.p_edge_drop, params.seed)
     paths = rollout(corrupted, params.direction, params.sigma,
                     params.max_steps, params.n_rollout, params.seed)
-    pairs = np.unique(_endpoints(paths)[0], axis=0)
+    keys = np.unique(_pair_keys(_endpoints(paths)[0], params.n_side))
+    pairs = np.stack(np.divmod(keys, params.n_side ** 2), axis=1)
     sources, by_src = np.unique(pairs[:, 0], return_inverse=True)
     splits = split_sources(sources, params.seed)[by_src]
     dataset = Dataset(add_selfloops(corrupted), pairs, splits)
@@ -164,7 +173,8 @@ def dataset_stats(dataset: Dataset, paths: np.ndarray) -> Stats:
     build_dataset(params, return_trajectories=True) returns them. A pair's
     trajectory is its first rollout, as np.unique picks it."""
     pairs, lengths = _endpoints(paths)
-    first = np.unique(pairs, axis=0, return_index=True)[1]
+    first = np.unique(_pair_keys(pairs, dataset.graph.n_side),
+                      return_index=True)[1]
     n_nodes = dataset.graph.n_nodes
     return Stats(
         n_nodes=n_nodes,

@@ -84,8 +84,15 @@ def rollout(graph: GridGraph, direction: str, sigma: float, max_steps: int,
     n = graph.n_side
     sources = graph.nodes
     draws = np.empty((len(sources), n_rollout * max_steps))
+    # The uint32 entropy words of [seed, 1, src], as SeedSequence makes
+    # them from that list: seed's words, low first, then 1, then src's one
+    # word (src < 2^32). Only the last word changes from stream to stream.
+    words = [seed >> shift & 0xFFFFFFFF
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.array(words + [1, 0], dtype=np.uint32)
     for row, src in zip(draws, sources.tolist()):
-        row[:] = np.random.default_rng([seed, 1, src]).random(len(row))
+        entropy[-1] = src
+        np.random.default_rng(entropy).random(out=row)
     used = np.zeros(len(sources), dtype=np.int64)  # draws taken per source
     cum = _cumulative_table(direction, sigma, max_steps, n)
     moves = graph.move_table()

@@ -24,9 +24,11 @@ from .grid import GridGraph, N_EDGE_TYPES
 
 # Examples per forward: per training microbatch (gradients accumulate
 # across them) and per chunk of Model.predict. On the LINE 32-grid preset,
-# peak RSS grows by about 58 MB per example in a GGNN-MulMlp training
-# microbatch, 50 MB in GGNN-Mul and 95 MB in GAT (from 1 to 4 examples,
-# glibc's default malloc, one BLAS thread). perfbench's reference losses
+# a GGNN-MulMlp training microbatch (forward and backward) raises peak RSS
+# by 80 MB at 1 example and about 16 MB per further one, GGNN-Mul by
+# 75 MB and 16 MB, GGNN by 95 MB and 10 MB and GAT by 136 MB and 14 MB
+# (1 and 4 examples, glibc's default malloc, one BLAS thread): the light
+# cone's background is the part paid once. perfbench's reference losses
 # are recorded per microbatch of this size.
 MICROBATCH_SIZE = 4
 
@@ -100,8 +102,7 @@ class GraphTensors:
     each side, so the edges fill distinct slots and the rest are pads:
     pad and recv_pad, (n, n_types). recv (n, n_types) gives the flat
     sender slot of each receiver slot and send is its inverse; they pair
-    pads with pads. receiver (n, n_types) is the node whose receiver slot
-    each sender slot maps to, and src_type is each edge's flat sender slot.
+    pads with pads. src_type is each edge's flat sender slot.
     """
 
     def __init__(self, graph: GridGraph):
@@ -141,12 +142,9 @@ class GraphTensors:
         send = np.empty_like(recv)
         send[recv] = np.arange(n * nt)
         self.recv, self.send = recv.reshape(n, nt), send.reshape(n, nt)
-        self.receiver = self.send // nt
 
     # As a slot layout (see Frontier), the whole graph: every node's slots,
     # received in place.
-    ring = None
-
     def senders(self, x):
         return x
 
@@ -188,122 +186,140 @@ def take_rows(x, rows):
     return ad.take(ad.reshape(x, (1, -1) + x.shape[2:]), rows)
 
 
-class StateRows:
-    """The rows of a batch (B, n) at which a forward keeps its per-row
-    tensors: node states, the GRU's embedding term, received messages and
-    focused attention.
+def pool_rows(kept: np.ndarray) -> np.ndarray:
+    """(B * n,) the row of each flat (example, node) row of a batch in a
+    light-cone pool (see Cone): the kept rows ((B, n) mask kept), m of
+    them in ascending flat row, then n background rows. A kept row is its
+    own pool row, and any other row its node's background row."""
+    rows = np.flatnonzero(kept)
+    at = len(rows) + np.arange(kept.size) % kept.shape[1]
+    at[rows] = np.arange(len(rows))
+    return at
 
-    Every row keeps the batch's layout, (B, n, ...). A subset of the flat
-    (example, node) rows is compact, (1, len(rows), ...), in ascending
-    order of flat row. at maps each flat row of the batch to its row in
-    the layout, or to -1 for a row left out. Both index arrays are built
-    on first use: a forward that builds no Frontier and keeps every row
-    never reads them, and making them anyway for each of its forwards
-    raised train-rw's peak RSS by about 4 MB.
-    """
 
-    def __init__(self, kept: np.ndarray):
-        self.kept = kept
-        self.batch = kept.shape
-        self.every = bool(kept.all())
-        self.shape = self.batch if self.every else (1, int(kept.sum()))
-
-    @cached_property
-    def rows(self):
-        return np.flatnonzero(self.kept)
-
-    @cached_property
-    def at(self):
-        at = np.full(self.kept.size, -1)
-        at[self.rows] = np.arange(self.rows.size)
-        return at
-
-    def pick(self, x):
-        """x (B, n, ...) at these rows."""
-        return x if self.every else take_rows(x, self.rows)
-
-    def dense(self, x):
-        """x at these rows as (B, n, ...), zero at the rows left out."""
-        if self.every:
-            return x
-        return ad.reshape(ad.take(x, self.at), self.batch + x.shape[2:])
+def dense(x, kept):
+    """A pool x (1, m + n, ...) of the rows of kept (see pool_rows) as the
+    batch's dense rows, (B, n, ...)."""
+    return ad.reshape(take_rows(x, pool_rows(kept)), kept.shape + x.shape[2:])
 
 
 class Frontier:
-    """The slot layout of one flow step, at the rows its focused attention
-    has reached.
+    """The slot layout of one flow step t, at the rows its focused
+    attention has reached.
 
     The focused attention starts one-hot at the source and moves at most
     one hop a step, so at step t it is exactly zero outside the nodes
     within t hops (GraphTensors.reach). There the flowing attention
     T_ij a_i is T_ij times 0, in forward and backward alike, so the
     transition and the acted messages are computed at the reached rows
-    only. reached and ring are (B, n) masks: the reached sender rows, and
-    the rows within one more hop, the next step's reach, whose
-    receiver-side maps the transition reads. Both lie within the rows of
-    states, and the index arrays point into those: rows and ring are the
-    rows of the states' layout, and so is receiver, which segment_sum
-    receives into. Per-slot tensors are compact, (1, len(rows), n_types,
-    ...); see autodiff.segment_sum for the index arrays. unreached_in, of
-    the states' shape, counts each row's incoming edges from senders
-    outside the reach.
+    only. reached and ring are (B, n) masks: the reached sender rows,
+    reach[t], and the rows within one more hop, reach[t + 1], which
+    receive and whose receiver-side maps the transition reads. The focused
+    attention of step t lives at the reached rows, (1, k), and receives
+    into the ring rows, (1, k'), both in ascending flat row; so do the
+    per-slot tensors, (1, k, n_types, ...), and the received sums.
+
+    at maps each flat row of the batch to its row in the node states'
+    layout: itself for the dense (B, n) states of FullGN and rw-dynamic,
+    pool_rows for a Cone's. sender_rows and ring_rows are the reached and
+    ring rows there. recv and recv_pad are the receiver slots' index
+    arrays (see autodiff.segment_sum): senders outside the reach are pads,
+    recv -1. send maps each reached sender slot to its receiver slot, -1
+    at the pads. unreached_in counts the incoming edges from senders
+    outside the reach at the ring rows, then at n background rows, whose
+    senders are all outside it.
     """
 
-    def __init__(self, gt: GraphTensors, reached, ring, states: StateRows):
-        nt = gt.n_types
-        b, n = reached.shape
-        self.states, self.shape = states, states.shape
-        # Flat rows of the batch, until the end, where they become rows of
-        # the states' layout.
-        rows = np.flatnonzero(reached)
-        ring = np.flatnonzero(ring)
-        node = rows % n
-        self.pad = gt.pad[node]
-        receiver = (rows - node)[:, None] + gt.receiver[node]
-        at_ring = np.full(b * n, -1)
-        at_ring[ring] = np.arange(len(ring))
-        send = at_ring[receiver] * nt + gt.send[node] % nt
-        # take needs each ring slot picked at most once: the pads take the
-        # ring slots that no edge takes, of which there are enough, since
-        # the ring holds the rows.
-        free = np.ones(len(ring) * nt, dtype=bool)
-        free[send[~self.pad]] = False
-        send[self.pad] = np.flatnonzero(free)[:np.count_nonzero(self.pad)]
-        self.send = send
-        at_rows = np.full(b * n, -1)
-        at_rows[rows] = np.arange(len(rows))
-        ring_node = ring % n
-        sender_slot = gt.recv[ring_node]
-        sender = at_rows[(ring - ring_node)[:, None] + sender_slot // nt]
-        self.recv_pad = gt.recv_pad[ring_node] | (sender < 0)
-        self.recv = np.where(self.recv_pad, 0, sender * nt + sender_slot % nt)
-        unreached = np.tile(np.count_nonzero(~gt.recv_pad, axis=1), b)
-        unreached[ring] -= np.count_nonzero(~self.recv_pad, axis=1)
-        self.unreached_in = unreached[states.rows].reshape(self.shape)
-        self.rows, self.ring = states.at[rows], states.at[ring]
-        # A pad's receiver slot in gt may be any node's, one that the
-        # states leave out among them; it sends nothing, so it is given
-        # its own sender's row.
-        self.receiver = np.where(self.pad, self.rows[:, None],
-                                 states.at[receiver])
+    def __init__(self, gt: GraphTensors, reached, ring, at):
+        nt, n = gt.n_types, gt.n
+        self._gt, self._ring = gt, ring
+        rows, ring = np.flatnonzero(reached), np.flatnonzero(ring)
+        self.sender_rows, self.ring_rows = at[rows], at[ring]
+        self.pad = gt.pad[rows % n]
+        rank = np.full(reached.size, -1)
+        rank[rows] = np.arange(len(rows))
+        node = ring % n
+        sender = rank[(ring - node)[:, None] + gt.recv[node] // nt]
+        self.recv_pad = gt.recv_pad[node] | (sender < 0)
+        self.recv = np.where(self.recv_pad, -1, sender * nt + np.arange(nt))
+        real = np.flatnonzero(~self.recv_pad)
+        send = np.full(len(rows) * nt, -1)
+        send[self.recv.reshape(-1)[real]] = real
+        self.send = send.reshape(-1, nt)
+        self._node = node
+
+    @cached_property
+    def unreached_in(self):
+        indegree = np.count_nonzero(~self._gt.recv_pad, axis=1)
+        return np.concatenate([
+            indegree[self._node] - np.count_nonzero(~self.recv_pad, axis=1),
+            indegree])
 
     def senders(self, x):
-        """Per-row x, in the states' layout, at the sender rows:
-        (1, len(rows), ...)."""
-        return take_rows(x, self.rows)
+        """Per-row x, in the states' layout, at the reached rows:
+        (1, k, ...)."""
+        return take_rows(x, self.sender_rows)
 
     def receivers(self, x):
         """Per-row x, in the states' layout, at the ring rows:
-        (1, len(ring), ...)."""
-        return take_rows(x, self.ring)
+        (1, k', ...)."""
+        return take_rows(x, self.ring_rows)
 
-    def dense(self, values: np.ndarray) -> np.ndarray:
-        """Compact per-slot values as (B, n, n_types), zero off the rows."""
-        batch = self.states.batch
-        out = np.zeros((batch[0] * batch[1],) + values.shape[2:],
-                       dtype=values.dtype)
-        out[self.states.rows[self.rows]] = values[0]
-        return out.reshape(batch + values.shape[2:])
+    def dense(self, x):
+        """A pool x of the ring rows, then n background rows (see
+        pool_rows), as the batch's dense rows (B, n, ...)."""
+        return dense(x, self._ring)
+
+
+class Cone:
+    """The node-state rows of one GGNN or GAT update, from step t to t + 1.
+
+    h0 is [source indicator : tanh(embed W + b)], so the examples of a
+    batch differ only at their sources. An update at node v reads v's own
+    state, its in-neighbours' states and terms that do not depend on the
+    example; a flow variant's messages also read the flowing attention,
+    which is zero outside reach[t]. So, by induction, at every node
+    outside reach[t] each example's state is one background bg_t, the
+    state of an example with no source, which the batch shares. A forward
+    keeps the states of step t as a pool, (1, k + n, d): the per-example
+    rows of reach[t] (k of them, in ascending flat row), then the n rows
+    of bg_t (pool_rows maps each flat row there).
+
+    The update computes the rows of the next pool: ring = |reach[t + 1]|
+    per-example rows, then the n background rows. states and nodes are
+    each of those rows' own state row in this pool and its node. recv and
+    recv_pad are the slot layout (see autodiff.segment_sum) in which they
+    receive from every sender row of this pool: a per-example row reads a
+    sender outside reach[t] from the background, so background slots are
+    read by several rows. Mul and MulMlp messages leave the reached rows
+    only, through frontier, the flow step's Frontier.
+    """
+
+    send = None  # background slots are read by several rows
+
+    def __init__(self, gt: GraphTensors, reach, t, at, frontier=None):
+        n = gt.n
+        k = int(np.count_nonzero(reach[t]))
+        ring = np.flatnonzero(reach[t + 1])
+        self.ring, self.frontier, self._gt = len(ring), frontier, gt
+        # The background rows, as one more example after the batch's.
+        background = np.arange(n)
+        self.pool = np.concatenate([at, k + background])
+        self.rows = np.concatenate([ring, at.size + background])
+        self.nodes = self.rows % n
+        self.states = self.pool[self.rows]
+
+    @cached_property
+    def recv_pad(self):
+        return self._gt.recv_pad[self.nodes]
+
+    @cached_property
+    def recv(self):
+        gt = self._gt
+        nt = gt.n_types
+        sender = self.pool[(self.rows - self.nodes)[:, None]
+                           + gt.recv[self.nodes] // nt]
+        return np.where(self.recv_pad, -1, sender * nt + np.arange(nt))
 
 
 def expand(x, size, axis):
@@ -343,14 +359,33 @@ def implicit_readout(h: ad.Tensor, attn_dims: int) -> ad.Tensor:
     return ad.softmax(scores)
 
 
-def init_node_states(gt: GraphTensors, params, src_indices, attn_dims, dtype):
-    """h0 = [source indicator channels : tanh(embed @ W + b)] per example."""
+def source_rows(kept, src_indices) -> np.ndarray:
+    """The row of each example's source among the kept rows ((B, n) mask,
+    ascending flat row), which hold every source."""
+    b, n = kept.shape
+    return np.searchsorted(np.flatnonzero(kept), np.arange(b) * n + src_indices)
+
+
+def init_node_states(gt: GraphTensors, params, src_indices, attn_dims, dtype,
+                     kept=None):
+    """h0 = [source indicator channels : tanh(embed @ W + b)] per example:
+    1/sqrt(d') at its source, 0 elsewhere. (B, n, d) at every row, or,
+    given kept, the (B, n) mask of the rows of a light-cone pool (see
+    Cone) which hold the sources, that pool, the n background rows
+    included."""
     b = len(src_indices)
-    hdot = np.zeros((b, gt.n, attn_dims), dtype=dtype)
-    hdot[np.arange(b), np.asarray(src_indices)] = 1.0 / np.sqrt(attn_dims)
     aux = ad.tanh(ad.add(ad.matmul(params["embed"], params["init.W"]),
                          params["init.b"]))
-    return ad.concat([ad.Tensor(hdot), expand(aux, b, axis=0)], axis=-1)
+    if kept is None:
+        hdot = np.zeros((b, gt.n, attn_dims), dtype=dtype)
+        hdot[np.arange(b), src_indices] = 1.0 / np.sqrt(attn_dims)
+        return ad.concat([ad.Tensor(hdot), expand(aux, b, axis=0)], axis=-1)
+    rows = np.concatenate([np.flatnonzero(kept) % gt.n, np.arange(gt.n)])
+    hdot = np.zeros((1, len(rows), attn_dims), dtype=dtype)
+    hdot[0, source_rows(kept, src_indices)] = 1.0 / np.sqrt(attn_dims)
+    return ad.concat([ad.Tensor(hdot),
+                      take_rows(ad.reshape(aux, (1,) + aux.shape), rows)],
+                     axis=-1)
 
 
 @dataclass
@@ -450,14 +485,16 @@ class Model:
 
     # -- propagation steps -------------------------------------------------
     # A step maps node and global states (h, g), this step's flowing
-    # attention (None in regular variants), focused attention and slot
-    # layout (GraphTensors, or the flow step's Frontier) to the next
-    # (h, g). Per-edge messages are built in functions that return before
-    # the node update, so they are freed before it runs.
+    # attention (None in regular variants), focused attention (dense, read
+    # by rw-dynamic only) and layout to the next (h, g). The layout is
+    # GraphTensors, the flow step's Frontier, or for GGNN and GAT the
+    # update's Cone, whose pool h is. Per-edge messages are built in
+    # functions that return before the node update, so they are freed
+    # before it runs.
 
-    def _pick_step(self, states: StateRows):
-        """The core's step, bound to its input from the node embeddings at
-        the rows of states.
+    def _pick_step(self, b):
+        """The core's step for a batch of b, bound to its input from the
+        node embeddings.
 
         rw-stationary has no step: its states are the embeddings, fixed
         for the whole forward and shared by the batch (a batch axis of 1).
@@ -465,39 +502,43 @@ class Model:
         cfg, p = self.cfg, self.params
         if cfg.core == "rw-stationary":
             return None
-        u = states.pick(expand(p["embed"], states.batch[0], axis=0))
         if cfg.core == "fullgn":
-            return partial(self._fullgn_step, u)
+            return partial(self._fullgn_step, expand(p["embed"], b, axis=0))
         if cfg.core == "rw-dynamic":
-            return partial(self._rw_dynamic_step, u)
-        # The GRU's embedding term is the same at every step.
-        u_pre = ad.add(ad.matmul(u, p["gru.Wu"]), p["gru.b"])
+            return partial(self._rw_dynamic_step,
+                           expand(p["embed"], b, axis=0))
+        # The GRU's embedding term is the same at every step and for every
+        # example: one row per node, picked for each row of a Cone.
+        u_pre = ad.add(ad.matmul(ad.reshape(p["embed"], (1, self.gt.n, -1)),
+                                 p["gru.Wu"]), p["gru.b"])
         if cfg.core == "ggnn":
             return partial(self._ggnn_step, u_pre, *self._ggnn_weights())
         return partial(self._gat_step, u_pre, self._gat_score_maps())
 
-    def _message_slots(self, slots):
-        """Where messages are sent from: Mul and MulMlp act with the flowing
-        attention, which is zero outside the step's reached rows, so they
-        send from those rows only; other variants send from every node."""
-        return slots if self.cfg.acting in ("mul", "mulmlp") else self.gt
-
     def _receive(self, messages, weight, flowing, slots):
-        """Per-slot messages, weighted by weight (or None) and acted on by
-        the flowing attention in flow variants, summed into their receivers
-        (B, n, ...). MulMlp messages come weighted and projected by act.W
-        (see attnflow.attend_message), so their weight is None."""
-        p, cfg = self.params, self.cfg
+        """Per-slot messages, weighted by weight (in the receiver slots, or
+        None) and acted on by the flowing attention in flow variants,
+        summed into the receiver rows of slots. MulMlp messages come
+        weighted and projected by act.W (see attnflow.attend_message), so
+        their weight is None."""
         if flowing is not None:
             messages, weight = attnflow.attend_message(
-                cfg.acting, flowing, messages, p.get("act.b"), weight)
-        m_bar = ad.segment_sum(messages, slots, weight)
+                self.cfg.acting, flowing, messages, slots,
+                self.params.get("act.b"), weight)
+        return ad.segment_sum(messages, slots, weight)
+
+    def _background(self, m_ring, frontier):
+        """Mul or MulMlp messages received at a Frontier's ring rows, then
+        those of the n background rows, whose senders are all unreached.
+        A Mul message from an unreached sender is zero, and a MulMlp one
+        tanh(0 * q + act.b), whatever its q."""
+        cfg = self.cfg
+        m = ad.concat([m_ring, np.zeros((1, self.gt.n) + m_ring.shape[2:],
+                                        dtype=cfg.np_dtype)], axis=1)
         if cfg.acting == "mulmlp":
-            # A MulMlp message from an unreached sender is
-            # tanh(0 * q + act.b), whatever its q.
-            count = slots.unreached_in.astype(cfg.np_dtype)[..., None]
-            m_bar = ad.add(m_bar, ad.mul(count, ad.tanh(p["act.b"])))
-        return m_bar
+            count = frontier.unreached_in.astype(cfg.np_dtype)[None, :, None]
+            m = ad.add(m, ad.mul(count, ad.tanh(self.params["act.b"])))
+        return m
 
     def _fullgn_messages(self, h, g, slots):
         """tanh([h_i : h_j : g] W_t + b_t) at the sender slots of slots,
@@ -542,26 +583,19 @@ class Model:
                  ad.rowdot(b, ad.reshape(p[name], (1, k, hw))))
                 for name in ("gat.a1", "gat.a2")]
 
-    def _gat_messages(self, h, score_maps):
-        """Per-slot, per-head messages z_i (B, n, n_types, heads, d / heads)
-        and their weights alpha_ij (B, n, n_types, heads), the attention
-        normalized over each receiver's incoming edges in receiver slots."""
-        gt, p, cfg = self.gt, self.params, self.cfg
-        k, hw = GAT_HEADS, cfg.dims // GAT_HEADS
-        z = ad.reshape(ad.typed_affine(h, p["msg.W"], p["msg.b"]),
-                       (-1, gt.n, gt.n_types, k, hw))
-        # a1 . z_i is read from the sender's slot; a2 . z_j is node j's own
-        # (node, type) map, so it is already in receiver slots.
-        s_i, s_j = (ad.typed_affine(h, w, b) for w, b in score_maps)
-        alpha = ad.take(ad.segment_softmax(
-            ad.leaky_relu(ad.add(ad.take(s_i, gt.recv), s_j)),
-            gt.recv_pad, axis=2), gt.send)
-        return z, alpha
+    def _acted(self):
+        """Whether the flowing attention scales the messages, so that they
+        leave the reached rows only."""
+        return self.cfg.acting in ("mul", "mulmlp")
 
     def _fullgn_step(self, u, h, g, flowing, focused, slots):
-        p, slots = self.params, self._message_slots(slots)
+        p = self.params
+        if not self._acted():  # messages leave every node
+            slots = self.gt
         m_bar = self._receive(self._fullgn_messages(h, g, slots), None,
                               flowing, slots)
+        if slots is not self.gt:
+            m_bar = slots.dense(self._background(m_bar, slots))
         feats = ad.concat([h, m_bar, u, expand(g, self.gt.n, axis=1)], axis=-1)
         h_next = ad.tanh(ad.add(ad.matmul(feats, p["node.W"]), p["node.b"]))
         gfeat = ad.concat([g, ad.tmean(h, axis=1), ad.tmean(m_bar, axis=1)],
@@ -569,27 +603,57 @@ class Model:
         g_next = ad.tanh(ad.add(ad.matmul(gfeat, p["global.W"]), p["global.b"]))
         return h_next, g_next
 
-    def _ggnn_step(self, u_pre, w, b, h, g, flowing, focused, slots):
-        slots = self._message_slots(slots)
-        m_bar = self._receive(ad.typed_affine(slots.senders(h), w, b), None,
-                              flowing, slots)
-        return gru(h, m_bar, u_pre, self.params, self.cfg.dims), g
-
-    def _gat_step(self, u_pre, score_maps, h, g, flowing, focused, slots):
-        # The attention of an edge is normalized over all the receiver's
-        # senders, reached or not, so z and alpha are computed at every node.
-        slots = self._message_slots(slots)
-        z, alpha = self._gat_messages(h, score_maps)
-        z, alpha = slots.senders(z), slots.senders(alpha)
-        if self.cfg.acting == "mulmlp":
-            # MulMlp acts on the alpha-weighted messages, projected by act.W.
-            weighted = ad.mul(z, ad.reshape(alpha, alpha.shape + (1,)))
-            z = ad.matmul(ad.reshape(weighted, z.shape[:3] + (-1,)),
-                          self.params["act.W"])
-            alpha = None
-        m_bar = self._receive(z, alpha, flowing, slots)
-        return gru(h, ad.reshape(m_bar, h.shape), u_pre, self.params,
+    def _ggnn_step(self, u_pre, w, b, h, g, flowing, focused, cone):
+        if self._acted():
+            fr = cone.frontier
+            m_bar = self._background(self._receive(
+                ad.typed_affine(fr.senders(h), w, b), None, flowing, fr), fr)
+        else:
+            m_bar = ad.segment_sum(ad.typed_affine(h, w, b), cone)
+        return gru(take_rows(h, cone.states), m_bar,
+                   take_rows(u_pre, cone.nodes), self.params,
                    self.cfg.dims), g
+
+    def _gat_step(self, u_pre, score_maps, h, g, flowing, focused, cone):
+        """z_i (per slot and head) weighted by alpha_ij, the attention
+        normalized over each receiver's incoming edges in its receiver
+        slots. A receiver's softmax reads the scores of every sender, the
+        background's included; Mul and MulMlp messages, and so their
+        receivers' softmaxes, are needed at the reached and ring rows
+        only."""
+        p, cfg, nt = self.params, self.cfg, self.gt.n_types
+        k, hw = GAT_HEADS, cfg.dims // GAT_HEADS
+        acted = self._acted()
+        states = take_rows(h, cone.states)
+        receivers, recv, recv_pad = states, cone.recv, cone.recv_pad
+        senders = h
+        if acted:
+            receivers = ad.slice_axis(states, 1, 0, cone.ring)
+            recv, recv_pad = recv[:cone.ring], recv_pad[:cone.ring]
+            senders = cone.frontier.senders(h)
+        # a1 . z_i is read from the sender's slot; a2 . z_j is node j's own
+        # (node, type) map, so it is already in receiver slots.
+        (w1, b1), (w2, b2) = score_maps
+        alpha = ad.segment_softmax(ad.leaky_relu(ad.add(
+            ad.take(ad.typed_affine(h, w1, b1), recv),
+            ad.typed_affine(receivers, w2, b2))), recv_pad, axis=2)
+        z = ad.reshape(ad.typed_affine(senders, p["msg.W"], p["msg.b"]),
+                       senders.shape[:2] + (nt, k, hw))
+        if not acted:
+            m_bar = ad.segment_sum(z, cone, alpha)
+        else:
+            fr = cone.frontier
+            if cfg.acting == "mulmlp":
+                # MulMlp acts on the alpha-weighted messages, projected by
+                # act.W, in the sender slots.
+                alpha = ad.take(alpha, fr.send)
+                weighted = ad.mul(z, ad.reshape(alpha, alpha.shape + (1,)))
+                z = ad.matmul(ad.reshape(weighted, z.shape[:3] + (-1,)),
+                              p["act.W"])
+                alpha = None
+            m_bar = self._background(self._receive(z, alpha, flowing, fr), fr)
+        return gru(states, ad.reshape(m_bar, states.shape),
+                   take_rows(u_pre, cone.nodes), p, cfg.dims), g
 
     def _rw_dynamic_step(self, u, h, g, flowing, focused, slots):
         p = self.params
@@ -602,20 +666,6 @@ class Model:
         return h_next, g_next
 
     # -- forward -----------------------------------------------------------
-
-    def _kept_rows(self, b, reach):
-        """(b, n) bool: the rows at which the forward keeps its per-row
-        tensors (StateRows). A GGNN-Mul or GGNN-MulMlp state is read only by
-        its own row's GRU and by transitions and acted messages at reached
-        rows, all within the last step's reach, so the other rows' states
-        are never computed (README, "Numerics notes"). The other variants
-        read states at every node: FullGN's global state averages them, a
-        GAT receiver's softmax reads unreached senders' scores, regular and
-        noact messages leave every node, and rw-dynamic is unmeasured.
-        """
-        if self.cfg.core == "ggnn" and self.cfg.acting in ("mul", "mulmlp"):
-            return reach[-1]
-        return np.ones((b, self.gt.n), dtype=bool)
 
     def _sources(self, src_indices) -> np.ndarray:
         """The source indices as an int64 array; ValueError unless they
@@ -631,37 +681,56 @@ class Model:
     def forward(self, src_indices, trace: bool = False) -> ForwardResult:
         cfg, gt, p = self.cfg, self.gt, self.params
         src = self._sources(src_indices)
-        dtype = cfg.np_dtype
+        b, n, dtype = len(src), gt.n, cfg.np_dtype
         result = ForwardResult(probs=None)
-        # States that change need a new transition every step, at the rows
-        # the focused attention has reached; the fixed rw-stationary states
-        # need one for the whole forward, shared by the batch.
+        cone = cfg.core in ("ggnn", "gat")
+        # GGNN and GAT keep their states in a light cone (Cone); the other
+        # stepped flow variants keep them at every row, and need the reach
+        # for their Frontiers only. The fixed rw-stationary states need one
+        # transition for the whole forward, shared by the batch.
         reach = None
-        if cfg.explicit_flow and cfg.core != "rw-stationary":
+        if cone or (cfg.explicit_flow and cfg.core != "rw-stationary"):
             reach = gt.reach(src, cfg.steps)
-        states = StateRows(self._kept_rows(len(src), reach))
-        step = self._pick_step(states)
+        step = self._pick_step(b)
         if step is None:
-            h, g = ad.reshape(p["embed"], (1, gt.n, cfg.dims)), None
+            h, g = ad.reshape(p["embed"], (1, n, cfg.dims)), None
         else:
-            h = states.pick(init_node_states(gt, p, src, cfg.attn_dims, dtype))
-            g = ad.Tensor(np.zeros((len(src), cfg.dims), dtype=dtype))
+            h = init_node_states(gt, p, src, cfg.attn_dims, dtype,
+                                 reach[0] if cone else None)
+            g = ad.Tensor(np.zeros((b, cfg.dims), dtype=dtype))
+
+        def dense_focus(focused, t):
+            """Focused attention at reach[t] as (B, n)."""
+            if reach is None:
+                return focused
+            zeros = np.zeros((1, n), dtype=dtype)
+            return dense(ad.concat([focused, zeros], axis=1), reach[t])
 
         focused = focused_next = flowing = transition = None
-        slots = gt
+        slots = layout = gt
         if cfg.explicit_flow:
-            focused = states.pick(attnflow.onehot_focus(gt.n, src, dtype))
+            if reach is None:
+                focused = attnflow.onehot_focus(n, src, dtype)
+            else:
+                a0 = np.zeros((1, np.count_nonzero(reach[0])), dtype=dtype)
+                a0[0, source_rows(reach[0], src)] = 1.0
+                focused = ad.Tensor(a0)
             if trace:
-                result.focused.append(states.dense(focused).data.copy())
+                result.focused.append(dense_focus(focused, 0).data.copy())
 
         # A flow variant's prediction reads its states only through the
         # transitions, so its last step makes none; a regular variant reads
         # out the states of its last step.
         updates = cfg.steps - 1 if cfg.explicit_flow else cfg.steps
         for t in range(cfg.steps):
+            update = step is not None and t < updates
+            if reach is not None:
+                at = pool_rows(reach[t]) if cone else np.arange(b * n)
+                if cfg.explicit_flow:
+                    slots = layout = Frontier(gt, reach[t], reach[t + 1], at)
+                if cone and update:
+                    layout = Cone(gt, reach, t, at, slots)
             if cfg.explicit_flow:
-                if reach is not None:
-                    slots = Frontier(gt, reach[t], reach[t + 1], states)
                 if reach is not None or transition is None:
                     transition = attnflow.transition_matrix(
                         attnflow.transition_logits(h, slots, p["trans.W"],
@@ -670,18 +739,26 @@ class Model:
                                                            slots)
                 if trace:
                     values = flowing.data
-                    if slots is not gt:
-                        values = slots.dense(values)
+                    if reach is not None:
+                        full = np.zeros((b * n,) + values.shape[2:],
+                                        dtype=values.dtype)
+                        full[np.flatnonzero(reach[t])] = values[0]
+                        values = full.reshape((b, n) + values.shape[2:])
                     result.flowing.append(gt.edge_values(values))
                     result.focused.append(
-                        states.dense(focused_next).data.copy())
-            if step is not None and t < updates:
-                h, g = step(h, g, flowing, focused, slots)
+                        dense_focus(focused_next, t + 1).data.copy())
+            if update:
+                read = (dense_focus(focused, t) if cfg.core == "rw-dynamic"
+                        else None)
+                h, g = step(h, g, flowing, read, layout)
                 self._check_finite(h)
             focused = focused_next
 
-        result.probs = (states.dense(focused) if cfg.explicit_flow
-                        else implicit_readout(h, cfg.attn_dims))
+        if cfg.explicit_flow:
+            result.probs = dense_focus(focused, cfg.steps)
+        else:
+            result.probs = implicit_readout(
+                dense(h, reach[-1]) if cone else h, cfg.attn_dims)
         return result
 
     def _check_finite(self, h):
@@ -698,16 +775,19 @@ class Model:
 
         Forward runs on chunks of at most MICROBATCH_SIZE examples. The
         per-slot tensors grow with the batch: at 64 examples on the
-        32-grid presets, the message cores' (B, n, 9, d) and rw-dynamic's
-        per-batch transition maps (B, n, 9, d+1) are about 85-97 MB at
-        float32. A flow step's transition and Mul/MulMlp messages are
-        per-slot at its reached rows only, but on LINE its last steps
-        reach 40-46% of the rows of 64 valid pairs, about 34-39 MB. Both
-        are above glibc's 32 MiB mmap threshold, so every op output would
-        be a fresh mapping whose pages the kernel faults in and zeroes,
-        and a bigger chunk is slower per example. rw-stationary shares one
-        transition across the batch and holds nothing per slot wider than
-        (B, n, 9), so it runs one forward per call.
+        32-grid presets, FullGN's messages (B, n, 9, d) and rw-dynamic's
+        per-batch transition maps (B, n, 9, d+1) are about 82-97 MB at
+        float32. GGNN's and GAT's (.., 9, d) messages cover a light cone's
+        pool, the reach and n background rows: at the largest step of a
+        chunk of 64 valid pairs, 38-59 MB on LINE and 41-55 MB on SINE. A
+        flow step's transition and Mul/MulMlp messages are per-slot at its
+        reached rows only, but its last step reaches 45-70% of the rows of
+        64 valid pairs on LINE, 36-57 MB. All are above glibc's 32 MiB
+        mmap threshold, so every op output would be a fresh mapping whose
+        pages the kernel faults in and zeroes, and a bigger chunk is
+        slower per example. rw-stationary shares one transition across
+        the batch and holds nothing per slot wider than (B, n, 9), so it
+        runs one forward per call.
         """
         src = self._sources(src_indices)
         shared = self.cfg.core == "rw-stationary"

@@ -57,7 +57,8 @@ def check_op(op, inputs, pad=None, tol=1e-6):
     - no write into an input, nor by a VJP into g (views of g may be
       returned: backward never writes into a grad);
     - with pad, a mask of the (n, n_types) slots on each input's axes 1 and
-      2, the same float32 output and VJP outputs when the pads hold +-1e30;
+      2, or a list of one such mask (or None) per input, the same float32
+      output and VJP outputs when the pads hold +-1e30;
     - float64 grads of sum(op(inputs) * w), for a fixed random w, within
       tol of central finite differences at every coordinate.
     Each VJP is called once per g, as backward calls it: scale_affine_tanh
@@ -66,10 +67,12 @@ def check_op(op, inputs, pad=None, tol=1e-6):
     rng = np.random.default_rng(0)
     cases = [[x.astype(np.float32) for x in inputs]]
     if pad is not None:
+        pads = pad if isinstance(pad, list) else [pad] * len(inputs)
         cases.append([x.copy() for x in cases[0]])
-        for x in cases[1]:
-            x[:, pad] = rng.choice(np.float32([-1e30, 1e30]),
-                                   size=x[:, pad].shape)
+        for x, mask in zip(cases[1], pads):
+            if mask is not None:
+                x[:, mask] = rng.choice(np.float32([-1e30, 1e30]),
+                                        size=x[:, mask].shape)
     results, weights = [], None
     for xs in cases:
         before = [x.copy() for x in xs]

@@ -10,7 +10,7 @@ import pytest
 from gradcheck import check_op, grad_check
 from gridflow import autodiff as ad, grid
 from gridflow.autodiff import Tensor
-from gridflow.graphnets import Frontier, GraphTensors, StateRows
+from gridflow.graphnets import Cone, Frontier, GraphTensors, pool_rows
 
 
 def slot_graph(seed):
@@ -19,16 +19,26 @@ def slot_graph(seed):
 
 
 def frontier(gt, src, t):
-    """The compact slots of step t of a flow from src."""
+    """The compact slots of step t of a flow from src, over dense states."""
     reach = gt.reach(src, t + 1)
-    every = StateRows(np.ones((len(src), gt.n), dtype=bool))
-    return Frontier(gt, reach[t], reach[t + 1], every)
+    return Frontier(gt, reach[t], reach[t + 1], np.arange(len(src) * gt.n))
+
+
+def cone(gt, src, t):
+    """The light cone of update t of a forward from src, and its pool size."""
+    reach = gt.reach(src, t + 1)
+    at = pool_rows(reach[t])
+    return Cone(gt, reach, t, at), int(reach[t].sum()) + gt.n
 
 
 RNG = np.random.default_rng(2)
 X = RNG.standard_normal((3, 5))
 GT = slot_graph(12)
 SLOTS = (2, GT.n, GT.n_types)
+# The rows that a light cone's update reads its own states from: each
+# background row is read by the background and by every example whose
+# reach it lies outside.
+CONE, POOL = cone(GT, [0, 7, GT.n - 1], 1)
 
 
 def r(*shape):
@@ -55,9 +65,9 @@ OPS = {
     "rowdot": (ad.rowdot, [r(3, 4, 1, 6), r(3, 4, 5, 6)]),
     "scale_affine_tanh": (ad.scale_affine_tanh, [r(2, 7), r(2, 7, 3), r(3)]),
     "typed_affine": (ad.typed_affine, [r(2, 5, 3), r(4, 3, 6), r(4, 6)]),
-    "take": (lambda t: ad.take(t, GT.send), [r(*SLOTS, 2)]),
+    "take": (lambda t: ad.take(t, CONE.states), [r(1, POOL, 2)]),
     "segment_sum": (lambda x, w: ad.segment_sum(x, GT, w),
-                    [r(*SLOTS, 3), RNG.random(SLOTS)], GT.pad),
+                    [r(*SLOTS, 3), RNG.random(SLOTS)], [GT.pad, GT.recv_pad]),
     "segment_softmax": (lambda t: ad.segment_softmax(t, GT.pad), [r(*SLOTS)],
                         GT.pad),
 }
@@ -92,6 +102,17 @@ def writes_input(t):
     return out
 
 
+def take_once(t):
+    """take whose VJP gathers g by the inverse index only, so a slot picked
+    several times gets back one of its picks."""
+    out = ad.take(t, CONE.states)
+    inv = np.zeros(POOL, dtype=np.intp)
+    inv[CONE.states] = np.arange(CONE.states.size)
+    out._vjps = tuple((p, lambda g: np.take(g, inv, axis=1))
+                      for p, _ in out._vjps)
+    return out
+
+
 # Broken copies of a row of OPS, and the check_op message each fails with.
 MUTANTS = {
     "forward-writes-input": (writes_input, "tanh", "wrote into an input"),
@@ -103,6 +124,7 @@ MUTANTS = {
         g, 1 - y * y, out=g)), "tanh", "wrote into g"),
     "wrong-gradient": (tanh_with_vjp(lambda g, y: 2 * g * (1 - y * y)), "tanh",
                        "finite differences"),
+    "repeated-picks-dropped": (take_once, "take", "finite differences"),
 }
 
 
@@ -219,27 +241,47 @@ def test_take_permutes_slots():
 def test_take_picks_rows_and_compact_slots():
     """take by a subset index: flat (example, node) rows of a batch, and a
     Frontier's injective pick of its ring slots for the sender slots, whose
-    unpicked slots get zero gradient."""
+    unpicked slots get zero gradient; and by an index that picks rows
+    several times, a light cone's, whose gradient sums the picks, as
+    np.add.at does."""
     rng = np.random.default_rng(13)
     gt = slot_graph(13)
-    fr = frontier(gt, [0, gt.n - 1], 1)
-    assert len(fr.rows) < 2 * gt.n
-    assert len(np.unique(fr.send)) == fr.send.size  # picks each slot once
+    src = [0, gt.n - 1]
+    fr = frontier(gt, src, 1)
+    reach = gt.reach(src, 2)
+    assert len(fr.sender_rows) < 2 * gt.n
+    real = fr.send >= 0
+    assert np.array_equal(real, ~fr.pad)
+    assert len(np.unique(fr.send[real])) == real.sum()  # picks each slot once
     rows = rng.standard_normal((1, 2 * gt.n, 3))
-    ring_slots = rng.standard_normal((1, len(fr.ring), gt.n_types, 2))
-    for x, index in ((rows, fr.rows), (ring_slots, fr.send)):
+    ring_slots = rng.standard_normal((1, len(fr.ring_rows), gt.n_types, 2))
+    for x, index in ((rows, fr.sender_rows), (ring_slots, fr.send)):
         out = ad.take(Tensor(x), index)
         flat = x.reshape((1, -1) + x.shape[1 + index.ndim:])
+        expect = np.where((index < 0)[(None, ...) + (None,) * (
+            flat.ndim - 2)], 0.0, flat[:, index.clip(0)])
         assert out.data.shape == (1,) + index.shape + flat.shape[2:]
-        assert np.array_equal(out.data, flat[:, index])
+        assert np.array_equal(out.data, expect)
         check_op(lambda t, index=index: ad.take(t, index), [x])
     # the ring map's value at each real sender slot is its receiver's
-    node = fr.rows % gt.n
-    real = ~fr.pad
-    ring_at = np.searchsorted(fr.ring, fr.receiver)
+    senders = np.flatnonzero(reach[1])
+    node = senders % gt.n
+    receiver = (senders - node)[:, None] + gt.send[node] // gt.n_types
+    ring_at = np.searchsorted(np.flatnonzero(reach[2]), receiver)
     assert np.array_equal((fr.send // gt.n_types)[real], ring_at[real])
     assert np.array_equal(fr.send[real] % gt.n_types,
                           (gt.send[node] % gt.n_types)[real])
+    # a light cone's rows: background rows are picked up to 4 times
+    picks = np.bincount(CONE.states, minlength=POOL)
+    assert picks.max() == 4
+    x = Tensor(rng.standard_normal((1, POOL, 3)), requires_grad=True)
+    out = ad.take(x, CONE.states)
+    assert np.array_equal(out.data, x.data[:, CONE.states])
+    g = rng.standard_normal(out.data.shape)
+    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    expect = np.zeros_like(x.data)
+    np.add.at(expect[0], CONE.states, g[0])
+    assert np.allclose(x.grad, expect, rtol=1e-14, atol=1e-14)
 
 
 def test_take_negative_index_picks_nothing():
@@ -277,45 +319,49 @@ def test_segment_sum_matches_add_at():
 
 
 def test_segment_sum_receives_compact_rows_with_weights():
-    """From a Frontier's compact sender rows, with and without a per-slot
-    weight, segment_sum equals np.add.at of the reached senders' edge
-    values into the batch's dense rows, and check_op holds with the
-    Frontier's pads."""
+    """From a Frontier's compact sender rows into its ring rows, with and
+    without a weight per receiver slot, segment_sum equals np.add.at of the
+    reached senders' edge values into the batch's dense rows, there, and
+    check_op holds with the Frontier's pads."""
     rng = np.random.default_rng(14)
     gt = slot_graph(14)
     src = [3, 0]
+    reach = gt.reach(src, 3)
     fr = frontier(gt, src, 2)
-    k, nt = len(fr.rows), gt.n_types
-    assert 0 < k < 2 * gt.n
+    k, nt = len(fr.sender_rows), gt.n_types
+    ring = np.flatnonzero(reach[3])
+    assert 0 < k < len(ring) < 2 * gt.n
     x = rng.standard_normal((1, k, nt, 3))
-    wt = rng.random((1, k, nt))
-    # oracle: the compact values at their dense sender slots, zero elsewhere
+    wt = rng.random((1, len(ring), nt))
+    # oracle: the compact values at their dense slots, zero elsewhere
     dense_x = np.zeros((2 * gt.n, nt, 3))
-    dense_x[fr.rows] = x[0]
+    dense_x[fr.sender_rows] = x[0]
     dense_w = np.zeros((2 * gt.n, nt))
-    dense_w[fr.rows] = wt[0]
+    dense_w[ring] = wt[0]
     dense_x, dense_w = (v.reshape((2, gt.n * nt) + v.shape[2:])
                         for v in (dense_x, dense_w))
     for weight in (None, wt):
         edges = dense_x[:, gt.src_type]
         if weight is not None:
-            edges = edges * dense_w[:, gt.src_type, None]
+            edges = edges * dense_w[:, gt.dst * nt + gt.etype, None]
         expect = np.zeros((gt.n, 2, 3))
         np.add.at(expect, gt.dst, np.moveaxis(edges, 1, 0))
         inputs = [x] if weight is None else [x, weight]
         out = ad.segment_sum(*[Tensor(v) for v in inputs[:1]], fr,
                              *[Tensor(v) for v in inputs[1:]])
-        assert out.data.shape == (2, gt.n, 3)
-        assert np.allclose(out.data, np.moveaxis(expect, 0, 1),
+        assert out.data.shape == (1, len(ring), 3)
+        assert np.allclose(out.data[0],
+                           np.moveaxis(expect, 0, 1).reshape(-1, 3)[ring],
                            rtol=1e-12, atol=1e-12)
         check_op(lambda *t: ad.segment_sum(t[0], fr, *t[1:]), inputs,
-                 fr.pad)
+                 [fr.pad, fr.recv_pad][:len(inputs)])
 
 
 def test_weighted_segment_sum_matches_materialized_product():
-    """segment_sum of x weighted per slot (and per head, as GAT's attention)
-    equals segment_sum of the materialized product x * weight, in output
-    and in both grads, and check_op holds."""
+    """segment_sum of x weighted per receiver slot (and per head, as GAT's
+    attention) equals segment_sum of the materialized product of x and the
+    weight picked into the sender slots, in output and in both grads, and
+    check_op holds."""
     rng = np.random.default_rng(15)
     gt = slot_graph(15)
     shape = (2, gt.n, gt.n_types, 3)
@@ -326,13 +372,14 @@ def test_weighted_segment_sum_matches_materialized_product():
     def run(weighted):
         xt, wtt = Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True)
         out = (ad.segment_sum(xt, gt, wtt) if weighted else ad.segment_sum(
-            ad.mul(xt, ad.reshape(wtt, shape + (1,))), gt))
+            ad.mul(xt, ad.reshape(ad.take(wtt, gt.send), shape + (1,))), gt))
         ad.tsum(ad.mul(out, Tensor(g))).backward()
         return out.data, xt.grad, wtt.grad
 
     for got, want in zip(run(True), run(False)):
         assert np.abs(got - want).max() < 1e-12
-    check_op(lambda a, b: ad.segment_sum(a, gt, b), [x, wt], gt.pad)
+    check_op(lambda a, b: ad.segment_sum(a, gt, b), [x, wt],
+             [gt.pad, gt.recv_pad])
 
 
 def test_segment_softmax_matches_dense_oracle():
@@ -466,43 +513,49 @@ def test_grad_check_passes_on_smooth_function():
 
 
 def test_segment_sum_receives_into_compact_state_rows():
-    """A Frontier over compact state rows (a subset R of the batch's flat
-    rows) points every index at R's rows, pads' receivers included, and
-    segment_sum into it gives the whole-batch result at R, which is zero
-    outside R; check_op holds with its pads."""
+    """A light cone's update receives into its compact state rows, the ring
+    rows of each example and then the n background rows, from every row of
+    its pool, a background row for each sender outside the example's
+    reach. With and without a weight, segment_sum there equals the dense
+    all-rows sum over the pool laid out at every row, at the ring rows,
+    and the sum over the background alone at the background rows; and
+    check_op holds with its pads."""
     rng = np.random.default_rng(15)
     gt = slot_graph(15)
-    src, steps = [3, 0], 2
-    reach = gt.reach(src, steps)
-    states = StateRows(reach[steps])
-    m = len(states.rows)
-    assert 0 < m < 2 * gt.n and states.shape == (1, m)
-    every = StateRows(np.ones((len(src), gt.n), dtype=bool))
-    full, compact = (Frontier(gt, reach[1], reach[2], s)
-                     for s in (every, states))
-    assert np.array_equal(compact.unreached_in[0],
-                          full.unreached_in.reshape(-1)[states.rows])
-    for index in (compact.rows, compact.ring, compact.receiver):
-        assert index.min() >= 0 and index.max() < m
-    x = rng.standard_normal((1, len(full.rows), gt.n_types, 3))
-    wt = rng.random((1, len(full.rows), gt.n_types))
+    src, nt = [3, 0], gt.n_types
+    reach = gt.reach(src, 2)
+    layout, pool = cone(gt, src, 1)
+    ring = np.flatnonzero(reach[2])
+    rows = len(ring) + gt.n
+    assert layout.send is None and layout.recv.shape == (rows, nt)
+    assert 0 < len(ring) < 2 * gt.n
+    # every node's background slots are read by the background and by the
+    # ring rows outside whose example's reach[1] they lie
+    assert np.bincount(layout.recv[layout.recv >= 0]).max() > 1
+    node = np.empty(pool, dtype=np.int64)
+    node[layout.pool] = np.arange(len(layout.pool)) % gt.n
+    x = rng.standard_normal((1, pool, nt, 3))
+    wt = rng.random((1, rows, nt))
+    at = pool_rows(reach[1])
     for inputs in ([x], [x, wt]):
-        dense = ad.segment_sum(*[Tensor(v) for v in inputs[:1]], full,
-                               *[Tensor(v) for v in inputs[1:]]).data
-        out = ad.segment_sum(*[Tensor(v) for v in inputs[:1]], compact,
+        out = ad.segment_sum(*[Tensor(v) for v in inputs[:1]], layout,
                              *[Tensor(v) for v in inputs[1:]]).data
-        flat = dense.reshape((-1, 3))
-        assert out.shape == (1, m, 3)
-        assert np.array_equal(out[0], flat[states.rows])
-        left_out = np.ones(len(flat), dtype=bool)
-        left_out[states.rows] = False
-        assert not flat[left_out].any()
-        check_op(lambda *t: ad.segment_sum(t[0], compact, *t[1:]), inputs,
-                 compact.pad)
-    # per-row values pass to and from the compact rows unchanged
-    rows = rng.standard_normal((2, gt.n, 4))
-    picked = states.pick(Tensor(rows))
-    assert np.array_equal(picked.data[0], rows.reshape(-1, 4)[states.rows])
-    back = states.dense(picked).data.reshape(-1, 4)
-    assert np.array_equal(back[states.rows], picked.data[0])
-    assert not back[np.setdiff1d(np.arange(2 * gt.n), states.rows)].any()
+        assert out.shape == (1, rows, 3)
+        dense_x = x[0, at].reshape(2, gt.n, nt, 3)
+        background = x[:, pool - gt.n:]
+        weights = [None, None]
+        if len(inputs) == 2:
+            dense_w = np.zeros((2 * gt.n, nt))
+            dense_w[ring] = wt[0, :len(ring)]
+            weights = [Tensor(dense_w.reshape(2, gt.n, nt)),
+                       Tensor(wt[:, len(ring):])]
+        want_ring = ad.segment_sum(Tensor(dense_x), gt, weights[0]).data
+        want_background = ad.segment_sum(Tensor(background), gt,
+                                         weights[1]).data
+        assert np.allclose(out[0, :len(ring)],
+                           want_ring.reshape(-1, 3)[ring], rtol=1e-12,
+                           atol=1e-12)
+        assert np.allclose(out[0, len(ring):], want_background[0],
+                           rtol=1e-12, atol=1e-12)
+        check_op(lambda *t: ad.segment_sum(t[0], layout, *t[1:]), inputs,
+                 [gt.pad[node], layout.recv_pad][:len(inputs)])

@@ -99,6 +99,7 @@ def test_gen_params_rejects_unknown_direction():
     ("n_rollout", True, "n_rollout must be an int, got True"),
     ("seed", 1.5, "seed must be an int, got 1.5"),
     ("seed", "0", "seed must be an int, got '0'"),
+    ("seed", -1, "seed must be >= 0, got -1"),
 ])
 def test_gen_params_rejects_degenerate_values(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):

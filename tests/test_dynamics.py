@@ -166,7 +166,8 @@ GRAPHS = {
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_rollout_matches_scalar_oracle(name, direction):
     g = GRAPHS[name]
-    for seed in range(3):
+    # A seed at or above 2^32 takes two entropy words.
+    for seed in (0, 1, 2, 2**32 + 3):
         for sigma, max_steps, n_rollout in ((0.3, 7, 4), (1.5, 3, 2)):
             got = rollout(g, direction, sigma, max_steps, n_rollout, seed)
             want = scalar_paths(g, direction, sigma, max_steps, n_rollout,

@@ -35,3 +35,22 @@ def test_compare_exits_1_unless_every_array_is_bit_identical(tmp_path):
     out = compare(same, other)
     assert out.returncode == 1, out.stdout
     assert "different arrays" in out.stdout
+
+
+def test_compare_summarizes_each_top_level_group(tmp_path):
+    """One line per top-level group of array names: its arrays, how many
+    of them are not bit-identical and its largest relative difference."""
+    arrays = {"data/pairs": np.arange(4), "data/splits": np.zeros(4),
+              "float64/gat/loss": np.array(2.0),
+              "float64/gat/grad/w": np.ones(3)}
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    np.savez(a, **arrays)
+    np.savez(b, **(arrays | {"float64/gat/grad/w": np.array([1.0, 1.0,
+                                                            1.0 + 1e-12])}))
+    out = compare(a, b)
+    assert out.returncode == 1, out.stdout
+    lines = out.stdout.splitlines()
+    assert ("data/: 2 arrays, 0 not bit-identical, "
+            "largest relative difference 0") in lines
+    assert ("float64/: 2 arrays, 1 not bit-identical, "
+            "largest relative difference 1e-12") in lines

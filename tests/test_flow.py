@@ -16,12 +16,14 @@ from gridflow.attnflow import (
     transition_matrix,
 )
 from gridflow.graphnets import (
+    GAT_HEADS,
     MODEL_NAMES,
+    Cone,
     Frontier,
     GraphTensors,
     Model,
     ModelConfig,
-    StateRows,
+    pool_rows,
 )
 
 
@@ -158,24 +160,29 @@ def test_attend_message_variants():
     messages that come weighted and projected. The weight carries a
     per-head axis, as GAT's."""
     rng = np.random.default_rng(5)
-    flowing = ad.Tensor(rng.random((2, 7, 9)))
-    messages = ad.Tensor(rng.standard_normal((2, 7, 9, 2, 3)))
-    weight = ad.Tensor(rng.random((2, 7, 9, 2)))
+    gt = random_graph(5)
+    slots = (2, gt.n, gt.n_types)
+    flowing = ad.Tensor(rng.random(slots))
+    messages = ad.Tensor(rng.standard_normal(slots + (2, 3)))
+    weight = ad.Tensor(rng.random(slots + (2,)))
     for wt in (None, weight):
-        assert attend_message(NO_ACT, flowing, messages, weight=wt) == (
+        assert attend_message(NO_ACT, flowing, messages, gt, weight=wt) == (
             messages, wt)
-    m, wt = attend_message(MUL, flowing, messages)
-    assert m is messages and wt is flowing
-    m, wt = attend_message(MUL, flowing, messages, weight=weight)
+    # Mul's weight is in the receiver slots, where each edge's flowing
+    # attention is picked to
+    received = flowing.data.reshape(2, -1)[:, gt.recv].reshape(slots)
+    m, wt = attend_message(MUL, flowing, messages, gt)
+    assert m is messages and np.array_equal(wt.data, received)
+    m, wt = attend_message(MUL, flowing, messages, gt, weight=weight)
     assert m is messages
-    assert np.allclose(wt.data, weight.data * flowing.data[..., None])
-    projected = ad.Tensor(rng.standard_normal((2, 7, 9, 6)))
+    assert np.allclose(wt.data, weight.data * received[..., None])
+    projected = ad.Tensor(rng.standard_normal(slots + (6,)))
     b = ad.Tensor(rng.standard_normal(6))
-    mlp, wt = attend_message(MUL_MLP, flowing, projected, b)
+    mlp, wt = attend_message(MUL_MLP, flowing, projected, gt, b)
     expect = np.tanh(flowing.data[..., None] * projected.data + b.data)
     assert wt is None and np.allclose(mlp.data, expect)
     with pytest.raises(ValueError):
-        attend_message("gate", flowing, messages)
+        attend_message("gate", flowing, messages, gt)
 
 
 def test_flow_loss_is_mean_negative_log():
@@ -241,7 +248,7 @@ def test_mulmlp_fold_matches_unfused_acting():
         return acted.data, [t.grad.copy() for t in leaves]
 
     fused = acted_and_grads(attend_message(
-        MUL_MLP, flowing, ad.typed_affine(h, *model._ggnn_weights()),
+        MUL_MLP, flowing, ad.typed_affine(h, *model._ggnn_weights()), gt,
         p["act.b"])[0])
 
     m = []
@@ -258,6 +265,22 @@ def test_mulmlp_fold_matches_unfused_acting():
         assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
 
 
+def gat_messages(model, h):
+    """Per-slot, per-head GAT messages z (B, n, n_types, heads, d / heads)
+    and their attention alpha (B, n, n_types, heads) in the sender slots,
+    at every row of the dense states h (B, n, d), from plain ops."""
+    gt, p, d = model.gt, model.params, model.cfg.dims
+    k, hw = GAT_HEADS, d // GAT_HEADS
+    z = ad.reshape(ad.typed_affine(h, p["msg.W"], p["msg.b"]),
+                   (-1, gt.n, gt.n_types, k, hw))
+    s_i, s_j = (ad.rowdot(z, ad.reshape(p[a], (1, 1, 1, k, hw)))
+                for a in ("gat.a1", "gat.a2"))
+    alpha = ad.take(ad.segment_softmax(
+        ad.leaky_relu(ad.add(ad.take(s_i, gt.recv), s_j)),
+        gt.recv_pad, axis=2), gt.send)
+    return z, alpha
+
+
 def test_gat_mulmlp_acting_matches_unfused(monkeypatch):
     """GAT-MulMlp weights its messages z by alpha and projects them by
     act.W in its step, before the acting; its acted messages and their
@@ -272,10 +295,15 @@ def test_gat_mulmlp_acting_matches_unfused(monkeypatch):
     rng = np.random.default_rng(1)
     for name in ("msg.b", "act.b"):  # nonzero, so their terms are exercised
         p[name].data = rng.standard_normal(p[name].data.shape)
-    h = ad.Tensor(rng.standard_normal((2, gt.n, d)))
-    # Every row reached: the step's compact slots hold the batch's rows in
-    # order, (1, 2 n, n_types).
+    # Every row reached: a light cone whose pool holds the batch's rows in
+    # order, then the background's, and whose step's compact slots are the
+    # batch's rows, (1, 2 n, n_types).
+    pool = ad.Tensor(rng.standard_normal((1, 3 * gt.n, d)))
+    h = ad.reshape(ad.slice_axis(pool, 1, 0, 2 * gt.n), (2, gt.n, d))
     every = np.ones((2, gt.n), dtype=bool)
+    at = pool_rows(every)
+    cone = Cone(gt, np.stack([every, every]), 0, at,
+                Frontier(gt, every, every, at))
     slots = (1, 2 * gt.n, gt.n_types)
     flowing = ad.Tensor(rng.random(slots), requires_grad=True)
     weights = ad.Tensor(rng.standard_normal(slots + (d,)))
@@ -296,13 +324,10 @@ def test_gat_mulmlp_acting_matches_unfused(monkeypatch):
         return out
 
     monkeypatch.setattr(attnflow, "attend_message", recording)
-    states = StateRows(every)
-    step = model._pick_step(states)
-    step(h, ad.Tensor(np.zeros((2, d))), flowing, None,
-         Frontier(gt, every, every, states))
+    model._pick_step(2)(pool, None, flowing, None, cone)
     fused = acted_and_grads(acted[0])
 
-    z, alpha = model._gat_messages(h, model._gat_score_maps())
+    z, alpha = gat_messages(model, h)
     weighted = ad.reshape(ad.mul(z, ad.reshape(alpha, alpha.shape + (1,))),
                           slots + (d,))
     scaled = ad.mul(weighted, ad.reshape(flowing, slots + (1,)))

@@ -22,6 +22,9 @@ def small_graph(seed=0):
 STEPPED_FLOW = [name for name in MODEL_NAMES
                 if ModelConfig.from_name(name).explicit_flow
                 and name != "rw-stationary"]
+# Variants whose node states live in a light cone (graphnets.Cone).
+LIGHT_CONE = [name for name in MODEL_NAMES
+              if ModelConfig.from_name(name).core in ("ggnn", "gat")]
 
 
 def small_cfg(name, **kw):
@@ -308,11 +311,12 @@ def test_float32_grads_stay_finite_at_the_log_floor():
     assert np.abs(model.params["trans.W"].grad).max() > 0
 
 
-def test_gat_score_fold_matches_unfused():
+def test_gat_score_fold_matches_unfused(monkeypatch):
     """GAT's scores from the folded maps (W_t a, b_t . a) equal a . z of the
-    per-slot z = h W_t + b_t, as do the messages built from them and the
-    grads of msg.W, msg.b, gat.a1 and gat.a2. msg.b is drawn non-zero, so
-    a fold that drops the bias term b_t . a fails."""
+    per-slot z = h W_t + b_t, as do the messages that its step receives
+    from them, on a light cone with every row reached, and the grads of
+    msg.W, msg.b, gat.a1 and gat.a2. msg.b is drawn non-zero, so a fold
+    that drops the bias term b_t . a fails."""
     rng = np.random.default_rng(5)
     model = Model(small_cfg("gat"), GraphTensors(small_graph()), seed=1)
     gt, p, cfg = model.gt, model.params, model.cfg
@@ -330,15 +334,29 @@ def test_gat_score_fold_matches_unfused():
             ad.leaky_relu(ad.add(ad.take(s_i, gt.recv), s_j)),
             gt.recv_pad, axis=2), gt.send)
         weighted = ad.mul(z, ad.reshape(alpha, alpha.data.shape + (1,)))
-        return [s_i, s_j,
-                ad.reshape(weighted, (-1, gt.n, gt.n_types, cfg.dims))]
+        return [s_i, s_j, ad.segment_sum(weighted, gt)]
+
+    every = np.ones((2, gt.n), dtype=bool)
+    cone = graphnets.Cone(gt, np.stack([every, every]), 0,
+                          graphnets.pool_rows(every))
+    segment_sum = ad.segment_sum
 
     def folded():
         maps = model._gat_score_maps()
-        z, alpha = model._gat_messages(h, maps)
-        weighted = ad.mul(z, ad.reshape(alpha, alpha.data.shape + (1,)))
+        received = []
+
+        def recording(*args):
+            received.append(segment_sum(*args))
+            return received[-1]
+
+        pool = ad.concat([ad.reshape(h, (1, 2 * gt.n, cfg.dims)),
+                          np.zeros((1, gt.n, cfg.dims))], axis=1)
+        with monkeypatch.context() as m:
+            m.setattr(ad, "segment_sum", recording)
+            model._pick_step(2)(pool, None, None, None, cone)
         return ([ad.typed_affine(h, w, b) for w, b in maps]
-                + [ad.reshape(weighted, (-1, gt.n, gt.n_types, cfg.dims))])
+                + [ad.reshape(ad.slice_axis(received[0], 1, 0, 2 * gt.n),
+                              (2, gt.n, k, hw))])
 
     weights = [rng.standard_normal(out.shape) for out in unfused()]
 
@@ -464,28 +482,23 @@ def test_traced_flowing_sums_to_focused_attention():
 
 def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
     """Finite non-zero junk added to the pad slots of every segment op's
-    input and weight, in the whole graph's slots and in a flow step's
-    compact ones, leaves predictions, loss and parameter grads
-    bit-identical. Every variant runs at 3 steps, whose reach here covers
-    every row; GGNN-Mul and GGNN-MulMlp also run at 2, where their states
-    are kept at the 21 of 30 rows of the last reach, and every index of a
-    step's slots, a pad's receiver included, points at one of them. They
-    run there on the graph with one edge made one-way too, where a pad
-    slot's receiver slot in GraphTensors is another node's, outside the
-    kept rows."""
+    input and weight, in the whole graph's slots, in a flow step's compact
+    ones and in a light cone's, leaves predictions, loss and parameter
+    grads bit-identical, and every receiver slot that is not a pad reads a
+    slot of its input. Every variant runs at 3 steps, whose reach here
+    covers every row; GGNN and GAT also run at 2, where their light cones
+    leave rows to the background, on the graph and on the graph with one
+    edge made one-way too, where a pad slot's receiver slot in
+    GraphTensors is another node's."""
     g = small_graph(seed=4)
     src, dst = np.array([0, 3]), np.array([2, 5])
     one_way = grid.GridGraph(g.n_side, g.nodes,
                              g.edges[~(g.edges == [8, 4, 6]).all(axis=1)])
-    gt = GraphTensors(one_way)
-    reach = gt.reach(src, 2)
-    senders = np.flatnonzero(reach[1])
-    node = senders % gt.n
-    receivers = (senders - node)[:, None] + gt.receiver[node]
-    assert not reach[2].reshape(-1)[receivers[gt.pad[node]]].all()
+    for graph in (g, one_way):
+        assert not GraphTensors(graph).reach(src, 2)[2].all()
     segment_sum, segment_softmax = ad.segment_sum, ad.segment_softmax
     rng = np.random.default_rng(0)
-    calls, layouts = [], []
+    calls = []
 
     def with_junk(x, pad, node_axis):
         shape = x.data.shape
@@ -495,14 +508,18 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
         return ad.add(x, np.where(pad, junk, 0.0))
 
     def junk_sum(x, slots, weight=None):
-        if slots.ring is not None:
-            layouts.append(slots.shape)
-            rows = slots.shape[0] * slots.shape[1]
-            for index in (slots.ring, slots.receiver):
-                assert 0 <= index.min() and index.max() < rows
+        n_slots = x.data.shape[1] * x.data.shape[2]
+        real = slots.recv[~slots.recv_pad]
+        assert 0 <= real.min() and real.max() < n_slots
+        pad = getattr(slots, "pad", None)
+        if pad is None:  # a Cone: the sender pads of its pool's rows
+            gt = slots._gt
+            node = np.empty(x.data.shape[1], dtype=np.int64)
+            node[slots.pool] = np.arange(len(slots.pool)) % gt.n
+            pad = gt.pad[node]
         if weight is not None:
-            weight = with_junk(weight, slots.pad, 1)
-        return segment_sum(with_junk(x, slots.pad, 1), slots, weight)
+            weight = with_junk(weight, slots.recv_pad, 1)
+        return segment_sum(with_junk(x, pad, 1), slots, weight)
 
     def junk_softmax(x, pad, axis=-1):
         node_axis = axis % x.data.ndim - 1
@@ -518,7 +535,7 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
         return probs, float(loss.data), grads
 
     cases = [(name, 3, g) for name in MODEL_NAMES]
-    cases += [(name, 2, graph) for name in ("ggnn-mul", "ggnn-mulmlp")
+    cases += [(name, 2, graph) for name in LIGHT_CONE
               for graph in (g, one_way)]
     for name, steps, graph in cases:
         model = Model(grad_cfg(name, steps=steps), GraphTensors(graph),
@@ -528,11 +545,8 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
             m.setattr(ad, "segment_sum", junk_sum)
             m.setattr(ad, "segment_softmax", junk_softmax)
             calls.clear()
-            layouts.clear()
             dirty = run(model)
         assert calls and min(calls) > 0, name
-        if steps == 2:
-            assert set(layouts) == {(1, 21)}, (name, set(layouts))
         assert np.array_equal(clean[0], dirty[0]), name
         assert clean[1] == dirty[1], name
         for k, grad in clean[2].items():
@@ -540,34 +554,50 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
 
 
 def test_frontier_sparse_flow_matches_full_reach(monkeypatch):
-    """Each stepped flow variant, as shipped, gives the loss, predictions
-    and parameter grads of a run whose reach is forced to every node, so
-    that every row is computed: the rows it skips meet a structural zero
-    (and MulMlp's count of tanh(act.b) terms stands in for them). The
-    biases are drawn non-zero, so that tanh(act.b) is. The shipped run
-    skips rows at some step; the forced one skips none."""
+    """Each stepped flow variant and each GGNN and GAT variant, as shipped,
+    gives the loss, predictions, parameter grads and traced focused and
+    flowing attention of a run whose reach is forced to every node, so
+    that every row is computed for every example, within 1e-10 at
+    float64: the rows that a flow step skips meet a structural zero (and
+    MulMlp's count of tanh(act.b) terms stands in for them), and the rows
+    that a light cone leaves to the background hold its state. The biases
+    are drawn non-zero, so that tanh(act.b) is. The shipped run skips rows
+    at some flow step, and runs each GGNN or GAT update's GRU at
+    n + sum_b |reach_b[t + 1]| rows; the forced one skips none and runs it
+    at B n + n."""
     g = small_graph(seed=6)
     src, dst = np.array([0, 5]), np.array([3, 9])
     rng = np.random.default_rng(4)
-    rows = []
-    transition_matrix = attnflow.transition_matrix
+    transitions, updates = [], []
+    transition_matrix, gru = attnflow.transition_matrix, graphnets.gru
 
-    def recording(logits, slots):
-        rows.append(logits.data.shape[:2])
+    def recording_transition(logits, slots):
+        transitions.append(logits.data.shape[:2])
         return transition_matrix(logits, slots)
 
+    def recording_gru(h, *args):
+        updates.append(h.data.shape[:2])
+        return gru(h, *args)
+
     def run(model):
-        rows.clear()
         probs = model.predict(src)
+        transitions.clear()
+        updates.clear()
         loss = model.loss(src, dst)
+        rows = list(transitions), list(updates)
         loss.backward()
         grads = {k: p.grad for k, p in model.params.items()}
         for p in model.params.values():
             p.grad = None
-        return probs, float(loss.data), grads, list(rows)
+        traced = model.forward(src, trace=True)
+        return (probs, float(loss.data), grads, rows,
+                traced.focused + traced.flowing)
 
-    monkeypatch.setattr(attnflow, "transition_matrix", recording)
-    for name in STEPPED_FLOW:
+    monkeypatch.setattr(attnflow, "transition_matrix", recording_transition)
+    monkeypatch.setattr(graphnets, "gru", recording_gru)
+    for name in MODEL_NAMES:
+        if name not in STEPPED_FLOW + LIGHT_CONE:
+            continue
         model = Model(small_cfg(name, steps=4), GraphTensors(g), seed=3)
         for k, p in model.params.items():
             if k.endswith(".b"):
@@ -577,58 +607,18 @@ def test_frontier_sparse_flow_matches_full_reach(monkeypatch):
             m.setattr(GraphTensors, "reach", lambda self, s, steps: np.ones(
                 (steps + 1, len(s), self.n), dtype=bool))
             full = run(model)
-        every = (1, len(src) * model.gt.n)
-        assert full[3] and set(full[3]) == {every}, name
-        assert min(r[1] for r in shipped[3]) < every[1], name
-        assert np.abs(shipped[0] - full[0]).max() < 1e-10, name
-        assert abs(shipped[1] - full[1]) < 1e-10, name
-        for k, want in full[2].items():
-            got = shipped[2][k]
-            scale = max(1.0, np.abs(want).max())
-            assert np.abs(got - want).max() < 1e-10 * scale, (name, k)
-
-
-def test_state_rows_skip_rows_the_last_reach_misses(monkeypatch):
-    """GGNN-Mul and GGNN-MulMlp keep their node states, and run their GRU,
-    only at the rows of the last step's reach, as their other per-row
-    tensors. At 2 steps from sources 0 and 5 that is 21 of the 28 rows;
-    loss, predictions and every grad equal those of a run whose reach is
-    forced to every node, in float64 with non-zero biases."""
-    g = small_graph(seed=6)
-    src, dst = np.array([0, 5]), np.array([3, 9])
-    rng = np.random.default_rng(5)
-    rows = []
-    gru = graphnets.gru
-
-    def recording(h, *args):
-        rows.append(h.data.shape[:2])
-        return gru(h, *args)
-
-    def run(model):
-        rows.clear()
-        probs = model.predict(src)
-        loss = model.loss(src, dst)
-        loss.backward()
-        grads = {k: p.grad for k, p in model.params.items()}
-        for p in model.params.values():
-            p.grad = None
-        return probs, float(loss.data), grads, list(rows)
-
-    monkeypatch.setattr(graphnets, "gru", recording)
-    for name in ("ggnn-mul", "ggnn-mulmlp"):
-        model = Model(small_cfg(name, steps=2), GraphTensors(g), seed=3)
-        for k, p in model.params.items():
-            if k.endswith(".b"):
-                p.data = rng.standard_normal(p.data.shape)
-        kept = int(model.gt.reach(src, 2)[2].sum())
-        assert kept == 21 < len(src) * model.gt.n
-        shipped = run(model)
-        with monkeypatch.context() as m:
-            m.setattr(GraphTensors, "reach", lambda self, s, steps: np.ones(
-                (steps + 1, len(s), self.n), dtype=bool))
-            full = run(model)
-        assert shipped[3] and set(shipped[3]) == {(1, kept)}, name
-        assert set(full[3]) == {(len(src), model.gt.n)}, name
+        b, n = len(src), model.gt.n
+        if name in STEPPED_FLOW:
+            every = (1, b * n)
+            assert full[3][0] and set(full[3][0]) == {every}, name
+            assert min(r[1] for r in shipped[3][0]) < every[1], name
+        if name in LIGHT_CONE:
+            reach = model.gt.reach(src, 4)
+            steps = 3 if name in STEPPED_FLOW else 4
+            assert shipped[3][1] == [(1, n + int(reach[t + 1].sum()))
+                                     for t in range(steps)], name
+            assert full[3][1] == [(1, b * n + n)] * steps, name
+            assert int(reach[1].sum()) < b * n, name
         assert np.abs(shipped[0] - full[0]).max() < 1e-10, name
         assert abs(shipped[1] - full[1]) < 1e-10, name
         for k, want in full[2].items():
@@ -636,3 +626,6 @@ def test_state_rows_skip_rows_the_last_reach_misses(monkeypatch):
             assert got is not None and got.dtype == want.dtype, (name, k)
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() < 1e-10 * scale, (name, k)
+        assert len(shipped[4]) == len(full[4]), name
+        for got, want in zip(shipped[4], full[4]):
+            assert np.abs(got - want).max() < 1e-10, name
