@@ -726,10 +726,12 @@ class Model:
             update = step is not None and t < updates
             if reach is not None:
                 at = pool_rows(reach[t]) if cone else np.arange(b * n)
+                frontier = None
                 if cfg.explicit_flow:
-                    slots = layout = Frontier(gt, reach[t], reach[t + 1], at)
+                    slots = layout = frontier = Frontier(gt, reach[t],
+                                                         reach[t + 1], at)
                 if cone and update:
-                    layout = Cone(gt, reach, t, at, slots)
+                    layout = Cone(gt, reach, t, at, frontier)
             if cfg.explicit_flow:
                 if reach is not None or transition is None:
                     transition = attnflow.transition_matrix(
