@@ -20,11 +20,12 @@
 #
 # Wall time on a shared 2-core host with numpy 2.4, estimated from
 # per-batch times measured at one thread, two processes side by side (the
-# side by side measurements of ROADMAP.md "Baseline", commit 04d3ee9; the
-# command is in README "Benchmarks"): line-ggnn-mulmlp about 2.5 h,
-# line-ggnn-mul and sine-ggnn about 2.1 h each. So the two LINE runs take
-# about 2.5 h, or 3.6 h at the 1.45x drift seen between sessions, and the
-# whole script about 4.2 h, the chain of sine-ggnn then line-ggnn-mul.
+# side by side measurements of ROADMAP.md "Baseline", with light-cone
+# node states; the command is in README "Benchmarks"): line-ggnn-mulmlp
+# and line-ggnn-mul about 2.2 h each, sine-ggnn about 1.0 h. So the two
+# LINE runs take about 2.2 h, or 3.2 h at the 1.45x drift seen between
+# sessions, and the whole script about 3.2 h, the chain of sine-ggnn then
+# line-ggnn-mul.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"

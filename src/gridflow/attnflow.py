@@ -71,10 +71,11 @@ def attend_message(acting: str, flowing: ad.Tensor, messages: ad.Tensor,
     Returns the acted (messages, weight).
 
     Mul multiplies the flowing attention, picked into the receiver slots,
-    into the weight, so no product with the messages is formed. MulMlp acts on weighted messages m as
-    tanh((f m) W + mlp_b), computed as tanh(f (m W) + mlp_b): its messages
-    come already weighted and projected by W (act.W), each core where it
-    builds them, and its weight is None.
+    into the weight, so no product with the messages is formed. MulMlp
+    acts on weighted messages m as tanh((f m) W + mlp_b), computed as
+    tanh(f (m W) + mlp_b): its messages come already weighted and
+    projected by W (act.W), each core where it builds them, and its
+    weight is None.
     """
     if acting == NO_ACT:
         return messages, weight

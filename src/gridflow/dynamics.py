@@ -73,7 +73,8 @@ def _cumulative_table(direction: str, sigma: float, max_steps: int,
 def rollout(graph: GridGraph, direction: str, sigma: float, max_steps: int,
             n_rollout: int, seed: int) -> np.ndarray:
     """Sample n_rollout trajectories from every surviving node, by the RNG
-    contract in the module docstring; sigma must be finite and positive.
+    contract in the module docstring; sigma must be finite and positive,
+    and seed a non-negative Python int (GenParams checks both).
 
     Returns a (len(graph.nodes) * n_rollout, max_steps + 1) int64 array of
     node ids: row s * n_rollout + r is rollout r from graph.nodes[s],
