@@ -629,3 +629,56 @@ def test_frontier_sparse_flow_matches_full_reach(monkeypatch):
         assert len(shipped[4]) == len(full[4]), name
         for got, want in zip(shipped[4], full[4]):
             assert np.abs(got - want).max() < 1e-10, name
+
+
+def test_state_rows_skip_rows_the_last_reach_misses(monkeypatch):
+    """GGNN-Mul and GGNN-MulMlp run each GRU update only at the rows of
+    the reach it writes, plus the n background rows that the batch shares.
+    At 3 steps from sources 0 and 5 the flow's last step needs no update,
+    so the last one writes reach[2]: 21 of the 28 per-example rows, run at
+    21 + 14 rows, not at the 2 * 14 + 14 of a run whose reach is forced to
+    every node. Loss, predictions and every grad equal that run's, in
+    float64 with non-zero biases."""
+    g = small_graph(seed=6)
+    src, dst = np.array([0, 5]), np.array([3, 9])
+    rng = np.random.default_rng(5)
+    rows = []
+    gru = graphnets.gru
+
+    def recording(h, *args):
+        rows.append(h.data.shape[:2])
+        return gru(h, *args)
+
+    def run(model):
+        rows.clear()
+        probs = model.predict(src)
+        loss = model.loss(src, dst)
+        loss.backward()
+        grads = {k: p.grad for k, p in model.params.items()}
+        for p in model.params.values():
+            p.grad = None
+        return probs, float(loss.data), grads, list(rows)
+
+    monkeypatch.setattr(graphnets, "gru", recording)
+    for name in ("ggnn-mul", "ggnn-mulmlp"):
+        model = Model(small_cfg(name, steps=3), GraphTensors(g), seed=3)
+        for k, p in model.params.items():
+            if k.endswith(".b"):
+                p.data = rng.standard_normal(p.data.shape)
+        b, n = len(src), model.gt.n
+        kept = int(model.gt.reach(src, 3)[2].sum())
+        assert kept == 21 < b * n
+        shipped = run(model)
+        with monkeypatch.context() as m:
+            m.setattr(GraphTensors, "reach", lambda self, s, steps: np.ones(
+                (steps + 1, len(s), self.n), dtype=bool))
+            full = run(model)
+        assert shipped[3] and shipped[3][-1] == (1, kept + n), name
+        assert full[3] and full[3][-1] == (1, b * n + n), name
+        assert np.abs(shipped[0] - full[0]).max() < 1e-10, name
+        assert abs(shipped[1] - full[1]) < 1e-10, name
+        for k, want in full[2].items():
+            got = shipped[2][k]
+            assert got is not None and got.dtype == want.dtype, (name, k)
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() < 1e-10 * scale, (name, k)
