@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 
-NO_ACT, MUL, MUL_MLP = "noact", "mul", "mulmlp"
+MUL, MUL_MLP = "mul", "mulmlp"
 
 
 def transition_logits(states, slots, w, b) -> ad.Tensor:
@@ -46,7 +46,7 @@ def transition_logits(states, slots, w, b) -> ad.Tensor:
 def transition_matrix(logits: ad.Tensor, slots) -> ad.Tensor:
     """Row-stochastic transition: softmax over each sender's outgoing edges
     (selfloop included), kept in slot layout with zeros on the pads."""
-    return ad.segment_softmax(logits, slots.pad, axis=-1)
+    return ad.segment_softmax(logits, slots.pad)
 
 
 def flow_step(focused: ad.Tensor, transition: ad.Tensor, slots):
@@ -75,10 +75,9 @@ def attend_message(acting: str, flowing: ad.Tensor, messages: ad.Tensor,
     acts on weighted messages m as tanh((f m) W + mlp_b), computed as
     tanh(f (m W) + mlp_b): its messages come already weighted and
     projected by W (act.W), each core where it builds them, and its
-    weight is None.
+    weight is None. Noact variants receive their messages as they are and
+    do not call it.
     """
-    if acting == NO_ACT:
-        return messages, weight
     if acting == MUL:
         received = ad.take(flowing, slots.recv)
         if weight is None:

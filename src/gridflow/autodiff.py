@@ -126,7 +126,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent, _ in node._vjps:
-                if parent.requires_grad and id(parent) not in seen:
+                if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.full_like(self.data, GRAD_SCALE if self._vjps else 1.0)
         for node in reversed(topo):
@@ -134,8 +134,6 @@ class Tensor:
             if g is None:
                 continue
             for parent, vjp in node._vjps:
-                if not parent.requires_grad:
-                    continue
                 contrib = vjp(g)
                 if not parent._vjps:  # a leaf: back to true units
                     contrib = contrib * (1.0 / GRAD_SCALE)
@@ -482,78 +480,62 @@ def segment_sum(x, slots, weight=None):
     """
     x = _wrap(x)
     xd = x.data
-    b, tail = xd.shape[0], xd.shape[3:]
-    nt = xd.shape[2]
-    n_slots = xd.shape[1] * nt
-    y = np.take(xd.reshape((b, -1) + tail), slots.recv, axis=1)
+    b, k, nt = xd.shape[:3]
+    y = np.take(xd.reshape((b, -1) + xd.shape[3:]), slots.recv, axis=1)
     y[:, slots.recv_pad] = 0
     if weight is None:
         out = np.einsum("bnt...->bn...", y)
     else:
         weight = _wrap(weight)
         wd = weight.data
+        w = wd.reshape((b, -1) + wd.shape[3:])
         out = np.einsum("bnt...d,bnt...->bn...d", y, wd)
 
     def vjp_x(g):
-        if weight is None:
-            def pick(q):
-                return np.take(g, q // nt, axis=1)
-        else:
-            w = wd.reshape((b, -1) + wd.shape[3:])
-
-            def pick(q):
-                return (np.take(g, q // nt, axis=1)
-                        * np.take(w, q, axis=1)[..., None])
+        def pick(q):
+            gq = np.take(g, q // nt, axis=1)
+            if weight is None:
+                return gq
+            return gq * np.take(w, q, axis=1)[..., None]
         if slots.send is None:
             index = np.where(slots.recv_pad, -1, slots.recv)
-            return _transpose(index, n_slots, pick).reshape(xd.shape)
+            return _transpose(index, k * nt, pick).reshape(xd.shape)
         dx = pick(slots.send.reshape(-1))
         dx[:, slots.pad.reshape(-1)] = 0
         return dx.reshape(xd.shape)
 
-    if weight is None:
-        return _make(out, [(x, vjp_x)])
-    return _make(out, [
-        (x, vjp_x),
-        (weight, lambda g: np.einsum("bn...d,bnt...d->bnt...", g, y)),
-    ])
+    vjps = [(x, vjp_x)]
+    if weight is not None:
+        vjps.append((weight,
+                     lambda g: np.einsum("bn...d,bnt...d->bnt...", g, y)))
+    return _make(out, vjps)
 
 
-def segment_softmax(x, pad, axis=-1):
-    """Softmax over each node's slots: x has its (n, n_types) slot axes at
-    (axis - 1, axis), and the softmax runs along the type axis. Entries
-    where pad is set are left out and get probability 0; every node needs
-    at least one slot that is not a pad.
+def segment_softmax(x, pad):
+    """Softmax over each node's slots: x is (B, k, n_types, ...) with its
+    (k, n_types) slot axes after the batch axis, as segment_sum's, and the
+    softmax runs along the type axis. Entries where pad is set are left
+    out and get probability 0; every node needs at least one slot that is
+    not a pad.
 
     One output buffer takes the masking, shift, exp and normalization in
-    place; the max runs over the type rows and the sums are einsums (see
-    the module docstring).
+    place; the max runs over the type rows and the sums over the type axis
+    are einsums (see the module docstring), which form no product.
     """
     x = _wrap(x)
-    axis %= x.data.ndim
     p = x.data.copy()
     # Pads are set by their flat slot index, which is faster than a boolean
     # index over the two slot axes: 19 against 42 us at (1, 928, 9).
-    slots = p.reshape(p.shape[:axis - 1] + (-1,) + p.shape[axis + 1:])
-    slots[(slice(None),) * (axis - 1) + (np.flatnonzero(pad),)] = -np.inf
-    rows = np.moveaxis(p, axis, 0)
-    top = rows[0].copy()
-    for row in rows[1:]:
-        np.maximum(top, row, out=top)
-    p -= np.expand_dims(top, axis)
+    slots = p.reshape(p.shape[:1] + (-1,) + p.shape[3:])
+    slots[:, np.flatnonzero(pad)] = -np.inf
+    top = p[:, :, 0].copy()
+    for t in range(1, p.shape[2]):
+        np.maximum(top, p[:, :, t], out=top)
+    p -= top[:, :, None]
     np.exp(p, out=p)
-    p /= np.expand_dims(_type_sum(axis, p), axis)
+    p /= np.einsum("bnt...->bn...", p)[:, :, None]
 
     def vjp(g):
-        return p * (g - np.expand_dims(_type_sum(axis, p, g), axis))
+        return p * (g - np.einsum("bnt...,bnt...->bn...", p, g)[:, :, None])
 
     return _make(p, [(x, vjp)])
-
-
-def _type_sum(axis, *xs):
-    """Sum over the type axis of the elementwise product of xs, by einsum,
-    which neither materializes the product nor runs numpy's strided
-    reduce."""
-    axes = list(range(xs[0].ndim))
-    return np.einsum(*[a for x in xs for a in (x, axes)],
-                     [i for i in axes if i != axis])

@@ -203,6 +203,20 @@ def dense(x, kept):
     return ad.reshape(take_rows(x, pool_rows(kept)), kept.shape + x.shape[2:])
 
 
+def receiver_slots(gt: GraphTensors, rows, row_of):
+    """The receiver slots (see autodiff.segment_sum) of flat (example,
+    node) rows of a batch, a light cone's background rows counted as one
+    more example: (recv, recv_pad), each (len(rows), n_types). A row reads
+    each in-neighbour's sender slot at the row that row_of maps the
+    neighbour's flat row to; where that is -1, as where there is no edge,
+    the receiver slot is a pad and recv is -1."""
+    nt = gt.n_types
+    node = rows % gt.n
+    sender = row_of[(rows - node)[:, None] + gt.recv[node] // nt]
+    recv_pad = gt.recv_pad[node] | (sender < 0)
+    return np.where(recv_pad, -1, sender * nt + np.arange(nt)), recv_pad
+
+
 class Frontier:
     """The slot layout of one flow step t, at the rows its focused
     attention has reached.
@@ -222,31 +236,28 @@ class Frontier:
     at maps each flat row of the batch to its row in the node states'
     layout: itself for the dense (B, n) states of FullGN and rw-dynamic,
     pool_rows for a Cone's. sender_rows and ring_rows are the reached and
-    ring rows there. recv and recv_pad are the receiver slots' index
-    arrays (see autodiff.segment_sum): senders outside the reach are pads,
-    recv -1. send maps each reached sender slot to its receiver slot, -1
-    at the pads. unreached_in counts the incoming edges from senders
-    outside the reach at the ring rows, then at n background rows, whose
-    senders are all outside it.
+    ring rows there. recv and recv_pad are the ring rows' receiver slots
+    (see receiver_slots): senders outside the reach are pads, recv -1.
+    send maps each reached sender slot to its receiver slot, -1 at the
+    pads. unreached_in counts the incoming edges from senders outside the
+    reach at the ring rows, then at n background rows, whose senders are
+    all outside it.
     """
 
     def __init__(self, gt: GraphTensors, reached, ring, at):
-        nt, n = gt.n_types, gt.n
-        self._gt, self._ring = gt, ring
+        nt = gt.n_types
+        self._gt, self.ring = gt, ring
         rows, ring = np.flatnonzero(reached), np.flatnonzero(ring)
         self.sender_rows, self.ring_rows = at[rows], at[ring]
-        self.pad = gt.pad[rows % n]
+        self.pad = gt.pad[rows % gt.n]
         rank = np.full(reached.size, -1)
         rank[rows] = np.arange(len(rows))
-        node = ring % n
-        sender = rank[(ring - node)[:, None] + gt.recv[node] // nt]
-        self.recv_pad = gt.recv_pad[node] | (sender < 0)
-        self.recv = np.where(self.recv_pad, -1, sender * nt + np.arange(nt))
+        self.recv, self.recv_pad = receiver_slots(gt, ring, rank)
         real = np.flatnonzero(~self.recv_pad)
         send = np.full(len(rows) * nt, -1)
         send[self.recv.reshape(-1)[real]] = real
         self.send = send.reshape(-1, nt)
-        self._node = node
+        self._node = ring % gt.n
 
     @cached_property
     def unreached_in(self):
@@ -264,11 +275,6 @@ class Frontier:
         """Per-row x, in the states' layout, at the ring rows:
         (1, k', ...)."""
         return take_rows(x, self.ring_rows)
-
-    def dense(self, x):
-        """A pool x of the ring rows, then n background rows (see
-        pool_rows), as the batch's dense rows (B, n, ...)."""
-        return dense(x, self._ring)
 
 
 class Cone:
@@ -288,11 +294,11 @@ class Cone:
     The update computes the rows of the next pool: ring = |reach[t + 1]|
     per-example rows, then the n background rows. states and nodes are
     each of those rows' own state row in this pool and its node. recv and
-    recv_pad are the slot layout (see autodiff.segment_sum) in which they
-    receive from every sender row of this pool: a per-example row reads a
-    sender outside reach[t] from the background, so background slots are
-    read by several rows. Mul and MulMlp messages leave the reached rows
-    only, through frontier, the flow step's Frontier.
+    recv_pad are their receiver slots (see receiver_slots) over every
+    sender row of this pool: a per-example row reads a sender outside
+    reach[t] from the background, so background slots are read by several
+    rows. Mul and MulMlp messages leave the reached rows only, through
+    frontier, the flow step's Frontier, so recv is built on first use.
     """
 
     send = None  # background slots are read by several rows
@@ -310,16 +316,11 @@ class Cone:
         self.states = self.pool[self.rows]
 
     @cached_property
-    def recv_pad(self):
-        return self._gt.recv_pad[self.nodes]
+    def _receivers(self):
+        return receiver_slots(self._gt, self.rows, self.pool)
 
-    @cached_property
-    def recv(self):
-        gt = self._gt
-        nt = gt.n_types
-        sender = self.pool[(self.rows - self.nodes)[:, None]
-                           + gt.recv[self.nodes] // nt]
-        return np.where(self.recv_pad, -1, sender * nt + np.arange(nt))
+    recv = property(lambda self: self._receivers[0])
+    recv_pad = property(lambda self: self._receivers[1])
 
 
 def expand(x, size, axis):
@@ -589,13 +590,13 @@ class Model:
         return self.cfg.acting in ("mul", "mulmlp")
 
     def _fullgn_step(self, u, h, g, flowing, focused, slots):
-        p = self.params
-        if not self._acted():  # messages leave every node
-            slots = self.gt
+        p, acted = self.params, self._acted()
+        if not acted:  # messages leave every node, as they are
+            slots, flowing = self.gt, None
         m_bar = self._receive(self._fullgn_messages(h, g, slots), None,
                               flowing, slots)
-        if slots is not self.gt:
-            m_bar = slots.dense(self._background(m_bar, slots))
+        if acted:
+            m_bar = dense(self._background(m_bar, slots), slots.ring)
         feats = ad.concat([h, m_bar, u, expand(g, self.gt.n, axis=1)], axis=-1)
         h_next = ad.tanh(ad.add(ad.matmul(feats, p["node.W"]), p["node.b"]))
         gfeat = ad.concat([g, ad.tmean(h, axis=1), ad.tmean(m_bar, axis=1)],
@@ -636,7 +637,7 @@ class Model:
         (w1, b1), (w2, b2) = score_maps
         alpha = ad.segment_softmax(ad.leaky_relu(ad.add(
             ad.take(ad.typed_affine(h, w1, b1), recv),
-            ad.typed_affine(receivers, w2, b2))), recv_pad, axis=2)
+            ad.typed_affine(receivers, w2, b2))), recv_pad)
         z = ad.reshape(ad.typed_affine(senders, p["msg.W"], p["msg.b"]),
                        senders.shape[:2] + (nt, k, hw))
         if not acted:
@@ -699,12 +700,13 @@ class Model:
                                  reach[0] if cone else None)
             g = ad.Tensor(np.zeros((b, cfg.dims), dtype=dtype))
 
-        def dense_focus(focused, t):
-            """Focused attention at reach[t] as (B, n)."""
+        def dense_at(x, t):
+            """Per-row x at the rows of reach[t], (1, k, ...), as the
+            batch's rows (B, n, ...), zero at every other row."""
             if reach is None:
-                return focused
-            zeros = np.zeros((1, n), dtype=dtype)
-            return dense(ad.concat([focused, zeros], axis=1), reach[t])
+                return x
+            zeros = np.zeros((1, n) + x.shape[2:], dtype=dtype)
+            return dense(ad.concat([x, zeros], axis=1), reach[t])
 
         focused = focused_next = flowing = transition = None
         slots = layout = gt
@@ -716,7 +718,7 @@ class Model:
                 a0[0, source_rows(reach[0], src)] = 1.0
                 focused = ad.Tensor(a0)
             if trace:
-                result.focused.append(dense_focus(focused, 0).data.copy())
+                result.focused.append(dense_at(focused, 0).data.copy())
 
         # A flow variant's prediction reads its states only through the
         # transitions, so its last step makes none; a regular variant reads
@@ -740,24 +742,19 @@ class Model:
                 flowing, focused_next = attnflow.flow_step(focused, transition,
                                                            slots)
                 if trace:
-                    values = flowing.data
-                    if reach is not None:
-                        full = np.zeros((b * n,) + values.shape[2:],
-                                        dtype=values.dtype)
-                        full[np.flatnonzero(reach[t])] = values[0]
-                        values = full.reshape((b, n) + values.shape[2:])
-                    result.flowing.append(gt.edge_values(values))
+                    result.flowing.append(
+                        gt.edge_values(dense_at(flowing, t).data))
                     result.focused.append(
-                        dense_focus(focused_next, t + 1).data.copy())
+                        dense_at(focused_next, t + 1).data.copy())
             if update:
-                read = (dense_focus(focused, t) if cfg.core == "rw-dynamic"
+                read = (dense_at(focused, t) if cfg.core == "rw-dynamic"
                         else None)
                 h, g = step(h, g, flowing, read, layout)
                 self._check_finite(h)
             focused = focused_next
 
         if cfg.explicit_flow:
-            result.probs = dense_focus(focused, cfg.steps)
+            result.probs = dense_at(focused, cfg.steps)
         else:
             result.probs = implicit_readout(
                 dense(h, reach[-1]) if cone else h, cfg.attn_dims)

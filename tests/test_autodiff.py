@@ -388,10 +388,10 @@ def test_segment_softmax_matches_dense_oracle():
     zero gradient, and check_op holds."""
     rng = np.random.default_rng(9)
     gt = slot_graph(9)
-    for pad, shape, axis in ((gt.pad, (2, gt.n, gt.n_types), -1),
-                             (gt.recv_pad, (2, gt.n, gt.n_types, 3), 2)):
+    for pad, shape in ((gt.pad, (2, gt.n, gt.n_types)),
+                       (gt.recv_pad, (2, gt.n, gt.n_types, 3))):
         x = rng.standard_normal(shape)
-        p = ad.segment_softmax(Tensor(x, requires_grad=True), pad, axis=axis)
+        p = ad.segment_softmax(Tensor(x, requires_grad=True), pad)
         keep = ~pad.reshape(pad.shape + (1,) * (len(shape) - 3))
         for i in range(gt.n):
             row = x[:, i][:, keep[i].ravel()]
@@ -401,7 +401,7 @@ def test_segment_softmax_matches_dense_oracle():
         assert np.all(p.data[:, pad] == 0.0)
         grad = p._vjps[0][1](rng.standard_normal(shape))
         assert np.all(grad[:, pad] == 0.0)
-        check_op(lambda t: ad.segment_softmax(t, pad, axis=axis), [x], pad)
+        check_op(lambda t: ad.segment_softmax(t, pad), [x], pad)
 
 
 def test_backward_requires_scalar():
