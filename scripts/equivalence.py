@@ -20,7 +20,7 @@ epochs, --dims 10 --attn-dims 4) and saves every file they write: the run
 directory's config.json, run.log and selection.json as lines of text, the
 selected epoch*.npz arrays, the eval JSON and the visualize traces and
 heatmap. So refactors of training and the CLI are compared as well. A
-dump takes about 22-25 s on a 2-core x86-64 host, of which the round trip
+dump takes about 12-15 s on a 2-core x86-64 host, of which the round trip
 is about 1 s. numpy is loaded only after gridflow, so that
 GRIDFLOW_THREADS, which gridflow applies when it is imported, reaches
 BLAS.

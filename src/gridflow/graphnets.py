@@ -207,8 +207,8 @@ def receiver_slots(gt: GraphTensors, rows, row_of):
     """The receiver slots (see autodiff.segment_sum) of flat (example,
     node) rows of a batch, a light cone's background rows counted as one
     more example: (recv, recv_pad), each (len(rows), n_types). A row reads
-    each in-neighbour's sender slot at the row that row_of maps the
-    neighbour's flat row to; where that is -1, as where there is no edge,
+    each in-neighbour's sender slot in row row_of[the neighbour's flat
+    row]; where that is -1, or the node has no incoming edge of the type,
     the receiver slot is a pad and recv is -1."""
     nt = gt.n_types
     node = rows % gt.n
