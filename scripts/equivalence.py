@@ -9,7 +9,9 @@ writing no bytecode, and saves the loss, the predictions and every
 parameter gradient of all 14 variants at float32 and float64. The inputs
 are fixed: LINE-SZ32-STP16-NDRP-STD0.2 at seed 0, its first 4 train pairs,
 16 propagation steps, model seed 0, and every bias drawn non-zero, so that
-terms that read a bias, such as MulMlp's tanh(act.b), are not zero.
+terms that read a bias, such as MulMlp's tanh(act.b), are not zero. Each
+variant also predicts a repeated, unsorted list of source nodes
+(REPEATED_SOURCES), which Model.predict runs once per distinct source.
 It also saves the nodes, edges, pairs, splits and the six dataset_stats
 fields of every table preset (data.preset_names(), 16 SZ32 and 8 SZ64) at
 seed 0: what `gridflow generate` writes to graph.json, pairs.tsv and
@@ -44,6 +46,7 @@ from pathlib import Path
 PRESET = "LINE-SZ32-STP16-NDRP-STD0.2"
 PAIRS = 4
 STEPS = 16
+REPEATED_SOURCES = [5, 0, 5, 2, 9, 0, 3, 5]
 CLI_PRESET = "LINE-SZ6-STP3-NDRP-STD0.3"
 CLI_MODELS = ("ggnn-mulmlp", "rw-stationary")
 
@@ -118,6 +121,8 @@ def dump(src_dir: Path, out: Path) -> int:
                     p.data[...] = rng.standard_normal(p.data.shape)
             prefix = f"{dtype}/{name}/"
             arrays[prefix + "predict"] = model.predict(src)
+            arrays[prefix + "predict_repeated"] = model.predict(
+                REPEATED_SOURCES)
             loss = model.loss(src, dst)
             loss.backward()
             arrays[prefix + "loss"] = loss.data

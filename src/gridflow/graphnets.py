@@ -25,11 +25,11 @@ from .grid import GridGraph, N_EDGE_TYPES
 # Examples per forward: per training microbatch (gradients accumulate
 # across them) and per chunk of Model.predict. On the LINE 32-grid preset,
 # a GGNN-MulMlp training microbatch (forward and backward) raises peak RSS
-# by 80 MB at 1 example and about 16 MB per further one, GGNN-Mul by
-# 75 MB and 16 MB, GGNN by 95 MB and 10 MB and GAT by 136 MB and 14 MB
+# by 71 MB at 1 example and about 16 MB per further one, GGNN-Mul by
+# 69 MB and 15 MB, GGNN by 91 MB and 9 MB and GAT by 132 MB and 13 MB
 # (1 and 4 examples, glibc's default malloc, one BLAS thread): the light
-# cone's background is the part paid once. perfbench's reference losses
-# are recorded per microbatch of this size.
+# cone's background pass is the part paid once. perfbench's reference
+# losses are recorded per microbatch of this size.
 MICROBATCH_SIZE = 4
 
 MODEL_NAMES = [
@@ -80,6 +80,13 @@ class ModelConfig:
     @property
     def explicit_flow(self) -> bool:
         return self.acting != "regular"
+
+    @property
+    def updates(self) -> int:
+        """Node updates per forward. A flow variant's prediction reads its
+        states only through the transitions, so its last step makes none; a
+        regular variant reads out the states of its last step."""
+        return self.steps - 1 if self.explicit_flow else self.steps
 
     @property
     def np_dtype(self):
@@ -144,11 +151,19 @@ class GraphTensors:
         self.recv, self.send = recv.reshape(n, nt), send.reshape(n, nt)
 
     # As a slot layout (see Frontier), the whole graph: every node's slots,
-    # received in place.
+    # received in place. As the rows of a light cone's background pass (see
+    # Cone), every node, each its own state row, with no flowing attention
+    # and every sender unreached.
+    states = nodes = frontier = None
+
     def senders(self, x):
         return x
 
     receivers = senders
+
+    @cached_property
+    def unreached_in(self):
+        return np.count_nonzero(~self.recv_pad, axis=1)
 
     def reach(self, src_indices, steps) -> np.ndarray:
         """(steps + 1, B, n) bool: the nodes within t hops of each source,
@@ -182,7 +197,9 @@ class GraphTensors:
 
 def take_rows(x, rows):
     """x (B, n, ...) or (1, m, ...) at some of its flat rows:
-    (1, len(rows), ...)."""
+    (1, len(rows), ...); x itself where rows is None."""
+    if rows is None:
+        return x
     return ad.take(ad.reshape(x, (1, -1) + x.shape[2:]), rows)
 
 
@@ -240,8 +257,7 @@ class Frontier:
     (see receiver_slots): senders outside the reach are pads, recv -1.
     send maps each reached sender slot to its receiver slot, -1 at the
     pads. unreached_in counts the incoming edges from senders outside the
-    reach at the ring rows, then at n background rows, whose senders are
-    all outside it.
+    reach at the ring rows.
     """
 
     def __init__(self, gt: GraphTensors, reached, ring, at):
@@ -261,10 +277,8 @@ class Frontier:
 
     @cached_property
     def unreached_in(self):
-        indegree = np.count_nonzero(~self._gt.recv_pad, axis=1)
-        return np.concatenate([
-            indegree[self._node] - np.count_nonzero(~self.recv_pad, axis=1),
-            indegree])
+        return (self._gt.unreached_in[self._node]
+                - np.count_nonzero(~self.recv_pad, axis=1))
 
     def senders(self, x):
         """Per-row x, in the states' layout, at the reached rows:
@@ -278,7 +292,7 @@ class Frontier:
 
 
 class Cone:
-    """The node-state rows of one GGNN or GAT update, from step t to t + 1.
+    """The ring pass of one GGNN or GAT update, from step t to t + 1.
 
     h0 is [source indicator : tanh(embed W + b)], so the examples of a
     batch differ only at their sources. An update at node v reads v's own
@@ -291,36 +305,53 @@ class Cone:
     rows of reach[t] (k of them, in ascending flat row), then the n rows
     of bg_t (pool_rows maps each flat row there).
 
-    The update computes the rows of the next pool: ring = |reach[t + 1]|
-    per-example rows, then the n background rows. states and nodes are
-    each of those rows' own state row in this pool and its node. recv and
-    recv_pad are their receiver slots (see receiver_slots) over every
-    sender row of this pool: a per-example row reads a sender outside
-    reach[t] from the background, so background slots are read by several
-    rows. Mul and MulMlp messages leave the reached rows only, through
-    frontier, the flow step's Frontier, so recv is built on first use.
+    An update runs in two passes. The background pass (Model.background)
+    updates bg_t to bg_t+1 over the whole graph, with GraphTensors as its
+    layout: no example and no flowing attention. The ring pass, this
+    layout, updates only the per-example rows of reach[t + 1] and reads
+    the pool: states and nodes are each of those rows' own state row in it
+    and its node. recv and recv_pad are their receiver slots (see
+    receiver_slots) over sender_rows, the pool rows that they read: the k
+    per-example rows, then the background rows of the senders outside an
+    example's reach[t], in ascending row. A background row is read there
+    by every example whose ring it sends to, so background slots are read
+    by several rows. Mul and MulMlp messages leave the reached rows only,
+    through frontier, the flow step's Frontier, so recv is built on first
+    use.
     """
 
     send = None  # background slots are read by several rows
 
     def __init__(self, gt: GraphTensors, reach, t, at, frontier=None):
-        n = gt.n
-        k = int(np.count_nonzero(reach[t]))
-        ring = np.flatnonzero(reach[t + 1])
-        self.ring, self.frontier, self._gt = len(ring), frontier, gt
-        # The background rows, as one more example after the batch's.
-        background = np.arange(n)
-        self.pool = np.concatenate([at, k + background])
-        self.rows = np.concatenate([ring, at.size + background])
-        self.nodes = self.rows % n
-        self.states = self.pool[self.rows]
+        self._rows = np.flatnonzero(reach[t + 1])
+        self._k = int(np.count_nonzero(reach[t]))
+        self._gt, self._at, self.frontier = gt, at, frontier
+        self.nodes = self._rows % gt.n
+        self.states = at[self._rows]
+
+    @property
+    def unreached_in(self):
+        return self.frontier.unreached_in
+
+    def senders(self, x):
+        """Per-row x, in the pool, at sender_rows: (1, k + m, ...)."""
+        return take_rows(x, self.sender_rows)
 
     @cached_property
     def _receivers(self):
-        return receiver_slots(self._gt, self.rows, self.pool)
+        nt, k = self._gt.n_types, self._k
+        recv, recv_pad = receiver_slots(self._gt, self._rows, self._at)
+        read = np.zeros(k + self._gt.n, dtype=bool)
+        read[recv[~recv_pad] // nt] = True
+        rows = np.concatenate([np.arange(k), k + np.flatnonzero(read[k:])])
+        compact = np.full(read.size, -1)
+        compact[rows] = np.arange(len(rows))
+        recv = np.where(recv_pad, -1, compact[recv // nt] * nt + recv % nt)
+        return recv, recv_pad, rows
 
     recv = property(lambda self: self._receivers[0])
     recv_pad = property(lambda self: self._receivers[1])
+    sender_rows = property(lambda self: self._receivers[2])
 
 
 def expand(x, size, axis):
@@ -367,26 +398,30 @@ def source_rows(kept, src_indices) -> np.ndarray:
     return np.searchsorted(np.flatnonzero(kept), np.arange(b) * n + src_indices)
 
 
-def init_node_states(gt: GraphTensors, params, src_indices, attn_dims, dtype,
-                     kept=None):
-    """h0 = [source indicator channels : tanh(embed @ W + b)] per example:
-    1/sqrt(d') at its source, 0 elsewhere. (B, n, d) at every row, or,
-    given kept, the (B, n) mask of the rows of a light-cone pool (see
-    Cone) which hold the sources, that pool, the n background rows
-    included."""
-    b = len(src_indices)
+def init_background(gt: GraphTensors, params, attn_dims, dtype):
+    """bg_0 = [0 : tanh(embed @ W + b)], (1, n, d): the initial node states
+    of an example with no source."""
     aux = ad.tanh(ad.add(ad.matmul(params["embed"], params["init.W"]),
                          params["init.b"]))
+    return ad.concat([ad.Tensor(np.zeros((1, gt.n, attn_dims), dtype=dtype)),
+                      ad.reshape(aux, (1,) + aux.shape)], axis=-1)
+
+
+def init_node_states(background, src_indices, attn_dims, kept=None):
+    """h0 per example: bg_0 (background) with 1/sqrt(d') in its attention
+    channels at the example's source. (B, n, d) at every row, or, given
+    kept, the (B, n) mask of the per-example rows of a light-cone pool
+    (see Cone), which hold the sources, at those rows: (1, k, d)."""
+    b, (_, n, d) = len(src_indices), background.shape
+    dtype, c = background.data.dtype, 1.0 / np.sqrt(attn_dims)
     if kept is None:
-        hdot = np.zeros((b, gt.n, attn_dims), dtype=dtype)
-        hdot[np.arange(b), src_indices] = 1.0 / np.sqrt(attn_dims)
-        return ad.concat([ad.Tensor(hdot), expand(aux, b, axis=0)], axis=-1)
-    rows = np.concatenate([np.flatnonzero(kept) % gt.n, np.arange(gt.n)])
-    hdot = np.zeros((1, len(rows), attn_dims), dtype=dtype)
-    hdot[0, source_rows(kept, src_indices)] = 1.0 / np.sqrt(attn_dims)
-    return ad.concat([ad.Tensor(hdot),
-                      take_rows(ad.reshape(aux, (1,) + aux.shape), rows)],
-                     axis=-1)
+        indicator = np.zeros((b, n, d), dtype=dtype)
+        indicator[np.arange(b), src_indices, :attn_dims] = c
+        return ad.add(background, indicator)
+    rows = np.flatnonzero(kept)
+    indicator = np.zeros((1, len(rows), d), dtype=dtype)
+    indicator[0, source_rows(kept, src_indices), :attn_dims] = c
+    return ad.add(take_rows(background, rows % n), indicator)
 
 
 @dataclass
@@ -488,10 +523,12 @@ class Model:
     # A step maps node and global states (h, g), this step's flowing
     # attention (None in regular variants), focused attention (dense, read
     # by rw-dynamic only) and layout to the next (h, g). The layout is
-    # GraphTensors, the flow step's Frontier, or for GGNN and GAT the
-    # update's Cone, whose pool h is. Per-edge messages are built in
-    # functions that return before the node update, so they are freed
-    # before it runs.
+    # GraphTensors, the flow step's Frontier, or for GGNN and GAT either
+    # GraphTensors, in the background pass, whose background states h
+    # are, or the ring pass's Cone, whose pool h is; a ring pass returns
+    # the per-example rows only. Per-edge messages are built in functions
+    # that return before the node update, so they are freed before it
+    # runs.
 
     def _pick_step(self, b):
         """The core's step for a batch of b, bound to its input from the
@@ -528,16 +565,17 @@ class Model:
                 self.params.get("act.b"), weight)
         return ad.segment_sum(messages, slots, weight)
 
-    def _background(self, m_ring, frontier):
-        """Mul or MulMlp messages received at a Frontier's ring rows, then
-        those of the n background rows, whose senders are all unreached.
-        A Mul message from an unreached sender is zero, and a MulMlp one
-        tanh(0 * q + act.b), whatever its q."""
+    def _unreached(self, m, count):
+        """Mul or MulMlp messages m received from reached senders (None in
+        the background, which has none), plus those from each row's count
+        of unreached senders: a Mul message from an unreached sender is
+        zero, and a MulMlp one tanh(0 * q + act.b), whatever its q."""
         cfg = self.cfg
-        m = ad.concat([m_ring, np.zeros((1, self.gt.n) + m_ring.shape[2:],
-                                        dtype=cfg.np_dtype)], axis=1)
+        if m is None:
+            m = ad.Tensor(np.zeros((1, len(count), cfg.dims),
+                                   dtype=cfg.np_dtype))
         if cfg.acting == "mulmlp":
-            count = frontier.unreached_in.astype(cfg.np_dtype)[None, :, None]
+            count = count.astype(cfg.np_dtype)[None, :, None]
             m = ad.add(m, ad.mul(count, ad.tanh(self.params["act.b"])))
         return m
 
@@ -595,8 +633,11 @@ class Model:
             slots, flowing = self.gt, None
         m_bar = self._receive(self._fullgn_messages(h, g, slots), None,
                               flowing, slots)
-        if acted:
-            m_bar = dense(self._background(m_bar, slots), slots.ring)
+        if acted:  # the rows outside the ring read the background's
+            m_bar = dense(ad.concat([
+                self._unreached(m_bar, slots.unreached_in),
+                self._unreached(None, self.gt.unreached_in)], axis=1),
+                slots.ring)
         feats = ad.concat([h, m_bar, u, expand(g, self.gt.n, axis=1)], axis=-1)
         h_next = ad.tanh(ad.add(ad.matmul(feats, p["node.W"]), p["node.b"]))
         gfeat = ad.concat([g, ad.tmean(h, axis=1), ad.tmean(m_bar, axis=1)],
@@ -604,57 +645,64 @@ class Model:
         g_next = ad.tanh(ad.add(ad.matmul(gfeat, p["global.W"]), p["global.b"]))
         return h_next, g_next
 
-    def _ggnn_step(self, u_pre, w, b, h, g, flowing, focused, cone):
-        if self._acted():
-            fr = cone.frontier
-            m_bar = self._background(self._receive(
-                ad.typed_affine(fr.senders(h), w, b), None, flowing, fr), fr)
+    def _ggnn_step(self, u_pre, w, b, h, g, flowing, focused, rows):
+        fr = rows.frontier
+        if not self._acted():
+            m_bar = ad.segment_sum(ad.typed_affine(rows.senders(h), w, b),
+                                   rows)
         else:
-            m_bar = ad.segment_sum(ad.typed_affine(h, w, b), cone)
-        return gru(take_rows(h, cone.states), m_bar,
-                   take_rows(u_pre, cone.nodes), self.params,
+            m_bar = None  # the background (no frontier) has no reached sender
+            if fr is not None:
+                m_bar = self._receive(ad.typed_affine(fr.senders(h), w, b),
+                                      None, flowing, fr)
+            m_bar = self._unreached(m_bar, rows.unreached_in)
+        return gru(take_rows(h, rows.states), m_bar,
+                   take_rows(u_pre, rows.nodes), self.params,
                    self.cfg.dims), g
 
-    def _gat_step(self, u_pre, score_maps, h, g, flowing, focused, cone):
+    def _gat_step(self, u_pre, score_maps, h, g, flowing, focused, rows):
+        states = take_rows(h, rows.states)
+        if self._acted() and rows.frontier is None:
+            m_bar = self._unreached(None, rows.unreached_in)
+        else:
+            m_bar = self._gat_messages(score_maps, h, states, flowing, rows)
+        return gru(states, ad.reshape(m_bar, states.shape),
+                   take_rows(u_pre, rows.nodes), self.params,
+                   self.cfg.dims), g
+
+    def _gat_messages(self, score_maps, h, states, flowing, rows):
         """z_i (per slot and head) weighted by alpha_ij, the attention
         normalized over each receiver's incoming edges in its receiver
-        slots. A receiver's softmax reads the scores of every sender, the
-        background's included; Mul and MulMlp messages, and so their
-        receivers' softmaxes, are needed at the reached and ring rows
-        only."""
+        slots, received at rows. A receiver's softmax reads the scores of
+        every sender, the background's included. Mul and MulMlp messages
+        leave the reached rows only, so the background, which has none,
+        needs no attention (see _gat_step)."""
         p, cfg, nt = self.params, self.cfg, self.gt.n_types
         k, hw = GAT_HEADS, cfg.dims // GAT_HEADS
-        acted = self._acted()
-        states = take_rows(h, cone.states)
-        receivers, recv, recv_pad = states, cone.recv, cone.recv_pad
-        senders = h
-        if acted:
-            receivers = ad.slice_axis(states, 1, 0, cone.ring)
-            recv, recv_pad = recv[:cone.ring], recv_pad[:cone.ring]
-            senders = cone.frontier.senders(h)
+        acted, fr = self._acted(), rows.frontier
         # a1 . z_i is read from the sender's slot; a2 . z_j is node j's own
         # (node, type) map, so it is already in receiver slots.
         (w1, b1), (w2, b2) = score_maps
+        senders = rows.senders(h)
         alpha = ad.segment_softmax(ad.leaky_relu(ad.add(
-            ad.take(ad.typed_affine(h, w1, b1), recv),
-            ad.typed_affine(receivers, w2, b2))), recv_pad)
+            ad.take(ad.typed_affine(senders, w1, b1), rows.recv),
+            ad.typed_affine(states, w2, b2))), rows.recv_pad)
+        if acted:
+            senders = fr.senders(h)
         z = ad.reshape(ad.typed_affine(senders, p["msg.W"], p["msg.b"]),
                        senders.shape[:2] + (nt, k, hw))
         if not acted:
-            m_bar = ad.segment_sum(z, cone, alpha)
-        else:
-            fr = cone.frontier
-            if cfg.acting == "mulmlp":
-                # MulMlp acts on the alpha-weighted messages, projected by
-                # act.W, in the sender slots.
-                alpha = ad.take(alpha, fr.send)
-                weighted = ad.mul(z, ad.reshape(alpha, alpha.shape + (1,)))
-                z = ad.matmul(ad.reshape(weighted, z.shape[:3] + (-1,)),
-                              p["act.W"])
-                alpha = None
-            m_bar = self._background(self._receive(z, alpha, flowing, fr), fr)
-        return gru(states, ad.reshape(m_bar, states.shape),
-                   take_rows(u_pre, cone.nodes), p, cfg.dims), g
+            return ad.segment_sum(z, rows, alpha)
+        if cfg.acting == "mulmlp":
+            # MulMlp acts on the alpha-weighted messages, projected by
+            # act.W, in the sender slots.
+            alpha = ad.take(alpha, fr.send)
+            weighted = ad.mul(z, ad.reshape(alpha, alpha.shape + (1,)))
+            z = ad.matmul(ad.reshape(weighted, z.shape[:3] + (-1,)),
+                          p["act.W"])
+            alpha = None
+        return self._unreached(self._receive(z, alpha, flowing, fr),
+                               rows.unreached_in)
 
     def _rw_dynamic_step(self, u, h, g, flowing, focused, slots):
         p = self.params
@@ -679,7 +727,31 @@ class Model:
             raise ValueError("source index outside the node set")
         return src
 
-    def forward(self, src_indices, trace: bool = False) -> ForwardResult:
+    def background(self, step=None):
+        """The node states that every example of a batch shares: bg_0, the
+        states of an example with no source (see init_node_states), and,
+        for GGNN and GAT, those of each of its updates by the background
+        pass (see Cone), one (1, n, d) Tensor per step; None for
+        rw-stationary, which has no node update. step is the core's step
+        (_pick_step), built here when None."""
+        cfg = self.cfg
+        if cfg.core == "rw-stationary":
+            return None
+        bg = [init_background(self.gt, self.params, cfg.attn_dims,
+                              cfg.np_dtype)]
+        if cfg.core in ("ggnn", "gat"):
+            step = self._pick_step(0) if step is None else step
+            for _ in range(cfg.updates):
+                bg.append(step(bg[-1], None, None, None, self.gt)[0])
+                self._check_finite(bg[-1])
+        return bg
+
+    def forward(self, src_indices, trace: bool = False,
+                background=None) -> ForwardResult:
+        """The prediction of each source, with the focused and flowing
+        attention of every step if trace. background is the batch's shared
+        states (Model.background), built here when None: predict builds
+        them once for all its chunks."""
         cfg, gt, p = self.cfg, self.gt, self.params
         src = self._sources(src_indices)
         b, n, dtype = len(src), gt.n, cfg.np_dtype
@@ -696,8 +768,11 @@ class Model:
         if step is None:
             h, g = ad.reshape(p["embed"], (1, n, cfg.dims)), None
         else:
-            h = init_node_states(gt, p, src, cfg.attn_dims, dtype,
+            bg = self.background(step) if background is None else background
+            h = init_node_states(bg[0], src, cfg.attn_dims,
                                  reach[0] if cone else None)
+            if cone:
+                h = ad.concat([h, bg[0]], axis=1)
             g = ad.Tensor(np.zeros((b, cfg.dims), dtype=dtype))
 
         def dense_at(x, t):
@@ -720,12 +795,8 @@ class Model:
             if trace:
                 result.focused.append(dense_at(focused, 0).data.copy())
 
-        # A flow variant's prediction reads its states only through the
-        # transitions, so its last step makes none; a regular variant reads
-        # out the states of its last step.
-        updates = cfg.steps - 1 if cfg.explicit_flow else cfg.steps
         for t in range(cfg.steps):
-            update = step is not None and t < updates
+            update = step is not None and t < cfg.updates
             if reach is not None:
                 at = pool_rows(reach[t]) if cone else np.arange(b * n)
                 frontier = None
@@ -751,6 +822,8 @@ class Model:
                         else None)
                 h, g = step(h, g, flowing, read, layout)
                 self._check_finite(h)
+                if cone:
+                    h = ad.concat([h, bg[t + 1]], axis=1)
             focused = focused_next
 
         if cfg.explicit_flow:
@@ -772,34 +845,46 @@ class Model:
         """Prediction distributions (B, n) under no_grad; FloatingPointError
         if any is not finite (rw-stationary has no node state to check).
 
-        Forward runs on chunks of at most MICROBATCH_SIZE examples. The
-        per-slot tensors grow with the batch: at 64 examples on the
-        32-grid presets, FullGN's messages (B, n, 9, d) and rw-dynamic's
-        per-batch transition maps (B, n, 9, d+1) are about 82-97 MB at
-        float32. GGNN's and GAT's (.., 9, d) messages cover a light cone's
-        pool, the reach and n background rows: at the largest step of a
-        chunk of 64 valid pairs, 38-59 MB on LINE and 41-55 MB on SINE. A
-        flow step's transition and Mul/MulMlp messages are per-slot at its
-        reached rows only, but its last step reaches 45-70% of the rows of
-        64 valid pairs on LINE, 36-57 MB. All are above glibc's 32 MiB
-        mmap threshold, so every op output would be a fresh mapping whose
-        pages the kernel faults in and zeroes, and a bigger chunk is
-        slower per example. rw-stationary shares one transition across
-        the batch and holds nothing per slot wider than (B, n, 9), so it
-        runs one forward per call.
+        A prediction depends on the source and the parameters alone, so
+        each distinct source is predicted once and its row repeated for
+        every pair that has it. The background states that a batch shares
+        (Model.background) are built once per call: for GGNN and GAT that
+        is the background pass of every update (see Cone), so each chunk
+        runs the ring passes only.
+
+        Forward runs on chunks of at most MICROBATCH_SIZE distinct
+        sources. The per-slot tensors grow with the chunk: at 64 examples
+        on the 32-grid presets, FullGN's messages (B, n, 9, d) and
+        rw-dynamic's per-batch transition maps (B, n, 9, d+1) are about
+        82-97 MB at float32. GGNN's and GAT's (.., 9, d) messages cover
+        the reach and the background rows that a light cone's ring pass
+        reads: with all n background rows, at the largest step of a chunk
+        of 64 valid pairs, 38-59 MB on LINE and 41-55 MB on SINE. A flow
+        step's transition and Mul/MulMlp messages are
+        per-slot at its reached rows only, but its last step reaches
+        45-70% of the rows of 64 valid pairs on LINE, 36-57 MB. All are
+        above glibc's 32 MiB mmap threshold, so every op output would be a
+        fresh mapping whose pages the kernel faults in and zeroes, and a
+        bigger chunk is slower per example. rw-stationary shares one
+        transition across the batch and holds nothing per slot wider than
+        (B, n, 9), so it runs one forward per call.
         """
         src = self._sources(src_indices)
+        sources, pairs = np.unique(src, return_inverse=True)
         shared = self.cfg.core == "rw-stationary"
-        chunk = len(src) if shared else MICROBATCH_SIZE
+        chunk = len(sources) if shared else MICROBATCH_SIZE
         with ad.no_grad():
-            probs = np.concatenate([self.forward(src[lo:lo + chunk]).probs.data
-                                    for lo in range(0, len(src), chunk)])
+            background = self.background()
+            probs = np.concatenate([
+                self.forward(sources[lo:lo + chunk],
+                             background=background).probs.data
+                for lo in range(0, len(sources), chunk)])
         # The sum of probabilities is finite exactly when each of them is,
         # and it makes no (B, n) temporary: one made here raised eval-gat's
         # peak RSS by 3.6 MB, allocated among the freed chunk outputs.
         if not np.isfinite(probs.sum()):
             raise FloatingPointError("non-finite predictions")
-        return probs
+        return probs[pairs]
 
     # -- checkpoints -------------------------------------------------------
 

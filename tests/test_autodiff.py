@@ -35,9 +35,9 @@ RNG = np.random.default_rng(2)
 X = RNG.standard_normal((3, 5))
 GT = slot_graph(12)
 SLOTS = (2, GT.n, GT.n_types)
-# The rows that a light cone's update reads its own states from: each
-# background row is read by the background and by every example whose
-# reach it lies outside.
+# The rows that a light cone's ring pass reads its own states from: each
+# background row is read by every example whose next reach newly takes it
+# in, up to once per example.
 CONE, POOL = cone(GT, [0, 7, GT.n - 1], 1)
 
 
@@ -271,9 +271,9 @@ def test_take_picks_rows_and_compact_slots():
     assert np.array_equal((fr.send // gt.n_types)[real], ring_at[real])
     assert np.array_equal(fr.send[real] % gt.n_types,
                           (gt.send[node] % gt.n_types)[real])
-    # a light cone's rows: background rows are picked up to 4 times
+    # a light cone's rows: background rows are picked up to 3 times
     picks = np.bincount(CONE.states, minlength=POOL)
-    assert picks.max() == 4
+    assert picks.max() == 3
     x = Tensor(rng.standard_normal((1, POOL, 3)), requires_grad=True)
     out = ad.take(x, CONE.states)
     assert np.array_equal(out.data, x.data[:, CONE.states])
@@ -513,49 +513,47 @@ def test_grad_check_passes_on_smooth_function():
 
 
 def test_segment_sum_receives_into_compact_state_rows():
-    """A light cone's update receives into its compact state rows, the ring
-    rows of each example and then the n background rows, from every row of
-    its pool, a background row for each sender outside the example's
-    reach. With and without a weight, segment_sum there equals the dense
-    all-rows sum over the pool laid out at every row, at the ring rows,
-    and the sum over the background alone at the background rows; and
-    check_op holds with its pads."""
+    """A light cone's ring pass receives into its compact state rows, the
+    ring rows of each example, from the rows of its pool that it reads:
+    every per-example row, and a background row for each sender outside
+    an example's reach. With and without a weight, segment_sum there
+    equals the dense all-rows sum over the pool laid out at every row, at
+    the ring rows; and check_op holds with its pads."""
     rng = np.random.default_rng(15)
     gt = slot_graph(15)
     src, nt = [3, 0], gt.n_types
     reach = gt.reach(src, 2)
     layout, pool = cone(gt, src, 1)
     ring = np.flatnonzero(reach[2])
-    rows = len(ring) + gt.n
+    rows = len(ring)
     assert layout.send is None and layout.recv.shape == (rows, nt)
     assert 0 < len(ring) < 2 * gt.n
-    # every node's background slots are read by the background and by the
-    # ring rows outside whose example's reach[1] they lie
+    # background slots are read by the ring rows outside whose example's
+    # reach[1] they lie
     assert np.bincount(layout.recv[layout.recv >= 0]).max() > 1
+    at, senders = pool_rows(reach[1]), layout.sender_rows
+    k = int(reach[1].sum())
+    assert np.array_equal(senders[:k], np.arange(k))
+    assert k < len(senders) < pool
     node = np.empty(pool, dtype=np.int64)
-    node[layout.pool] = np.arange(len(layout.pool)) % gt.n
-    x = rng.standard_normal((1, pool, nt, 3))
+    node[at] = np.arange(len(at)) % gt.n
+    node[-gt.n:] = np.arange(gt.n)
+    node = node[senders]
+    x_pool = rng.standard_normal((1, pool, nt, 3))
+    x = x_pool[:, senders]
     wt = rng.random((1, rows, nt))
-    at = pool_rows(reach[1])
     for inputs in ([x], [x, wt]):
         out = ad.segment_sum(*[Tensor(v) for v in inputs[:1]], layout,
                              *[Tensor(v) for v in inputs[1:]]).data
         assert out.shape == (1, rows, 3)
-        dense_x = x[0, at].reshape(2, gt.n, nt, 3)
-        background = x[:, pool - gt.n:]
-        weights = [None, None]
+        dense_x = x_pool[0, at].reshape(2, gt.n, nt, 3)
+        weight = None
         if len(inputs) == 2:
             dense_w = np.zeros((2 * gt.n, nt))
-            dense_w[ring] = wt[0, :len(ring)]
-            weights = [Tensor(dense_w.reshape(2, gt.n, nt)),
-                       Tensor(wt[:, len(ring):])]
-        want_ring = ad.segment_sum(Tensor(dense_x), gt, weights[0]).data
-        want_background = ad.segment_sum(Tensor(background), gt,
-                                         weights[1]).data
-        assert np.allclose(out[0, :len(ring)],
-                           want_ring.reshape(-1, 3)[ring], rtol=1e-12,
-                           atol=1e-12)
-        assert np.allclose(out[0, len(ring):], want_background[0],
+            dense_w[ring] = wt[0]
+            weight = Tensor(dense_w.reshape(2, gt.n, nt))
+        want_ring = ad.segment_sum(Tensor(dense_x), gt, weight).data
+        assert np.allclose(out[0], want_ring.reshape(-1, 3)[ring],
                            rtol=1e-12, atol=1e-12)
         check_op(lambda *t: ad.segment_sum(t[0], layout, *t[1:]), inputs,
                  [gt.pad[node], layout.recv_pad][:len(inputs)])

@@ -154,13 +154,15 @@ def test_all_variants_forward_and_backward():
 def test_flow_variants_skip_the_last_node_update(monkeypatch):
     """A flow variant reads its node states only through the transitions,
     so it runs steps - 1 node updates; a regular variant reads out the
-    states of the last one and runs steps. rw-stationary runs none."""
+    states of the last one and runs steps. rw-stationary runs none. GGNN
+    and GAT run each update in two passes, all of the background pass's
+    first (its layout is the graph), then the ring pass's (a Cone)."""
     g = small_graph()
     updates = []
     for step in ("_fullgn_step", "_ggnn_step", "_gat_step",
                  "_rw_dynamic_step"):
         def counting(self, *args, _step=getattr(Model, step)):
-            updates.append(1)
+            updates.append(type(args[-1]).__name__)
             return _step(self, *args)
 
         monkeypatch.setattr(Model, step, counting)
@@ -172,43 +174,63 @@ def test_flow_variants_skip_the_last_node_update(monkeypatch):
             expected = 0
         else:
             expected = cfg.steps - 1 if cfg.explicit_flow else cfg.steps
-        assert len(updates) == expected, name
+        if name in LIGHT_CONE:
+            assert updates == (["GraphTensors"] * expected
+                               + ["Cone"] * expected), name
+        else:
+            assert len(updates) == expected, name
 
 
 def test_predict_equals_one_forward():
     """predict's microbatches give the distributions of one forward over
-    the whole batch; 9 pairs leave a short last chunk."""
+    the whole batch: on 9 distinct sources, which leave a short last chunk,
+    and on a repeated, unsorted source list, whose pairs predict read from
+    one row per distinct source."""
     g = small_graph()
-    src = np.array([0, 2, 5, 1, 7, 3, 0, 9, 4])
-    for name in MODEL_NAMES:
-        model = Model(small_cfg(name), GraphTensors(g), seed=1)
-        with ad.no_grad():
-            whole = model.forward(src).probs.data
-        np.testing.assert_allclose(model.predict(src), whole, rtol=0,
-                                   atol=1e-12, err_msg=name)
+    for src in (np.array([0, 2, 5, 1, 7, 3, 0, 9, 4]),
+                np.array([5, 0, 5, 2, 9, 0, 3, 5])):
+        for name in MODEL_NAMES:
+            model = Model(small_cfg(name), GraphTensors(g), seed=1)
+            with ad.no_grad():
+                whole = model.forward(src).probs.data
+            np.testing.assert_allclose(model.predict(src), whole, rtol=0,
+                                       atol=1e-12, err_msg=name)
 
 
 def test_predict_chunks_unless_transition_shared(monkeypatch):
-    """predict runs forward on at most MICROBATCH_SIZE examples, except for
-    rw-stationary, which shares one transition across the batch and runs
-    one forward per call."""
+    """predict runs forward on the distinct sources only, in chunks of at
+    most MICROBATCH_SIZE, ceil(distinct / MICROBATCH_SIZE) of them, except
+    for rw-stationary, which shares one transition across the batch and
+    runs one forward per call; and it builds the batch's shared background
+    states once per call, for every chunk."""
     g = small_graph()
-    src = np.arange(9)
-    for name in ("ggnn-mulmlp", "gat", "rw-dynamic", "rw-stationary"):
+    src = np.array([5, 0, 5, 2, 9, 0, 3, 5, 8, 1, 8])
+    distinct = len(set(src.tolist()))
+    for name in ("ggnn-mulmlp", "gat", "ggnn", "rw-dynamic",
+                 "rw-stationary"):
         model = Model(small_cfg(name), GraphTensors(g), seed=1)
-        sizes, forward = [], model.forward
+        chunks, backgrounds = [], []
+        forward, background = model.forward, model.background
 
         def recording(s, **kw):
-            sizes.append(len(s))
+            chunks.append(list(s))
             return forward(s, **kw)
 
+        def counting(*args):
+            backgrounds.append(1)
+            return background(*args)
+
         monkeypatch.setattr(model, "forward", recording)
-        assert model.predict(src).shape == (9, model.gt.n)
-        assert sum(sizes) == 9, name
+        monkeypatch.setattr(model, "background", counting)
+        assert model.predict(src).shape == (len(src), model.gt.n)
+        assert len(backgrounds) == 1, name
+        flat = [s for chunk in chunks for s in chunk]
+        assert sorted(flat) == sorted(set(src.tolist())), (name, chunks)
         if name == "rw-stationary":
-            assert sizes == [9]
+            assert len(chunks) == 1, name
         else:
-            assert max(sizes) <= MICROBATCH_SIZE, (name, sizes)
+            assert len(chunks) == -(-distinct // MICROBATCH_SIZE), name
+            assert max(map(len, chunks)) <= MICROBATCH_SIZE, (name, chunks)
 
 
 def test_predict_raises_on_non_finite_predictions():
@@ -512,11 +534,12 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
         real = slots.recv[~slots.recv_pad]
         assert 0 <= real.min() and real.max() < n_slots
         pad = getattr(slots, "pad", None)
-        if pad is None:  # a Cone: the sender pads of its pool's rows
-            gt = slots._gt
-            node = np.empty(x.data.shape[1], dtype=np.int64)
-            node[slots.pool] = np.arange(len(slots.pool)) % gt.n
-            pad = gt.pad[node]
+        if pad is None:  # a Cone: the sender pads of the pool rows it reads
+            gt, at = slots._gt, slots._at
+            node = np.empty(slots._k + gt.n, dtype=np.int64)
+            node[at] = np.arange(len(at)) % gt.n
+            node[-gt.n:] = np.arange(gt.n)  # the background rows
+            pad = gt.pad[node[slots.sender_rows]]
         if weight is not None:
             weight = with_junk(weight, slots.recv_pad)
         return segment_sum(with_junk(x, pad), slots, weight)
@@ -561,9 +584,9 @@ def test_frontier_sparse_flow_matches_full_reach(monkeypatch):
     MulMlp's count of tanh(act.b) terms stands in for them), and the rows
     that a light cone leaves to the background hold its state. The biases
     are drawn non-zero, so that tanh(act.b) is. The shipped run skips rows
-    at some flow step, and runs each GGNN or GAT update's GRU at
-    n + sum_b |reach_b[t + 1]| rows; the forced one skips none and runs it
-    at B n + n."""
+    at some flow step, and runs each GGNN or GAT update's GRU at n rows in
+    the background pass and at sum_b |reach_b[t + 1]| rows in the ring
+    pass; the forced one skips none and runs the ring pass at B n."""
     g = small_graph(seed=6)
     src, dst = np.array([0, 5]), np.array([3, 9])
     rng = np.random.default_rng(4)
@@ -614,9 +637,10 @@ def test_frontier_sparse_flow_matches_full_reach(monkeypatch):
         if name in LIGHT_CONE:
             reach = model.gt.reach(src, 4)
             steps = 3 if name in STEPPED_FLOW else 4
-            assert shipped[3][1] == [(1, n + int(reach[t + 1].sum()))
-                                     for t in range(steps)], name
-            assert full[3][1] == [(1, b * n + n)] * steps, name
+            background = [(1, n)] * steps
+            assert shipped[3][1] == background + [
+                (1, int(reach[t + 1].sum())) for t in range(steps)], name
+            assert full[3][1] == background + [(1, b * n)] * steps, name
             assert int(reach[1].sum()) < b * n, name
         assert np.abs(shipped[0] - full[0]).max() < 1e-10, name
         assert abs(shipped[1] - full[1]) < 1e-10, name
@@ -631,13 +655,14 @@ def test_frontier_sparse_flow_matches_full_reach(monkeypatch):
 
 
 def test_state_rows_skip_rows_the_last_reach_misses(monkeypatch):
-    """GGNN-Mul and GGNN-MulMlp run each GRU update only at the rows of
-    the reach it writes, plus the n background rows that the batch shares.
-    At 3 steps from sources 0 and 5 the flow's last step needs no update,
-    so the last one writes reach[2]: 21 of the 28 per-example rows, run at
-    21 + 14 rows, not at the 2 * 14 + 14 of a run whose reach is forced to
-    every node. Loss, predictions and every grad equal that run's, in
-    float64 with non-zero biases."""
+    """GGNN-Mul and GGNN-MulMlp run each GRU update's ring pass only at
+    the rows of the reach it writes, and its background pass, which the
+    batch shares, at the n rows of the graph. At 3 steps from sources 0
+    and 5 the flow's last step needs no update, so the last one writes
+    reach[2]: 21 of the 28 per-example rows, run at 21 rows, not at the
+    2 * 14 of a run whose reach is forced to every node; the background
+    pass runs at 14 rows in both. Loss, predictions and every grad equal
+    that run's, in float64 with non-zero biases."""
     g = small_graph(seed=6)
     src, dst = np.array([0, 5]), np.array([3, 9])
     rng = np.random.default_rng(5)
@@ -672,8 +697,11 @@ def test_state_rows_skip_rows_the_last_reach_misses(monkeypatch):
             m.setattr(GraphTensors, "reach", lambda self, s, steps: np.ones(
                 (steps + 1, len(s), self.n), dtype=bool))
             full = run(model)
-        assert shipped[3] and shipped[3][-1] == (1, kept + n), name
-        assert full[3] and full[3][-1] == (1, b * n + n), name
+        # predict's background pass, its two ring passes (one per update),
+        # then the loss's background and ring passes
+        for got, last in ((shipped[3], kept), (full[3], b * n)):
+            assert got[:2] == got[4:6] == [(1, n)] * 2, name
+            assert got[-1] == (1, last), name
         assert np.abs(shipped[0] - full[0]).max() < 1e-10, name
         assert abs(shipped[1] - full[1]) < 1e-10, name
         for k, want in full[2].items():
