@@ -339,15 +339,14 @@ class Cone:
 
     @cached_property
     def _receivers(self):
-        nt, k = self._gt.n_types, self._k
+        nt = self._gt.n_types
         recv, recv_pad = receiver_slots(self._gt, self._rows, self._at)
-        read = np.zeros(k + self._gt.n, dtype=bool)
+        # every per-example row reads itself through its selfloop
+        read = np.zeros(self._k + self._gt.n, dtype=bool)
         read[recv[~recv_pad] // nt] = True
-        rows = np.concatenate([np.arange(k), k + np.flatnonzero(read[k:])])
-        compact = np.full(read.size, -1)
-        compact[rows] = np.arange(len(rows))
+        compact = np.cumsum(read) - 1
         recv = np.where(recv_pad, -1, compact[recv // nt] * nt + recv % nt)
-        return recv, recv_pad, rows
+        return recv, recv_pad, np.flatnonzero(read)
 
     recv = property(lambda self: self._receivers[0])
     recv_pad = property(lambda self: self._receivers[1])
@@ -729,11 +728,11 @@ class Model:
 
     def background(self, step=None):
         """The node states that every example of a batch shares: bg_0, the
-        states of an example with no source (see init_node_states), and,
-        for GGNN and GAT, those of each of its updates by the background
-        pass (see Cone), one (1, n, d) Tensor per step; None for
-        rw-stationary, which has no node update. step is the core's step
-        (_pick_step), built here when None."""
+        states of an example with no source (init_background), and, for
+        GGNN and GAT, those of each of its updates by the background pass
+        (see Cone), one (1, n, d) Tensor per step; None for rw-stationary,
+        which has no node update. step is the core's step (_pick_step),
+        built here when None."""
         cfg = self.cfg
         if cfg.core == "rw-stationary":
             return None
