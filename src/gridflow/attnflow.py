@@ -30,10 +30,11 @@ MUL, MUL_MLP = "mul", "mulmlp"
 
 def transition_logits(states, slots, w, b) -> ad.Tensor:
     """Per-slot logits at the sender slots of slots from node states
-    (B, n, d), or a light cone's pool (1, m, d) (see graphnets.Cone), and
-    the packed transition weights w (n_types, d, d+1), b (n_types, d+1):
-    (B, n, n_types) for GraphTensors, or (1, k, n_types) for a Frontier's
-    k sender rows, whose receiver-side map runs on its ring rows only.
+    (B, n, d), or a light cone's pool (1, m, d) (see
+    graphnets.Model.background), and the packed transition weights
+    w (n_types, d, d+1), b (n_types, d+1): (B, n, n_types) for
+    GraphTensors, or (1, k, n_types) for a Frontier's k sender rows,
+    whose receiver-side map runs on its ring rows only.
     Pad slots hold values that transition_matrix drops."""
     senders = slots.senders(states)
     ones = np.ones(senders.shape[:-1] + (1,), dtype=senders.dtype)

@@ -16,7 +16,7 @@ normalizes over the type axis, and segment_sum reaches the receivers
 through the slot permutation. A slot layout may also be compact: the
 slots of some rows of a batch, as (1, rows, n_types, ...), whose
 receivers are other rows, and may read a row's slots for several
-receivers (see graphnets.Cone).
+receivers (see graphnets.Frontier, with background).
 
 Reductions over the length-9 type axis are unrolled or done by einsum,
 not by numpy's reduce, whose cost on a short strided axis is set by its
@@ -399,10 +399,10 @@ def take(x, index):
     index may pick a slot any number of times: a permutation of the
     (node, type) slots of x (B, n, n_types, ...) with index (n, n_types),
     a subset, or rows read by several examples, such as the background
-    rows of a light cone (graphnets.Cone). A negative index picks nothing:
-    that slot of the result is zero, as where compact rows are laid out in
-    the batch's dense rows. Backward sums g back into the picked slots
-    (see _transpose), with zero at the slots not picked.
+    rows of a light cone (graphnets.Model.background). A negative index
+    picks nothing: that slot of the result is zero, as where compact rows
+    are laid out in the batch's dense rows. Backward sums g back into the
+    picked slots (see _transpose), with zero at the slots not picked.
     """
     x = _wrap(x)
     shape = x.data.shape
@@ -462,10 +462,10 @@ def segment_sum(x, slots, weight=None):
     """Per-receiver sums of sender-major slot values x (B, k, n_types, ...),
     each times its weight where one is given.
 
-    slots is a slot layout (graphnets.GraphTensors, Frontier or Cone) with
-    two index arrays over its receiver slots (r, n_types): recv, the flat
-    slot of x that each receiver slot reads, which may read one slot of x
-    many times, and recv_pad, the receiver slots that take nothing. The
+    slots is a slot layout (graphnets.GraphTensors or Frontier) with two
+    index arrays over its receiver slots (r, n_types): recv, the flat slot
+    of x that each receiver slot reads, which may read one slot of x many
+    times, and recv_pad, the receiver slots that take nothing. The
     output is (B, r, ...), one row per receiver. weight is in the receiver
     slots' layout, (B, r, n_types, ...), and broadcasts over x's last
     axis, so that a weight per receiver slot, such as GAT's attention,

@@ -101,21 +101,31 @@ def generate(out, preset, seeds=1) -> int:
     return 0
 
 
+def _read_json(path):
+    """The JSON document in path; ValueError naming the file if it is not
+    valid JSON."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"the run's file {path} is not valid JSON: "
+                             f"{err}") from None
+
+
 def _load_run(run_dir):
     """A trained run directory's selected parameter states, read from its
     epoch*.npz files, its model, GraphTensors and examples; None after
-    printing why there is no manifest, or which file is missing."""
+    printing why there is no manifest, or which file is missing or
+    unreadable."""
     manifest_path = os.path.join(run_dir, "selection.json")
     if not os.path.exists(manifest_path):
         print("no selection manifest in run directory; snapshots are only "
               "selected when a run of at least one epoch finishes",
               file=sys.stderr)
         return None
-    with open(manifest_path) as f:
-        manifest = json.load(f)
     try:
-        with open(os.path.join(run_dir, "config.json")) as f:
-            cfg_doc = json.load(f)
+        manifest = _read_json(manifest_path)
+        cfg_doc = _read_json(os.path.join(run_dir, "config.json"))
         # A relative data path is relative to the run directory; older
         # configs hold an absolute one, which join leaves as it is.
         dataset = data.load_dataset(os.path.join(run_dir, cfg_doc["data"]))
@@ -126,6 +136,9 @@ def _load_run(run_dir):
     except FileNotFoundError as err:
         print(f"the run's file {err.filename} does not exist",
               file=sys.stderr)
+        return None
+    except ValueError as err:
+        print(err, file=sys.stderr)
         return None
     model_cfg = ModelConfig.from_name(
         cfg_doc["model"], dims=cfg_doc["dims"], attn_dims=cfg_doc["attn_dims"],
@@ -220,6 +233,7 @@ def evaluate(run, split="test", out=None) -> int:
     text = json.dumps(summary, indent=1)
     print(text)
     if out:
+        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
         with open(out, "w") as f:
             f.write(text + "\n")
     return 0

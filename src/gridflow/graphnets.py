@@ -151,10 +151,9 @@ class GraphTensors:
         self.recv, self.send = recv.reshape(n, nt), send.reshape(n, nt)
 
     # As a slot layout (see Frontier), the whole graph: every node's slots,
-    # received in place. As the rows of a light cone's background pass (see
-    # Cone), every node, each its own state row, with no flowing attention
-    # and every sender unreached.
-    states = nodes = frontier = None
+    # received in place, each its own state row. It is the layout of a
+    # light cone's background pass (see Model.background).
+    states = nodes = None
 
     def senders(self, x):
         return x
@@ -205,9 +204,10 @@ def take_rows(x, rows):
 
 def pool_rows(kept: np.ndarray) -> np.ndarray:
     """(B * n,) the row of each flat (example, node) row of a batch in a
-    light-cone pool (see Cone): the kept rows ((B, n) mask kept), m of
-    them in ascending flat row, then n background rows. A kept row is its
-    own pool row, and any other row its node's background row."""
+    light-cone pool (see Model.background): the kept rows ((B, n) mask
+    kept), m of them in ascending flat row, then n background rows. A kept
+    row is its own pool row, and any other row its node's background
+    row."""
     rows = np.flatnonzero(kept)
     at = len(rows) + np.arange(kept.size) % kept.shape[1]
     at[rows] = np.arange(len(rows))
@@ -235,122 +235,77 @@ def receiver_slots(gt: GraphTensors, rows, row_of):
 
 
 class Frontier:
-    """The slot layout of one flow step t, at the rows its focused
-    attention has reached.
+    """The slot layout of one step t at its ring rows: each example's rows
+    of reach[t + 1] (GraphTensors.reach), in ascending flat row.
 
     The focused attention starts one-hot at the source and moves at most
     one hop a step, so at step t it is exactly zero outside the nodes
-    within t hops (GraphTensors.reach). There the flowing attention
-    T_ij a_i is T_ij times 0, in forward and backward alike, so the
-    transition and the acted messages are computed at the reached rows
-    only. reached and ring are (B, n) masks: the reached sender rows,
-    reach[t], and the rows within one more hop, reach[t + 1], which
-    receive and whose receiver-side maps the transition reads. The focused
-    attention of step t lives at the reached rows, (1, k), and receives
-    into the ring rows, (1, k'), both in ascending flat row; so do the
-    per-slot tensors, (1, k, n_types, ...), and the received sums.
+    within t hops, reach[t]. There the flowing attention T_ij a_i is T_ij
+    times 0, in forward and backward alike, so the transition and the
+    acted messages are computed at the reached rows only, (1, k, ...),
+    and received at the ring rows, (1, k', ...), one hop further.
 
     at maps each flat row of the batch to its row in the node states'
     layout: itself for the dense (B, n) states of FullGN and rw-dynamic,
-    pool_rows for a Cone's. sender_rows and ring_rows are the reached and
-    ring rows there. recv and recv_pad are the ring rows' receiver slots
-    (see receiver_slots): senders outside the reach are pads, recv -1.
-    send maps each reached sender slot to its receiver slot, -1 at the
-    pads. unreached_in counts the incoming edges from senders outside the
-    reach at the ring rows.
+    pool_rows for a light-cone pool's (see Model.background). states and
+    nodes are the ring rows' own rows there and their nodes; ring is their
+    (B, n) mask. An in-neighbour outside reach[t] is a pad, or, with
+    background, is read at its row in at: in a pool, its node's
+    background row. sender_rows are the rows read, in ascending row; the
+    reached rows lead, as each reads itself through its selfloop. recv
+    and recv_pad are the ring rows' receiver slots over them (see
+    receiver_slots), pad their sender slots with no edge, and send maps
+    each sender slot to its receiver slot, -1 at the pads; with
+    background it is None, as a background row is read by every example
+    whose ring it sends to. unreached_in counts each ring row's incoming
+    edges that are pads here. twin is this step's layout with background.
     """
 
-    def __init__(self, gt: GraphTensors, reached, ring, at):
+    def __init__(self, gt: GraphTensors, reach, t, at, background=False):
         nt = gt.n_types
-        self._gt, self.ring = gt, ring
-        rows, ring = np.flatnonzero(reached), np.flatnonzero(ring)
-        self.sender_rows, self.ring_rows = at[rows], at[ring]
-        self.pad = gt.pad[rows % gt.n]
-        rank = np.full(reached.size, -1)
-        rank[rows] = np.arange(len(rows))
-        self.recv, self.recv_pad = receiver_slots(gt, ring, rank)
-        real = np.flatnonzero(~self.recv_pad)
-        send = np.full(len(rows) * nt, -1)
-        send[self.recv.reshape(-1)[real]] = real
-        self.send = send.reshape(-1, nt)
-        self._node = ring % gt.n
+        self._gt, self._reach, self._t, self._at = gt, reach, t, at
+        self.ring = reach[t + 1]
+        ring = np.flatnonzero(self.ring)
+        self.states, self.nodes = at[ring], ring % gt.n
+        row_of = at if background else np.where(reach[t].reshape(-1), at, -1)
+        recv, self.recv_pad = receiver_slots(gt, ring, row_of)
+        read = np.zeros(at.max() + 1, dtype=bool)
+        read[recv[~self.recv_pad] // nt] = True
+        compact = np.cumsum(read) - 1
+        self.recv = np.where(self.recv_pad, -1,
+                             compact[recv // nt] * nt + recv % nt)
+        self.sender_rows = np.flatnonzero(read)
+        self.send = None
+        if not background:
+            real = np.flatnonzero(~self.recv_pad)
+            send = np.full(len(self.sender_rows) * nt, -1)
+            send[self.recv.reshape(-1)[real]] = real
+            self.send = send.reshape(-1, nt)
+
+    @cached_property
+    def pad(self):
+        node = np.empty(self._at.max() + 1, dtype=np.int64)
+        node[self._at] = np.arange(self._at.size) % self._gt.n
+        return self._gt.pad[node[self.sender_rows]]
 
     @cached_property
     def unreached_in(self):
-        return (self._gt.unreached_in[self._node]
+        return (self._gt.unreached_in[self.nodes]
                 - np.count_nonzero(~self.recv_pad, axis=1))
 
+    @cached_property
+    def twin(self):
+        return Frontier(self._gt, self._reach, self._t, self._at,
+                        background=True)
+
     def senders(self, x):
-        """Per-row x, in the states' layout, at the reached rows:
-        (1, k, ...)."""
+        """Per-row x, in the states' layout, at sender_rows: (1, k, ...)."""
         return take_rows(x, self.sender_rows)
 
     def receivers(self, x):
         """Per-row x, in the states' layout, at the ring rows:
         (1, k', ...)."""
-        return take_rows(x, self.ring_rows)
-
-
-class Cone:
-    """The ring pass of one GGNN or GAT update, from step t to t + 1.
-
-    h0 is [source indicator : tanh(embed W + b)], so the examples of a
-    batch differ only at their sources. An update at node v reads v's own
-    state, its in-neighbours' states and terms that do not depend on the
-    example; a flow variant's messages also read the flowing attention,
-    which is zero outside reach[t]. So, by induction, at every node
-    outside reach[t] each example's state is one background bg_t, the
-    state of an example with no source, which the batch shares. A forward
-    keeps the states of step t as a pool, (1, k + n, d): the per-example
-    rows of reach[t] (k of them, in ascending flat row), then the n rows
-    of bg_t (pool_rows maps each flat row there).
-
-    An update runs in two passes. The background pass (Model.background)
-    updates bg_t to bg_t+1 over the whole graph, with GraphTensors as its
-    layout: no example and no flowing attention. The ring pass, this
-    layout, updates only the per-example rows of reach[t + 1] and reads
-    the pool: states and nodes are each of those rows' own state row in it
-    and its node. recv and recv_pad are their receiver slots (see
-    receiver_slots) over sender_rows, the pool rows that they read: the k
-    per-example rows, then the background rows of the senders outside an
-    example's reach[t], in ascending row. A background row is read there
-    by every example whose ring it sends to, so background slots are read
-    by several rows. Mul and MulMlp messages leave the reached rows only,
-    through frontier, the flow step's Frontier, so recv is built on first
-    use.
-    """
-
-    send = None  # background slots are read by several rows
-
-    def __init__(self, gt: GraphTensors, reach, t, at, frontier=None):
-        self._rows = np.flatnonzero(reach[t + 1])
-        self._k = int(np.count_nonzero(reach[t]))
-        self._gt, self._at, self.frontier = gt, at, frontier
-        self.nodes = self._rows % gt.n
-        self.states = at[self._rows]
-
-    @property
-    def unreached_in(self):
-        return self.frontier.unreached_in
-
-    def senders(self, x):
-        """Per-row x, in the pool, at sender_rows: (1, k + m, ...)."""
-        return take_rows(x, self.sender_rows)
-
-    @cached_property
-    def _receivers(self):
-        nt = self._gt.n_types
-        recv, recv_pad = receiver_slots(self._gt, self._rows, self._at)
-        # every per-example row reads itself through its selfloop
-        read = np.zeros(self._k + self._gt.n, dtype=bool)
-        read[recv[~recv_pad] // nt] = True
-        compact = np.cumsum(read) - 1
-        recv = np.where(recv_pad, -1, compact[recv // nt] * nt + recv % nt)
-        return recv, recv_pad, np.flatnonzero(read)
-
-    recv = property(lambda self: self._receivers[0])
-    recv_pad = property(lambda self: self._receivers[1])
-    sender_rows = property(lambda self: self._receivers[2])
+        return take_rows(x, self.states)
 
 
 def expand(x, size, axis):
@@ -410,7 +365,8 @@ def init_node_states(background, src_indices, attn_dims, kept=None):
     """h0 per example: bg_0 (background) with 1/sqrt(d') in its attention
     channels at the example's source. (B, n, d) at every row, or, given
     kept, the (B, n) mask of the per-example rows of a light-cone pool
-    (see Cone), which hold the sources, at those rows: (1, k, d)."""
+    (see Model.background), which hold the sources, at those rows:
+    (1, k, d)."""
     b, (_, n, d) = len(src_indices), background.shape
     dtype, c = background.data.dtype, 1.0 / np.sqrt(attn_dims)
     if kept is None:
@@ -522,12 +478,12 @@ class Model:
     # A step maps node and global states (h, g), this step's flowing
     # attention (None in regular variants), focused attention (dense, read
     # by rw-dynamic only) and layout to the next (h, g). The layout is
-    # GraphTensors, the flow step's Frontier, or for GGNN and GAT either
-    # GraphTensors, in the background pass, whose background states h
-    # are, or the ring pass's Cone, whose pool h is; a ring pass returns
-    # the per-example rows only. Per-edge messages are built in functions
-    # that return before the node update, so they are freed before it
-    # runs.
+    # GraphTensors or a Frontier. GGNN and GAT run each update in two
+    # passes (see Model.background): the background pass, whose layout is
+    # GraphTensors and whose flowing attention is None, and the ring pass,
+    # whose layout is a Frontier over the pool h and which returns the
+    # ring rows only. Per-edge messages are built in functions that return
+    # before the node update, so they are freed before it runs.
 
     def _pick_step(self, b):
         """The core's step for a batch of b, bound to its input from the
@@ -545,7 +501,7 @@ class Model:
             return partial(self._rw_dynamic_step,
                            expand(p["embed"], b, axis=0))
         # The GRU's embedding term is the same at every step and for every
-        # example: one row per node, picked for each row of a Cone.
+        # example: one row per node, picked for each ring row.
         u_pre = ad.add(ad.matmul(ad.reshape(p["embed"], (1, self.gt.n, -1)),
                                  p["gru.Wu"]), p["gru.b"])
         if cfg.core == "ggnn":
@@ -645,15 +601,14 @@ class Model:
         return h_next, g_next
 
     def _ggnn_step(self, u_pre, w, b, h, g, flowing, focused, rows):
-        fr = rows.frontier
         if not self._acted():
             m_bar = ad.segment_sum(ad.typed_affine(rows.senders(h), w, b),
                                    rows)
         else:
-            m_bar = None  # the background (no frontier) has no reached sender
-            if fr is not None:
-                m_bar = self._receive(ad.typed_affine(fr.senders(h), w, b),
-                                      None, flowing, fr)
+            m_bar = None  # the background pass has no reached sender
+            if flowing is not None:
+                m_bar = self._receive(ad.typed_affine(rows.senders(h), w, b),
+                                      None, flowing, rows)
             m_bar = self._unreached(m_bar, rows.unreached_in)
         return gru(take_rows(h, rows.states), m_bar,
                    take_rows(u_pre, rows.nodes), self.params,
@@ -661,7 +616,7 @@ class Model:
 
     def _gat_step(self, u_pre, score_maps, h, g, flowing, focused, rows):
         states = take_rows(h, rows.states)
-        if self._acted() and rows.frontier is None:
+        if self._acted() and flowing is None:
             m_bar = self._unreached(None, rows.unreached_in)
         else:
             m_bar = self._gat_messages(score_maps, h, states, flowing, rows)
@@ -673,21 +628,23 @@ class Model:
         """z_i (per slot and head) weighted by alpha_ij, the attention
         normalized over each receiver's incoming edges in its receiver
         slots, received at rows. A receiver's softmax reads the scores of
-        every sender, the background's included. Mul and MulMlp messages
-        leave the reached rows only, so the background, which has none,
+        every sender, the background's included, so in Mul and MulMlp
+        variants, whose messages leave the reached rows only, it runs over
+        the twin of rows. The background pass of those has no message and
         needs no attention (see _gat_step)."""
         p, cfg, nt = self.params, self.cfg, self.gt.n_types
         k, hw = GAT_HEADS, cfg.dims // GAT_HEADS
-        acted, fr = self._acted(), rows.frontier
+        acted = self._acted()
+        every = rows.twin if acted else rows
         # a1 . z_i is read from the sender's slot; a2 . z_j is node j's own
         # (node, type) map, so it is already in receiver slots.
         (w1, b1), (w2, b2) = score_maps
-        senders = rows.senders(h)
+        senders = every.senders(h)
         alpha = ad.segment_softmax(ad.leaky_relu(ad.add(
-            ad.take(ad.typed_affine(senders, w1, b1), rows.recv),
-            ad.typed_affine(states, w2, b2))), rows.recv_pad)
+            ad.take(ad.typed_affine(senders, w1, b1), every.recv),
+            ad.typed_affine(states, w2, b2))), every.recv_pad)
         if acted:
-            senders = fr.senders(h)
+            senders = rows.senders(h)
         z = ad.reshape(ad.typed_affine(senders, p["msg.W"], p["msg.b"]),
                        senders.shape[:2] + (nt, k, hw))
         if not acted:
@@ -695,12 +652,12 @@ class Model:
         if cfg.acting == "mulmlp":
             # MulMlp acts on the alpha-weighted messages, projected by
             # act.W, in the sender slots.
-            alpha = ad.take(alpha, fr.send)
+            alpha = ad.take(alpha, rows.send)
             weighted = ad.mul(z, ad.reshape(alpha, alpha.shape + (1,)))
             z = ad.matmul(ad.reshape(weighted, z.shape[:3] + (-1,)),
                           p["act.W"])
             alpha = None
-        return self._unreached(self._receive(z, alpha, flowing, fr),
+        return self._unreached(self._receive(z, alpha, flowing, rows),
                                rows.unreached_in)
 
     def _rw_dynamic_step(self, u, h, g, flowing, focused, slots):
@@ -729,10 +686,32 @@ class Model:
     def background(self, step=None):
         """The node states that every example of a batch shares: bg_0, the
         states of an example with no source (init_background), and, for
-        GGNN and GAT, those of each of its updates by the background pass
-        (see Cone), one (1, n, d) Tensor per step; None for rw-stationary,
-        which has no node update. step is the core's step (_pick_step),
-        built here when None."""
+        GGNN and GAT, those of each of its updates by the background pass,
+        one (1, n, d) Tensor per step; None for rw-stationary, which has
+        no node update. step is the core's step (_pick_step), built here
+        when None.
+
+        GGNN and GAT keep their node states in a light cone. h0 is
+        [source indicator : tanh(embed W + b)], so the examples of a batch
+        differ only at their sources. An update at node v reads v's own
+        state, its in-neighbours' states and terms that do not depend on
+        the example; a flow variant's messages also read the flowing
+        attention, which is zero outside reach[t]. So, by induction, at
+        every node outside reach[t] each example's state is one background
+        bg_t, the state of an example with no source, which the batch
+        shares. A forward keeps the states of step t as a pool,
+        (1, k + n, d): the per-example rows of reach[t] (k of them, in
+        ascending flat row), then the n rows of bg_t (pool_rows maps each
+        flat row there).
+
+        An update runs in two passes. The background pass, here, updates
+        bg_t to bg_t+1 over the whole graph, with GraphTensors as its
+        layout: no example and no flowing attention. The ring pass updates
+        only the per-example rows of reach[t + 1], with the step's
+        Frontier over the pool as its layout: with background for regular
+        and noact messages, which read every sender, so that a sender
+        outside an example's reach[t] is read at its background row.
+        """
         cfg = self.cfg
         if cfg.core == "rw-stationary":
             return None
@@ -756,10 +735,11 @@ class Model:
         b, n, dtype = len(src), gt.n, cfg.np_dtype
         result = ForwardResult(probs=None)
         cone = cfg.core in ("ggnn", "gat")
-        # GGNN and GAT keep their states in a light cone (Cone); the other
-        # stepped flow variants keep them at every row, and need the reach
-        # for their Frontiers only. The fixed rw-stationary states need one
-        # transition for the whole forward, shared by the batch.
+        # GGNN and GAT keep their states in a light cone (see background);
+        # the other stepped flow variants keep them at every row, and need
+        # the reach for their Frontiers only. The fixed rw-stationary
+        # states need one transition for the whole forward, shared by the
+        # batch.
         reach = None
         if cone or (cfg.explicit_flow and cfg.core != "rw-stationary"):
             reach = gt.reach(src, cfg.steps)
@@ -798,12 +778,10 @@ class Model:
             update = step is not None and t < cfg.updates
             if reach is not None:
                 at = pool_rows(reach[t]) if cone else np.arange(b * n)
-                frontier = None
-                if cfg.explicit_flow:
-                    slots = layout = frontier = Frontier(gt, reach[t],
-                                                         reach[t + 1], at)
-                if cone and update:
-                    layout = Cone(gt, reach, t, at, frontier)
+                slots = layout = Frontier(gt, reach, t, at,
+                                          background=not cfg.explicit_flow)
+                if cone and cfg.acting == "noact" and update:
+                    layout = slots.twin
             if cfg.explicit_flow:
                 if reach is not None or transition is None:
                     transition = attnflow.transition_matrix(
@@ -848,8 +826,8 @@ class Model:
         each distinct source is predicted once and its row repeated for
         every pair that has it. The background states that a batch shares
         (Model.background) are built once per call: for GGNN and GAT that
-        is the background pass of every update (see Cone), so each chunk
-        runs the ring passes only.
+        is the background pass of every update, so each chunk runs the
+        ring passes only.
 
         Forward runs on chunks of at most MICROBATCH_SIZE distinct
         sources. The per-slot tensors grow with the chunk: at 64 examples

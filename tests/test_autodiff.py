@@ -10,7 +10,7 @@ import pytest
 from gradcheck import check_op, grad_check
 from gridflow import autodiff as ad, grid
 from gridflow.autodiff import Tensor
-from gridflow.graphnets import Cone, Frontier, GraphTensors, pool_rows
+from gridflow.graphnets import Frontier, GraphTensors, pool_rows
 
 
 def slot_graph(seed):
@@ -21,14 +21,16 @@ def slot_graph(seed):
 def frontier(gt, src, t):
     """The compact slots of step t of a flow from src, over dense states."""
     reach = gt.reach(src, t + 1)
-    return Frontier(gt, reach[t], reach[t + 1], np.arange(len(src) * gt.n))
+    return Frontier(gt, reach, t, np.arange(len(src) * gt.n))
 
 
 def cone(gt, src, t):
-    """The light cone of update t of a forward from src, and its pool size."""
+    """The ring pass's layout of update t of a forward from src, over its
+    light-cone pool, reading every sender; and the pool's size."""
     reach = gt.reach(src, t + 1)
     at = pool_rows(reach[t])
-    return Cone(gt, reach, t, at), int(reach[t].sum()) + gt.n
+    return (Frontier(gt, reach, t, at, background=True),
+            int(reach[t].sum()) + gt.n)
 
 
 RNG = np.random.default_rng(2)
@@ -254,7 +256,7 @@ def test_take_picks_rows_and_compact_slots():
     assert np.array_equal(real, ~fr.pad)
     assert len(np.unique(fr.send[real])) == real.sum()  # picks each slot once
     rows = rng.standard_normal((1, 2 * gt.n, 3))
-    ring_slots = rng.standard_normal((1, len(fr.ring_rows), gt.n_types, 2))
+    ring_slots = rng.standard_normal((1, len(fr.states), gt.n_types, 2))
     for x, index in ((rows, fr.sender_rows), (ring_slots, fr.send)):
         out = ad.take(Tensor(x), index)
         flat = x.reshape((1, -1) + x.shape[1 + index.ndim:])
@@ -518,7 +520,9 @@ def test_segment_sum_receives_into_compact_state_rows():
     every per-example row, and a background row for each sender outside
     an example's reach. With and without a weight, segment_sum there
     equals the dense all-rows sum over the pool laid out at every row, at
-    the ring rows; and check_op holds with its pads."""
+    the ring rows; and check_op holds with its pads. The flow step's
+    layout of the same step, whose twin this layout is, reads the same
+    slots at its reached senders and pads the rest."""
     rng = np.random.default_rng(15)
     gt = slot_graph(15)
     src, nt = [3, 0], gt.n_types
@@ -539,6 +543,27 @@ def test_segment_sum_receives_into_compact_state_rows():
     node[at] = np.arange(len(at)) % gt.n
     node[-gt.n:] = np.arange(gt.n)
     node = node[senders]
+    assert np.array_equal(layout.pad, gt.pad[node])
+    # The flow step's layout of the same step reads the reached senders
+    # only: it has the same ring rows and receiver slots, its sender rows
+    # are the k reached rows, which lead the twin's, and each receiver
+    # slot reads what the twin's does where that is a reached sender, and
+    # is a pad elsewhere.
+    fr = Frontier(gt, reach, 1, at)
+    twin = fr.twin
+    assert twin.send is None and fr.send is not None
+    for name in ("states", "nodes", "ring"):
+        assert np.array_equal(getattr(fr, name), getattr(twin, name)), name
+    assert np.array_equal(twin.sender_rows, senders)
+    assert np.array_equal(twin.recv, layout.recv)
+    assert np.array_equal(fr.sender_rows, np.arange(k))
+    assert fr.recv.shape == twin.recv.shape == (rows, nt)
+    reached = ~twin.recv_pad & (twin.recv // nt < k)
+    assert np.array_equal(fr.recv_pad, ~reached)
+    assert np.array_equal(fr.recv[reached], twin.recv[reached])
+    assert np.all(fr.recv[~reached] == -1)
+    assert np.array_equal(fr.pad, gt.pad[node[:k]])
+    assert np.array_equal(twin.pad, layout.pad)
     x_pool = rng.standard_normal((1, pool, nt, 3))
     x = x_pool[:, senders]
     wt = rng.random((1, rows, nt))

@@ -350,6 +350,42 @@ def test_eval_and_visualize_of_run_without_its_checkpoint(tmp_path, capsys,
     assert not (tmp_path / "viz").exists()
 
 
+@pytest.mark.parametrize("broken", ["selection.json", "config.json"])
+def test_eval_and_visualize_of_run_with_invalid_json(tmp_path, capsys,
+                                                     broken):
+    """A run whose selection.json or config.json is not valid JSON exits 2
+    naming the file, with no traceback."""
+    data = generate_tiny(tmp_path) / "seed0"
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--model", "rw-stationary", "--data", str(data),
+                   "--out", str(run_dir), "--epochs", "1", "--dims", "8",
+                   "--attn-dims", "2", "--steps", "2") == 0
+    (run_dir / broken).write_text("{bad")
+    capsys.readouterr()
+    assert run_cli("eval", "--run", str(run_dir)) == 2
+    err = capsys.readouterr().err
+    assert str(run_dir / broken) in err and "not valid JSON" in err
+    rc = run_cli("visualize", "--run", str(run_dir), "--src", "0",
+                 "--dst", "1", "--out", str(tmp_path / "viz"))
+    assert rc == 2
+    assert str(run_dir / broken) in capsys.readouterr().err
+    assert not (tmp_path / "viz").exists()
+
+
+def test_eval_out_into_a_missing_directory(tmp_path, capsys):
+    """eval --out makes the metrics file's missing parent directories and
+    writes there what it prints."""
+    data = generate_tiny(tmp_path) / "seed0"
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--model", "rw-stationary", "--data", str(data),
+                   "--out", str(run_dir), "--epochs", "1", "--dims", "8",
+                   "--attn-dims", "2", "--steps", "2") == 0
+    out = tmp_path / "nosuch" / "dir" / "m.json"
+    capsys.readouterr()
+    assert run_cli("eval", "--run", str(run_dir), "--out", str(out)) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
 def test_eval_requires_selection_manifest(tmp_path, capsys):
     os.makedirs(tmp_path / "empty")
     rc = run_cli("eval", "--run", str(tmp_path / "empty"))

@@ -17,7 +17,6 @@ from gridflow.attnflow import (
 from gridflow.graphnets import (
     GAT_HEADS,
     MODEL_NAMES,
-    Cone,
     Frontier,
     GraphTensors,
     Model,
@@ -298,8 +297,7 @@ def test_gat_mulmlp_acting_matches_unfused(monkeypatch):
     h = ad.reshape(ad.slice_axis(pool, 1, 0, 2 * gt.n), (2, gt.n, d))
     every = np.ones((2, gt.n), dtype=bool)
     at = pool_rows(every)
-    cone = Cone(gt, np.stack([every, every]), 0, at,
-                Frontier(gt, every, every, at))
+    ring = Frontier(gt, np.stack([every, every]), 0, at)
     slots = (1, 2 * gt.n, gt.n_types)
     flowing = ad.Tensor(rng.random(slots), requires_grad=True)
     weights = ad.Tensor(rng.standard_normal(slots + (d,)))
@@ -320,7 +318,7 @@ def test_gat_mulmlp_acting_matches_unfused(monkeypatch):
         return out
 
     monkeypatch.setattr(attnflow, "attend_message", recording)
-    model._pick_step(2)(pool, None, flowing, None, cone)
+    model._pick_step(2)(pool, None, flowing, None, ring)
     fused = acted_and_grads(acted[0])
 
     z, alpha = gat_messages(model, h)

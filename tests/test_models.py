@@ -22,7 +22,8 @@ def small_graph(seed=0):
 STEPPED_FLOW = [name for name in MODEL_NAMES
                 if ModelConfig.from_name(name).explicit_flow
                 and name != "rw-stationary"]
-# Variants whose node states live in a light cone (graphnets.Cone).
+# Variants whose node states live in a light cone (see
+# graphnets.Model.background).
 LIGHT_CONE = [name for name in MODEL_NAMES
               if ModelConfig.from_name(name).core in ("ggnn", "gat")]
 
@@ -156,7 +157,7 @@ def test_flow_variants_skip_the_last_node_update(monkeypatch):
     so it runs steps - 1 node updates; a regular variant reads out the
     states of the last one and runs steps. rw-stationary runs none. GGNN
     and GAT run each update in two passes, all of the background pass's
-    first (its layout is the graph), then the ring pass's (a Cone)."""
+    first (its layout is the graph), then the ring pass's (a Frontier)."""
     g = small_graph()
     updates = []
     for step in ("_fullgn_step", "_ggnn_step", "_gat_step",
@@ -176,7 +177,7 @@ def test_flow_variants_skip_the_last_node_update(monkeypatch):
             expected = cfg.steps - 1 if cfg.explicit_flow else cfg.steps
         if name in LIGHT_CONE:
             assert updates == (["GraphTensors"] * expected
-                               + ["Cone"] * expected), name
+                               + ["Frontier"] * expected), name
         else:
             assert len(updates) == expected, name
 
@@ -359,8 +360,8 @@ def test_gat_score_fold_matches_unfused(monkeypatch):
         return [s_i, s_j, ad.segment_sum(weighted, gt)]
 
     every = np.ones((2, gt.n), dtype=bool)
-    cone = graphnets.Cone(gt, np.stack([every, every]), 0,
-                          graphnets.pool_rows(every))
+    ring = graphnets.Frontier(gt, np.stack([every, every]), 0,
+                              graphnets.pool_rows(every), background=True)
     segment_sum = ad.segment_sum
 
     def folded():
@@ -375,7 +376,7 @@ def test_gat_score_fold_matches_unfused(monkeypatch):
                           np.zeros((1, gt.n, cfg.dims))], axis=1)
         with monkeypatch.context() as m:
             m.setattr(ad, "segment_sum", recording)
-            model._pick_step(2)(pool, None, None, None, cone)
+            model._pick_step(2)(pool, None, None, None, ring)
         return ([ad.typed_affine(h, w, b) for w, b in maps]
                 + [ad.reshape(ad.slice_axis(received[0], 1, 0, 2 * gt.n),
                               (2, gt.n, k, hw))])
@@ -533,16 +534,9 @@ def test_pad_slots_do_not_change_outputs_or_grads(monkeypatch):
         n_slots = x.data.shape[1] * x.data.shape[2]
         real = slots.recv[~slots.recv_pad]
         assert 0 <= real.min() and real.max() < n_slots
-        pad = getattr(slots, "pad", None)
-        if pad is None:  # a Cone: the sender pads of the pool rows it reads
-            gt, at = slots._gt, slots._at
-            node = np.empty(slots._k + gt.n, dtype=np.int64)
-            node[at] = np.arange(len(at)) % gt.n
-            node[-gt.n:] = np.arange(gt.n)  # the background rows
-            pad = gt.pad[node[slots.sender_rows]]
         if weight is not None:
             weight = with_junk(weight, slots.recv_pad)
-        return segment_sum(with_junk(x, pad), slots, weight)
+        return segment_sum(with_junk(x, slots.pad), slots, weight)
 
     def junk_softmax(x, pad):
         return segment_softmax(with_junk(x, pad), pad)
