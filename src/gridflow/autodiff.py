@@ -103,19 +103,37 @@ class Tensor:
 
     # -- graph ------------------------------------------------------------
 
-    def backward(self) -> None:
-        """Fill grad on every reachable requires_grad tensor.
+    def backward(self, *roots, until=()) -> None:
+        """Fill grad on every requires_grad tensor reachable from this
+        tensor and roots, in one walk in reverse topological order.
 
-        The seed is GRAD_SCALE, and each contribution to a leaf (a tensor
-        with no recorded VJPs) is divided by it, so leaf grads, summed
-        over several backward calls too, are in true units; on a leaf
+        Each root starts from the grad it holds, in scaled units: GRAD_SCALE
+        times the true gradient. A root that holds none must be a scalar
+        loss, and is seeded with GRAD_SCALE. Each contribution to a leaf (a
+        tensor with no recorded VJPs) is divided by GRAD_SCALE, so leaf
+        grads, summed over several walks too, are in true units; on a leaf
         itself, backward gives 1. Gradients and recorded closures of
         interior nodes are dropped as soon as they are consumed, so only
         leaves keep a grad.
+
+        The walk does not pass the tensors of until: each keeps its
+        closures and sums its grad over walks, in scaled units (so float32
+        keeps it normal), until a walk rooted at it carries the sum on. So
+        the microbatches of a training batch, which read one shared
+        background (graphnets.Model.background), push its gradient through
+        the background pass's own subgraph once.
         """
-        if self.data.ndim != 0:
-            raise ValueError(f"backward needs a scalar loss, got shape {self.shape}")
-        topo, seen, stack = [], set(), [(self, False)]
+        roots = (self,) + roots
+        for root in roots:
+            if root.grad is None:
+                if root.data.ndim != 0:
+                    raise ValueError("backward needs a scalar loss or a root "
+                                     f"that holds its grad, got shape "
+                                     f"{root.shape}")
+                root.grad = np.full_like(root.data,
+                                         GRAD_SCALE if root._vjps else 1.0)
+        topo, seen = [], {id(t) for t in until}
+        stack = [(root, False) for root in roots]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -128,7 +146,6 @@ class Tensor:
             for parent, _ in node._vjps:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.full_like(self.data, GRAD_SCALE if self._vjps else 1.0)
         for node in reversed(topo):
             g = node.grad
             if g is None:

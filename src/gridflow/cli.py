@@ -101,17 +101,6 @@ def generate(out, preset, seeds=1) -> int:
     return 0
 
 
-def _read_json(path):
-    """The JSON document in path; ValueError naming the file if it is not
-    valid JSON."""
-    with open(path) as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"the run's file {path} is not valid JSON: "
-                             f"{err}") from None
-
-
 def _load_run(run_dir):
     """A trained run directory's selected parameter states, read from its
     epoch*.npz files, its model, GraphTensors and examples; None after
@@ -124,8 +113,8 @@ def _load_run(run_dir):
               file=sys.stderr)
         return None
     try:
-        manifest = _read_json(manifest_path)
-        cfg_doc = _read_json(os.path.join(run_dir, "config.json"))
+        manifest = data.read_json(manifest_path)
+        cfg_doc = data.read_json(os.path.join(run_dir, "config.json"))
         # A relative data path is relative to the run directory; older
         # configs hold an absolute one, which join leaves as it is.
         dataset = data.load_dataset(os.path.join(run_dir, cfg_doc["data"]))

@@ -200,21 +200,52 @@ def save_dataset(dirpath, dataset: Dataset, params: GenParams,
             json.dump(stats.to_json_dict(), f, indent=2)
 
 
+def read_json(path):
+    """The JSON document in path; ValueError naming the file if it is not
+    valid JSON."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path} is not valid JSON: {err}") from None
+
+
 def load_dataset(dirpath) -> Dataset:
-    graph = GridGraph.load(os.path.join(dirpath, "graph.json"))
+    """The dataset that save_dataset wrote to dirpath; ValueError naming
+    the file, and the line of pairs.tsv, that does not hold it."""
+    path = os.path.join(dirpath, "graph.json")
+    try:
+        graph = GridGraph.load(path)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path} does not hold a graph "
+                         f"({type(err).__name__}: {err})") from None
+    path = os.path.join(dirpath, "pairs.tsv")
     pairs, splits = [], []
-    with open(os.path.join(dirpath, "pairs.tsv")) as f:
-        for line in f:
-            src, dst, sp = line.rstrip("\n").split("\t")
-            pairs.append((int(src), int(dst)))
-            splits.append(SPLIT_NAMES.index(sp))
+    with open(path) as f:
+        for number, line in enumerate(f, 1):
+            try:
+                src, dst, sp = line.rstrip("\n").split("\t")
+                pairs.append((int(src), int(dst)))
+                splits.append(SPLIT_NAMES.index(sp))
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {number}: {line.rstrip()!r} is not "
+                    f"src<TAB>dst<TAB>split with split one of {SPLIT_NAMES}"
+                ) from None
     return Dataset(graph, np.array(pairs, dtype=np.int64).reshape(-1, 2),
                    np.array(splits, dtype=np.int64))
 
 
 def load_params(dirpath) -> GenParams:
-    with open(os.path.join(dirpath, "params.json")) as f:
-        doc = json.load(f)
-    if isinstance(doc["direction"], dict):  # older files nest the direction
-        doc["direction"] = doc["direction"]["variant"]
-    return GenParams(**doc)
+    """The GenParams of dirpath's params.json; ValueError naming the file
+    if it does not hold them."""
+    path = os.path.join(dirpath, "params.json")
+    doc = read_json(path)
+    try:
+        if isinstance(doc["direction"], dict):  # older files nest the direction
+            doc["direction"] = doc["direction"]["variant"]
+        return GenParams(**doc)
+    except KeyError as err:
+        raise ValueError(f"{path} has no field {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from None

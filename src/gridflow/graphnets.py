@@ -23,13 +23,13 @@ from . import autodiff as ad
 from .grid import GridGraph, N_EDGE_TYPES
 
 # Examples per forward: per training microbatch (gradients accumulate
-# across them) and per chunk of Model.predict. On the LINE 32-grid preset,
-# a GGNN-MulMlp training microbatch (forward and backward) raises peak RSS
-# by 71 MB at 1 example and about 16 MB per further one, GGNN-Mul by
-# 69 MB and 15 MB, GGNN by 91 MB and 9 MB and GAT by 132 MB and 13 MB
-# (1 and 4 examples, glibc's default malloc, one BLAS thread): the light
-# cone's background pass is the part paid once. perfbench's reference
-# losses are recorded per microbatch of this size.
+# across them) and per chunk of Model.predict. On the LINE 32-grid preset
+# (one BLAS thread, glibc's default malloc), a training batch's shared
+# background (Model.background, built once per batch, with its tape) raises
+# peak RSS by 50 MB for GGNN-MulMlp, 47 MB for GGNN-Mul, 73 MB for GGNN and
+# 107 MB for GAT; each microbatch's forward and backward then adds 23, 22,
+# 16 and 21 MB at 1 example and 69, 68, 45 and 63 MB at 4. perfbench's
+# reference losses are recorded per microbatch of this size.
 MICROBATCH_SIZE = 4
 
 MODEL_NAMES = [
@@ -729,7 +729,8 @@ class Model:
         """The prediction of each source, with the focused and flowing
         attention of every step if trace. background is the batch's shared
         states (Model.background), built here when None: predict builds
-        them once for all its chunks."""
+        them once for all its chunks, and training.train once for all the
+        microbatches of a batch."""
         cfg, gt, p = self.cfg, self.gt, self.params
         src = self._sources(src_indices)
         b, n, dtype = len(src), gt.n, cfg.np_dtype
@@ -814,9 +815,12 @@ class Model:
         if not np.all(np.isfinite(h.data)):
             raise FloatingPointError("non-finite node states during propagation")
 
-    def loss(self, src_indices, dst_indices) -> ad.Tensor:
-        """Mean -log p(dst) under the model's prediction distribution."""
-        return attnflow.flow_loss(self.forward(src_indices).probs, dst_indices)
+    def loss(self, src_indices, dst_indices, background=None) -> ad.Tensor:
+        """Mean -log p(dst) under the model's prediction distribution;
+        background as forward's."""
+        return attnflow.flow_loss(
+            self.forward(src_indices, background=background).probs,
+            dst_indices)
 
     def predict(self, src_indices) -> np.ndarray:
         """Prediction distributions (B, n) under no_grad; FloatingPointError

@@ -4,9 +4,16 @@ snapshot selection, and multi-run aggregation.
 Batches are split into microbatches of MICROBATCH_SIZE examples whose
 gradients accumulate before a single optimizer step; this bounds the live
 computation-graph memory without changing the update (contributions are
-weighted by microbatch size). Each epoch's snapshot keeps its metrics; only
-the snapshots that select_snapshots picks keep their parameter state dicts
-in memory, and callers persist those.
+weighted by microbatch size). The node states that every example of a
+batch shares, Model.background, depend on the parameters alone, so a batch
+builds them once, after zero_grad: each microbatch's loss reads them, its
+backward stops there and sums their gradient, and one walk rooted at them
+after the last microbatch carries that sum through the background's own
+subgraph (see autodiff.Tensor.backward). For GGNN and GAT that is the
+background pass of every update, once per batch instead of once per
+microbatch. Each epoch's snapshot keeps its metrics; only the snapshots
+that select_snapshots picks keep their parameter state dicts in memory,
+and callers persist those.
 """
 from __future__ import annotations
 
@@ -139,11 +146,13 @@ def train(model: Model, cfg: TrainConfig, examples: dict,
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             opt.zero_grad()
+            background = model.background()  # None for rw-stationary
             batch_loss = 0.0
             for mlo in range(0, len(batch), MICROBATCH_SIZE):
                 micro = batch[mlo:mlo + MICROBATCH_SIZE]
                 weight = len(micro) / len(batch)
-                loss = ad.mul(model.loss(tr_src[micro], tr_dst[micro]), weight)
+                loss = ad.mul(model.loss(tr_src[micro], tr_dst[micro],
+                                         background), weight)
                 value = float(loss.data)
                 if not np.isfinite(value):
                     raise FloatingPointError(
@@ -151,8 +160,10 @@ def train(model: Model, cfg: TrainConfig, examples: dict,
                         f"{start // cfg.batch_size}; parameter norms: "
                         f"{_param_norms(model)}"
                     )
-                loss.backward()
+                loss.backward(until=background or ())
                 batch_loss += value
+            if background:
+                ad.Tensor.backward(*background)
             embed.data -= lr * WEIGHT_DECAY * embed.data
             opt.step(lr=lr)
             losses.append(batch_loss)

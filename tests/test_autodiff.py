@@ -412,6 +412,90 @@ def test_backward_requires_scalar():
         ad.mul(x, 2.0).backward()
 
 
+def states_chain(dtype=np.float64):
+    """A leaf w and three non-scalar states r_t, each read by the next
+    through three ops, as a background's states are read by its next
+    update."""
+    rng = np.random.default_rng(30)
+    w = Tensor(rng.standard_normal((3, 3)).astype(dtype), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 3)).astype(dtype))
+    r = [ad.tanh(ad.matmul(x, w))]
+    for _ in range(2):
+        r.append(ad.tanh(ad.add(ad.matmul(r[-1], w), ad.mul(r[-1], r[-1]))))
+    return w, r
+
+
+def test_walk_from_seeded_roots_matches_the_scalar_loss():
+    """A walk from several non-scalar roots, each holding G_t in scaled
+    units, gives the leaf, at float64, bit for bit the grad of backward of
+    the scalar sum_t <r_t, G_t>, and drops every interior closure; at
+    float32 every grad stays float32. A root that holds no grad must be a
+    scalar."""
+    rng = np.random.default_rng(31)
+    gs = [rng.standard_normal((4, 3)) for _ in range(3)]
+    w, r = states_chain()
+    ad.tsum(ad.concat([ad.mul(rt, Tensor(g)) for rt, g in zip(r, gs)],
+                      axis=0)).backward()
+    want = w.grad
+    w, r = states_chain()
+    for rt, g in zip(r, gs):
+        rt.grad = g * ad.GRAD_SCALE
+    ad.Tensor.backward(*r)
+    assert np.array_equal(w.grad, want)
+    assert all(rt.grad is None and rt._vjps == () for rt in r)
+
+    w, r = states_chain(np.float32)
+    for rt, g in zip(r, gs):
+        rt.grad = (g * ad.GRAD_SCALE).astype(np.float32)
+    ad.Tensor.backward(*r)
+    assert w.grad.dtype == np.float32
+    assert np.allclose(w.grad, want, rtol=1e-5, atol=0)
+    with pytest.raises(ValueError, match="scalar loss"):
+        ad.Tensor.backward(*states_chain()[1])
+
+
+def test_walks_stop_at_shared_states_then_carry_them_on():
+    """Two losses read the shared states r. Each walk stops at r: the
+    states keep their closures and sum their grad in scaled units, in
+    their dtype, while every interior closure the walk consumed is
+    dropped and the leaf w, which the losses also read directly, gets its
+    own share. One walk from r then carries the sum on, as the grad of
+    one backward of the summed losses."""
+    def losses(r, w):
+        out, interior = [], []
+        for k, c in enumerate((0.5, -1.5)):
+            a = ad.tanh(ad.add(ad.matmul(r[k + 1], w), c))
+            interior += [a, *[p for p, _ in a._vjps]]
+            out.append(ad.tsum(ad.mul(a, r[0])))
+        return out, interior
+
+    for dtype in (np.float64, np.float32):
+        w, r = states_chain(dtype)
+        (l1, l2), interior = losses(r, w)
+        ad.add(l1, l2).backward()
+        want = w.grad
+
+        w, r = states_chain(dtype)
+        (l1, l2), interior = losses(r, w)
+        l1.backward(until=r)
+        first = r[0].grad.copy()
+        l2.backward(until=r)
+        assert all(rt._vjps != () for rt in r)
+        assert all(rt.grad.dtype == dtype for rt in r)
+        assert all(t._vjps == () and t.grad is None
+                   for t in (l1, l2, *interior))
+        # r_0 is read by both losses through mul: its grad is a sum of
+        # VJP outputs in scaled units, GRAD_SCALE times the true one.
+        assert np.allclose(first / ad.GRAD_SCALE, np.tanh(
+            w.data.dtype.type(0) + r[1].data @ w.data + 0.5), rtol=1e-5)
+        assert w.grad is not None and w.grad.dtype == dtype
+        ad.Tensor.backward(*r)
+        assert all(rt._vjps == () and rt.grad is None for rt in r)
+        assert w.grad.dtype == dtype
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        assert np.allclose(w.grad, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
 def test_gradients_accumulate_across_paths():
     x = Tensor(np.array(2.0), requires_grad=True)
     y = ad.add(ad.mul(x, x), ad.mul(x, 3.0))  # x^2 + 3x

@@ -372,6 +372,83 @@ def test_eval_and_visualize_of_run_with_invalid_json(tmp_path, capsys,
     assert not (tmp_path / "viz").exists()
 
 
+def break_pairs(data):
+    """The first line of pairs.tsv with split bogus."""
+    lines = (data / "pairs.tsv").read_text().splitlines(keepends=True)
+    src, dst, _ = lines[0].split("\t")
+    (data / "pairs.tsv").write_text("".join([f"{src}\t{dst}\tbogus\n"]
+                                            + lines[1:]))
+
+
+def edit_params(change):
+    def edit(data):
+        doc = json.loads((data / "params.json").read_text())
+        change(doc)
+        (data / "params.json").write_text(json.dumps(doc))
+    return edit
+
+
+# A malformed dataset file: how to break it, and what the message says
+# besides the file's name.
+MALFORMED = {
+    "pairs-split": ("pairs.tsv", break_pairs, "line 1"),
+    "params-no-direction": ("params.json",
+                            edit_params(lambda d: d.pop("direction")),
+                            "no field 'direction'"),
+    "params-unknown-key": ("params.json",
+                           edit_params(lambda d: d.update(foo=1)), "'foo'"),
+    "graph-invalid-json": ("graph.json",
+                           lambda data: (data / "graph.json").write_text(
+                               "{bad"), "Expecting property name"),
+    "graph-no-nodes": ("graph.json", lambda data: (data / "graph.json")
+                       .write_text('{"n_side": 5, "edges": []}'), "'nodes'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_train_names_a_malformed_dataset_file(tmp_path, capsys, case):
+    """train exits 2 with a message naming the malformed file, with no
+    traceback and no run directory."""
+    name, breaks, message = MALFORMED[case]
+    data = generate_tiny(tmp_path) / "seed0"
+    breaks(data)
+    run_dir = tmp_path / "run"
+    capsys.readouterr()
+    rc = run_cli("train", "--model", "rw-stationary", "--data", str(data),
+                 "--out", str(run_dir), "--epochs", "1")
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert str(data / name) in captured.err and message in captured.err
+    assert captured.out == ""
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("case", ["pairs-split", "graph-invalid-json",
+                                  "graph-no-nodes"])
+def test_eval_and_visualize_name_a_malformed_dataset_file(tmp_path, capsys,
+                                                          case):
+    """A run whose dataset file was broken after training exits 2 from eval
+    and visualize, naming the file."""
+    name, breaks, message = MALFORMED[case]
+    data = generate_tiny(tmp_path) / "seed0"
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--model", "rw-stationary", "--data", str(data),
+                   "--out", str(run_dir), "--epochs", "1", "--dims", "8",
+                   "--attn-dims", "2", "--steps", "2") == 0
+    breaks(data)
+    path = os.path.join(run_dir, "..", "data", "seed0", name)
+    capsys.readouterr()
+    assert run_cli("eval", "--run", str(run_dir)) == 2
+    err = capsys.readouterr().err
+    assert path in err and message in err
+    rc = run_cli("visualize", "--run", str(run_dir), "--src", "0",
+                 "--dst", "1", "--out", str(tmp_path / "viz"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert path in err and message in err
+    assert not (tmp_path / "viz").exists()
+
+
 def test_eval_out_into_a_missing_directory(tmp_path, capsys):
     """eval --out makes the metrics file's missing parent directories and
     writes there what it prints."""

@@ -3,9 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from gridflow import training
+from gridflow import autodiff as ad, training
 from gridflow.data import GenParams, build_dataset
-from gridflow.graphnets import GraphTensors, Model, ModelConfig
+from gridflow.graphnets import (
+    MICROBATCH_SIZE,
+    MODEL_NAMES,
+    GraphTensors,
+    Model,
+    ModelConfig,
+)
 from gridflow.metrics import MetricsReport
 from gridflow.optim import Adam
 from gridflow.training import (
@@ -208,6 +214,102 @@ def test_train_keeps_only_the_top_k_states(monkeypatch):
         assert state.keys() == at_epoch_end[epoch].keys()
         for name, value in state.items():
             assert np.array_equal(value, at_epoch_end[epoch][name]), name
+
+
+class StepReached(Exception):
+    pass
+
+
+def batch_of_16(name, dtype):
+    """One batch of 16 train pairs, 4 microbatches, through train's batch
+    path, stopped at Adam's step: the model with its parameters as before
+    the batch, each microbatch's (src, dst, loss), and every parameter's
+    grad at the step. Biases are drawn non-zero."""
+    ds = tiny_dataset()
+    gt = GraphTensors(ds.graph)
+    model = Model(ModelConfig.from_name(name, dims=10, attn_dims=4, steps=3,
+                                        dtype=dtype), gt, seed=0)
+    rng = np.random.default_rng(1)
+    for key, p in sorted(model.params.items()):
+        if key.endswith(".b"):
+            p.data[...] = rng.standard_normal(p.data.shape)
+    ex = prepare_examples(ds, gt)
+    tr_src, tr_dst = ex["train"]
+    ex["train"] = (tr_src[:16], tr_dst[:16])
+    micro, grads, loss = [], {}, model.loss
+
+    def recording(src, dst, background=None):
+        out = loss(src, dst, background)
+        micro.append((src, dst, out.data.copy()))
+        return out
+
+    def step(self, lr):
+        grads.update({k: p.grad.copy() for k, p in model.params.items()})
+        raise StepReached
+
+    state = model.state_dict()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "loss", recording)
+        mp.setattr(Adam, "step", step)
+        with pytest.raises(StepReached):
+            train(model, TrainConfig(batch_size=16, epochs=1), ex)
+    model.load_state_dict(state)  # undo the weight decay on embed
+    return model, micro, grads
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_batch_shares_one_background(name):
+    """train builds the batch's background once and its microbatches read
+    it. Each microbatch's loss is bit for bit that of a forward that
+    builds its own background; at float64 the batch's grads are those of
+    recomputing the background per microbatch, each loss backward on its
+    own, within 1e-10; at float32 they are within 1e-5 of float64's."""
+    by_dtype = {}
+    for dtype in ("float64", "float32"):
+        model, micro, grads = batch_of_16(name, dtype)
+        assert [len(src) for src, _, _ in micro] == [MICROBATCH_SIZE] * 4
+        for p in model.params.values():
+            p.grad = None
+        for src, dst, value in micro:
+            loss = model.loss(src, dst)
+            assert np.array_equal(loss.data, value), (dtype, name)
+            ad.mul(loss, len(src) / 16).backward()
+        if dtype == "float64":
+            for key, p in model.params.items():
+                scale = max(1.0, np.abs(p.grad).max())
+                assert np.abs(grads[key] - p.grad).max() <= 1e-10 * scale, key
+        by_dtype[dtype] = grads
+    for key, g64 in by_dtype["float64"].items():
+        g32 = by_dtype["float32"][key]
+        assert g32.dtype == np.float32, key
+        assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max(), key
+
+
+@pytest.mark.parametrize("name", ["ggnn-mulmlp", "gat", "fullgn",
+                                  "rw-dynamic", "rw-stationary"])
+def test_train_builds_one_background_per_step(monkeypatch, name):
+    """Model.background runs once per optimizer step, whatever the number
+    of microbatches, and once per predict call of each evaluate."""
+    ds = tiny_dataset()
+    gt = GraphTensors(ds.graph)
+    model = Model(ModelConfig.from_name(name, dims=10, attn_dims=4, steps=2),
+                  gt, seed=0)
+    calls = {"background": 0, "predict": 0, "step": 0}
+
+    def counting(attr, fn):
+        def wrapped(*args, **kw):
+            calls[attr] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    for attr in ("background", "predict"):
+        monkeypatch.setattr(model, attr, counting(attr, getattr(model, attr)))
+    monkeypatch.setattr(Adam, "step", counting("step", Adam.step))
+    ex = prepare_examples(ds, gt)
+    train(model, TrainConfig(batch_size=12, epochs=2, snapshot_top_k=1), ex)
+    assert calls["step"] == 2 * -(-len(ex["train"][0]) // 12)
+    assert calls["predict"] == 2
+    assert calls["background"] == calls["step"] + calls["predict"]
 
 
 def test_train_rejects_empty_split():
