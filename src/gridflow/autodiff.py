@@ -117,11 +117,11 @@ class Tensor:
         leaves keep a grad.
 
         The walk does not pass the tensors of until: each keeps its
-        closures and sums its grad over walks, in scaled units (so float32
-        keeps it normal), until a walk rooted at it carries the sum on. So
-        the microbatches of a training batch, which read one shared
-        background (graphnets.Model.background), push its gradient through
-        the background pass's own subgraph once.
+        closures and sums its grad over walks, in scaled units, which keep
+        float32 grads normal (see the module docstring), until a walk
+        rooted at it carries the sum on. So the microbatches of a training
+        batch, which read one shared background (graphnets.Model.background),
+        push its gradient through the background pass's own subgraph once.
         """
         roots = (self,) + roots
         for root in roots:

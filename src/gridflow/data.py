@@ -232,20 +232,26 @@ def load_dataset(dirpath) -> Dataset:
                     f"{path}, line {number}: {line.rstrip()!r} is not "
                     f"src<TAB>dst<TAB>split with split one of {SPLIT_NAMES}"
                 ) from None
-    return Dataset(graph, np.array(pairs, dtype=np.int64).reshape(-1, 2),
-                   np.array(splits, dtype=np.int64))
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    unknown = np.setdiff1d(pairs, graph.nodes)
+    if len(unknown):
+        raise ValueError(f"{path} names nodes that are not in the graph: "
+                         f"{unknown[:10].tolist()}")
+    return Dataset(graph, pairs, np.array(splits, dtype=np.int64))
 
 
 def load_params(dirpath) -> GenParams:
     """The GenParams of dirpath's params.json; ValueError naming the file
-    if it does not hold them."""
+    if it does not hold exactly their fields, or holds a value they
+    refuse."""
     path = os.path.join(dirpath, "params.json")
     doc = read_json(path)
     try:
         if isinstance(doc["direction"], dict):  # older files nest the direction
             doc["direction"] = doc["direction"]["variant"]
-        return GenParams(**doc)
-    except KeyError as err:
-        raise ValueError(f"{path} has no field {err}") from None
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: {err}") from None
+        # Every field is required: a default would describe another dataset.
+        fields = {f.name: doc.pop(f.name) for f in dataclasses.fields(GenParams)}
+        return GenParams(**fields, **doc)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path} does not hold a dataset's GenParams "
+                         f"({type(err).__name__}: {err})") from None

@@ -484,10 +484,10 @@ def test_walks_stop_at_shared_states_then_carry_them_on():
         assert all(rt.grad.dtype == dtype for rt in r)
         assert all(t._vjps == () and t.grad is None
                    for t in (l1, l2, *interior))
-        # r_0 is read by both losses through mul: its grad is a sum of
-        # VJP outputs in scaled units, GRAD_SCALE times the true one.
-        assert np.allclose(first / ad.GRAD_SCALE, np.tanh(
-            w.data.dtype.type(0) + r[1].data @ w.data + 0.5), rtol=1e-5)
+        # The first loss reads r_0 through mul only: the walk leaves it
+        # GRAD_SCALE times that factor's true gradient.
+        assert np.allclose(first / ad.GRAD_SCALE,
+                           np.tanh(r[1].data @ w.data + 0.5), rtol=1e-5)
         assert w.grad is not None and w.grad.dtype == dtype
         ad.Tensor.backward(*r)
         assert all(rt._vjps == () and rt.grad is None for rt in r)

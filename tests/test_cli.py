@@ -392,9 +392,14 @@ def edit_params(change):
 # besides the file's name.
 MALFORMED = {
     "pairs-split": ("pairs.tsv", break_pairs, "line 1"),
+    "pairs-unknown-node": ("pairs.tsv", lambda data: (data / "pairs.tsv")
+                           .write_text("999\t0\ttrain\n"), "[999]"),
     "params-no-direction": ("params.json",
                             edit_params(lambda d: d.pop("direction")),
-                            "no field 'direction'"),
+                            "KeyError: 'direction'"),
+    "params-no-max-steps": ("params.json",
+                            edit_params(lambda d: d.pop("max_steps")),
+                            "KeyError: 'max_steps'"),
     "params-unknown-key": ("params.json",
                            edit_params(lambda d: d.update(foo=1)), "'foo'"),
     "graph-invalid-json": ("graph.json",
@@ -423,8 +428,8 @@ def test_train_names_a_malformed_dataset_file(tmp_path, capsys, case):
     assert not run_dir.exists()
 
 
-@pytest.mark.parametrize("case", ["pairs-split", "graph-invalid-json",
-                                  "graph-no-nodes"])
+@pytest.mark.parametrize("case", ["pairs-split", "pairs-unknown-node",
+                                  "graph-invalid-json", "graph-no-nodes"])
 def test_eval_and_visualize_name_a_malformed_dataset_file(tmp_path, capsys,
                                                           case):
     """A run whose dataset file was broken after training exits 2 from eval
